@@ -20,6 +20,7 @@ import contextlib
 import json
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -52,6 +53,15 @@ STORE_FSYNC_ENV = "REPRO_STORE_FSYNC"
 #: cadence and fleet dispatch files are touched per batch, so one hour
 #: is conservative by several orders of magnitude.
 SPOOL_GC_MIN_AGE_S = 3600.0
+
+#: Additive operational counters of a store instance.  The attributes
+#: are lifetime totals; :meth:`ResultStore.sweep_health` reports them
+#: per sweep, as differences from the previous sweep's report.
+_SWEEP_COUNTERS = (
+    "hits", "misses", "auto_compactions", "reconciled_records",
+    "flush_count", "flush_total_s", "fsync_count", "fsync_total_s",
+    "compaction_count", "compaction_total_s",
+)
 
 
 def _fsync_enabled() -> bool:
@@ -225,11 +235,16 @@ class ResultStore:
     ) -> None:
         self.directory = Path(cache_dir) if cache_dir else default_cache_dir()
         self.path = self.directory / "results.jsonl"
+        self._auto_compact = auto_compact
         #: Compactions this instance performed opportunistically.
         self.auto_compactions = 0
         self._index: dict[str, dict] = {}
         #: Code-version salt each key was written under (None if unknown).
         self._salts: dict[str, str | None] = {}
+        #: Live keys per salt, kept in step with ``_salts`` so that the
+        #: auto-compaction check and ``info()`` count salted and stale
+        #: rows without scanning every key.
+        self._salt_counts: Counter = Counter()
         #: Well-formed records appended so far (live + superseded).
         self._records = 0
         #: Damaged lines skipped during the initial load.
@@ -269,6 +284,14 @@ class ResultStore:
         #: next put() must start on a fresh line or it merges with the
         #: partial record and corrupts itself too.
         self._needs_newline = False
+        #: Counter values at the previous :meth:`sweep_health` report.
+        #: Zeros: the first sweep's window opens with the instance, so
+        #: it includes the load and any auto-compaction.
+        self._reported = dict.fromkeys(_SWEEP_COUNTERS, 0)
+        #: Longest flush and fsync since that report (maxima cannot be
+        #: differenced like the totals).
+        self._window_flush_max_s = 0.0
+        self._window_fsync_max_s = 0.0
         self._load()
         if auto_compact:
             self._maybe_auto_compact()
@@ -315,10 +338,21 @@ class ResultStore:
         # Last write wins, so re-runs after code changes stay correct
         # even if an old record shares a key (it cannot, but cheap).
         self._records += 1
-        self._index[record["key"]] = record["payload"]
         salt = record.get("salt")
-        self._salts[record["key"]] = salt if isinstance(salt, str) else None
+        self._index_row(
+            record["key"], record["payload"],
+            salt if isinstance(salt, str) else None,
+        )
         return True
+
+    def _index_row(self, key: str, payload: dict, salt: str | None) -> None:
+        """Point ``key`` at ``payload`` (last write wins), keeping the
+        per-salt live counts in step."""
+        if key in self._salts:
+            self._salt_counts[self._salts[key]] -= 1
+        self._index[key] = payload
+        self._salts[key] = salt
+        self._salt_counts[salt] += 1
 
     def _tail_is_torn(self) -> bool:
         """True when the data file ends mid-line (crash during an
@@ -337,6 +371,7 @@ class ResultStore:
         """Re-read the file from scratch (picks up concurrent appends)."""
         self._index = {}
         self._salts = {}
+        self._salt_counts = Counter()
         self._records = 0
         self.skipped_lines = 0
         self._needs_newline = False
@@ -396,6 +431,17 @@ class ResultStore:
         """
         with _store_lock(self.directory):
             return self._absorb_new_rows()
+
+    def refresh(self) -> int:
+        """Bring a long-lived instance to where a fresh open would be:
+        :meth:`reconcile`, then apply the auto-compaction policy again
+        (when this instance has it enabled).  Returns the records
+        absorbed.  Costs a stat under the lock when nothing changed.
+        """
+        absorbed = self.reconcile()
+        if self._auto_compact:
+            self._maybe_auto_compact()
+        return absorbed
 
     def __len__(self) -> int:
         return len(self._index)
@@ -464,8 +510,10 @@ class ResultStore:
                     fsync_s = time.perf_counter() - fsync_started
                     self.fsync_count += 1
                     self.fsync_total_s += fsync_s
-                    if fsync_s > self.fsync_max_s:
-                        self.fsync_max_s = fsync_s
+                    self.fsync_max_s = max(self.fsync_max_s, fsync_s)
+                    self._window_fsync_max_s = max(
+                        self._window_fsync_max_s, fsync_s
+                    )
             # Flushed under the lock, so EOF is exactly our own append:
             # everything up to here is now part of this instance's view.
             stat = self.path.stat()
@@ -474,11 +522,10 @@ class ResultStore:
         flush_s = time.perf_counter() - flush_started
         self.flush_count += 1
         self.flush_total_s += flush_s
-        if flush_s > self.flush_max_s:
-            self.flush_max_s = flush_s
+        self.flush_max_s = max(self.flush_max_s, flush_s)
+        self._window_flush_max_s = max(self._window_flush_max_s, flush_s)
         self._records += 1
-        self._index[key] = payload
-        self._salts[key] = salt
+        self._index_row(key, payload, salt)
 
     # ------------------------------------------------------------------
     # Maintenance (``repro cache info`` / ``repro cache gc``)
@@ -486,36 +533,47 @@ class ResultStore:
     def _maybe_auto_compact(self) -> None:
         """Opportunistic GC: compact when reclaimable rows dominate.
 
-        Every sweep opens a store, so without this the JSONL file grows
-        by one full result set per simulator change (stale rows) plus
-        every superseded write, until someone remembers ``repro cache
-        gc``.  The policy is conservative: compaction runs only when the
-        waste both clears :data:`AUTO_COMPACT_MIN_WASTE` *and* outweighs
-        the live entries — small or mostly-live stores are never
-        rewritten.  Stale-row counting (which imports the simulator to
-        hash its sources) is deferred until the cheap waste counts have
-        already made compaction plausible.
+        Every sweep opens (or, in the service, refreshes) a store, so
+        without this the JSONL file grows by one full result set per
+        simulator change (stale rows) plus every superseded write, until
+        someone remembers ``repro cache gc``.  The policy is
+        conservative: compaction runs only when the waste both clears
+        :data:`AUTO_COMPACT_MIN_WASTE` *and* outweighs the live entries
+        — small or mostly-live stores are never rewritten.  Every count
+        is O(1); the stale count (which imports the simulator to hash
+        its sources) is deferred until the cheap counts have already
+        made compaction plausible.
         """
         live = len(self._index)
         cheap_waste = (self._records - live) + self.skipped_lines
-        salted = sum(
-            1 for salt in self._salts.values() if salt is not None
-        )
-        if cheap_waste + salted < AUTO_COMPACT_MIN_WASTE:
+        if cheap_waste + self._salted_count() < AUTO_COMPACT_MIN_WASTE:
             return  # even if every salted row were stale: under the floor
-        stale = len(self._stale_keys())
+        stale = self._stale_count()
         waste = cheap_waste + stale
         if waste >= AUTO_COMPACT_MIN_WASTE and waste > live - stale:
             self.compact()
             self.auto_compactions += 1
 
-    def _stale_keys(self) -> set[str]:
-        """Keys written under a different code-version salt than today's.
+    def _salted_count(self) -> int:
+        """Live keys written with a salt (O(1))."""
+        return len(self._index) - self._salt_counts[None]
+
+    def _stale_count(self) -> int:
+        """Live keys written under a different code-version salt than
+        today's (O(1)).  The simulator salt is computed only when some
+        live key is salted.
 
         Unsalted rows (written via a bare :meth:`put`) are never treated
         as stale — their vintage is unknown.
         """
-        if not any(salt is not None for salt in self._salts.values()):
+        salted = self._salted_count()
+        if not salted:
+            return 0
+        return salted - self._salt_counts[_current_salt()]
+
+    def _stale_keys(self) -> set[str]:
+        """The keys :meth:`_stale_count` counts (scans every key)."""
+        if not self._stale_count():
             return set()
         current = _current_salt()
         return {
@@ -536,7 +594,7 @@ class ResultStore:
             size_bytes=size,
             live_keys=len(self._index),
             dead_records=self._records - len(self._index),
-            stale_records=len(self._stale_keys()),
+            stale_records=self._stale_count(),
             damaged_lines=self.skipped_lines,
         )
 
@@ -566,7 +624,7 @@ class ResultStore:
                 self._reload()
                 for key in self._stale_keys():
                     del self._index[key]
-                    del self._salts[key]
+                    self._salt_counts[self._salts.pop(key)] -= 1
                 tmp = self.path.with_suffix(".jsonl.tmp")
                 with tmp.open("w") as handle:
                     for key, payload in self._index.items():
@@ -593,11 +651,45 @@ class ResultStore:
 
     def health(self) -> dict:
         """One JSON-able health block: on-disk state plus this instance's
-        operational counters.  This is the store's contribution to
-        :class:`~repro.obs.SweepMetrics` and the payload behind
+        lifetime operational counters.  This is the payload behind
         ``repro cache info``.
         """
         info = self.info()
+        return self._health_block(
+            info, self._counters(), self.flush_max_s, self.fsync_max_s,
+            self.compaction_last_s,
+        )
+
+    def sweep_health(self) -> dict:
+        """:meth:`health` with one sweep's operational counters, the
+        store's contribution to :class:`~repro.obs.SweepMetrics`.
+
+        The counters cover what this instance did since the previous
+        sweep's report, or since it opened, so a store opened for one
+        sweep reports its load and auto-compaction as :meth:`health`
+        does, and a long-lived store (one per service worker) reports
+        each sweep's hits, puts, reconciled rows and compactions, its
+        :meth:`refresh` included.  The instance attributes stay
+        lifetime totals.
+        """
+        info = self.info()
+        now = self._counters()
+        window = {name: now[name] - self._reported[name] for name in now}
+        block = self._health_block(
+            info, window, self._window_flush_max_s,
+            self._window_fsync_max_s,
+            self.compaction_last_s if window["compaction_count"] else None,
+        )
+        self._reported = now
+        self._window_flush_max_s = self._window_fsync_max_s = 0.0
+        return block
+
+    def _counters(self) -> dict:
+        return {name: getattr(self, name) for name in _SWEEP_COUNTERS}
+
+    def _health_block(self, info: StoreInfo, counts: dict,
+                      flush_max_s: float, fsync_max_s: float,
+                      compaction_last_s: float | None) -> dict:
         return {
             "path": info.path,
             "size_bytes": info.size_bytes,
@@ -605,22 +697,22 @@ class ResultStore:
             "dead_records": info.dead_records,
             "stale_records": info.stale_records,
             "damaged_lines": info.damaged_lines,
-            "hits": self.hits,
-            "misses": self.misses,
-            "auto_compactions": self.auto_compactions,
-            "reconciled_records": self.reconciled_records,
+            "hits": counts["hits"],
+            "misses": counts["misses"],
+            "auto_compactions": counts["auto_compactions"],
+            "reconciled_records": counts["reconciled_records"],
             "flush": {
-                "count": self.flush_count,
-                "total_s": self.flush_total_s,
-                "max_s": self.flush_max_s,
-                "fsync_count": self.fsync_count,
-                "fsync_total_s": self.fsync_total_s,
-                "fsync_max_s": self.fsync_max_s,
+                "count": counts["flush_count"],
+                "total_s": counts["flush_total_s"],
+                "max_s": flush_max_s,
+                "fsync_count": counts["fsync_count"],
+                "fsync_total_s": counts["fsync_total_s"],
+                "fsync_max_s": fsync_max_s,
             },
             "compaction": {
-                "count": self.compaction_count,
-                "total_s": self.compaction_total_s,
-                "last_s": self.compaction_last_s,
+                "count": counts["compaction_count"],
+                "total_s": counts["compaction_total_s"],
+                "last_s": compaction_last_s,
             },
             "spool": spool_usage(self.directory),
         }

@@ -328,7 +328,7 @@ def run_sweep(
         exec_rate=sweep.exec_rate,
         telemetry=bool(telemetry),
         backend_metrics=dict(getattr(chosen, "metrics", {}) or {}),
-        store=store.health() if store is not None else None,
+        store=store.sweep_health() if store is not None else None,
     )
     for index, obs in observations.items():
         latency = obs.get("latency")

@@ -22,6 +22,7 @@ hash lives behind a lazy import instead.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -52,8 +53,9 @@ class SweepMetrics:
     telemetry: bool = False
     #: Backend-specific counters (workers, retries, heartbeat gaps...).
     backend_metrics: dict = field(default_factory=dict)
-    #: Store health snapshot (:meth:`~repro.exp.cache.ResultStore.health`)
-    #: taken after the sweep; ``None`` for storeless runs.
+    #: Store health taken after the sweep, with this sweep's counters
+    #: (:meth:`~repro.exp.cache.ResultStore.sweep_health`); ``None`` for
+    #: storeless runs.
     store: dict | None = None
 
     def to_dict(self) -> dict:
@@ -152,6 +154,9 @@ def write_sweep_trace(
     ``job_rows`` are ``type: "job"`` dicts in spec-expansion order.  The
     write goes through a same-directory temp file and an atomic rename,
     so a concurrently reading ``repro stats`` never sees a torn file.
+    The temp file's name is unique per write: two writers of one trace
+    (the service and a ``repro sweep`` of the same grid on one cache
+    dir) each rename their own complete file, and the last one wins.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -161,12 +166,16 @@ def write_sweep_trace(
         "sweep_id": metrics.sweep_id,
         "metrics": metrics.to_dict(),
     }
-    tmp = path.with_suffix(".tmp")
-    with tmp.open("w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for row in job_rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
-    tmp.replace(path)
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with tmp.open("x", encoding="utf-8") as fh:
+            fh.write(json.dumps(header, sort_keys=True) + "\n")
+            for row in job_rows:
+                fh.write(json.dumps(row, sort_keys=True) + "\n")
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 

@@ -114,7 +114,7 @@ class _Handler(BaseHTTPRequestHandler):
                 "cache_dir": str(service.cache_dir),
                 "workers": service.workers,
                 "queue_limit": service.queue_limit,
-                "sweeps": len(service.list_sweeps()),
+                "sweeps": service.sweep_count(),
                 "metrics": service.metrics.to_dict(),
             })
             return

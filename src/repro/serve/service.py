@@ -18,18 +18,28 @@ Dedup and replay semantics:
   record is gone but the store is not: the sweep re-runs and every job
   cache-hits, reporting the same numbers the replay would.
 * A failed record re-queues on resubmission.
+* Finished records are capped (:data:`MAX_FINISHED_RECORDS`, oldest
+  finished first; queued and running records are never dropped).  A
+  resubmitted evicted sweep re-runs with every job a cache hit, exactly
+  as after a restart.
 
-Store safety: every run opens a *fresh* :class:`~repro.exp.ResultStore`
-instance, so concurrent worker threads never share one in-memory index;
-the store's sidecar flock plus the reconcile-on-put path (PR 9) make
-interleaved appends safe and visible.
+Store safety: each worker thread keeps one long-lived
+:class:`~repro.exp.ResultStore`, opened on its first sweep (start-up
+parses nothing) and brought up to date before every later sweep by
+:meth:`~repro.exp.ResultStore.refresh`.  The refresh absorbs rows other
+writers appended, under the store's sidecar flock, reloads after
+another process compacted the file, and applies the auto-compaction
+policy a fresh open would.  Worker threads never share an in-memory
+index, and appends from any number of writers stay safe and visible.
+A cached replay therefore costs O(jobs in the request), not O(rows in
+the store).
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
@@ -40,6 +50,11 @@ from repro.serve.protocol import SweepRequest
 
 #: Terminal record states.
 DONE_STATES = frozenset({"done", "failed"})
+
+#: Finished (terminal) records kept for status queries and replays.
+#: Past it the oldest finished record is forgotten; its results stay in
+#: the store.
+MAX_FINISHED_RECORDS = 256
 
 
 @dataclass
@@ -58,7 +73,8 @@ class SweepRecord:
     digest: str | None = None
     error: str | None = None
     trace_path: str | None = None
-    metrics: dict | None = None
+    #: Per-host fleet metrics of the run (fleet-shaped backends only).
+    fleet_hosts: dict | None = None
     aggregates: list | None = None
     created_s: float = dc_field(default_factory=time.time)
     finished_s: float | None = None
@@ -68,7 +84,6 @@ class SweepRecord:
     def snapshot(self, replay: bool = False) -> dict:
         """JSON-able status view; ``replay=True`` reports the
         zero-execution answer a duplicate submission gets."""
-        fleet = fleet_backend_metrics(self.metrics) if self.metrics else None
         payload = {
             "sweep_id": self.sweep_id,
             "state": self.state,
@@ -86,8 +101,8 @@ class SweepRecord:
         }
         if self.aggregates is not None:
             payload["aggregates"] = self.aggregates
-        if fleet is not None:
-            payload["fleet"] = {"hosts": fleet.get("hosts")}
+        if self.fleet_hosts is not None:
+            payload["fleet"] = {"hosts": self.fleet_hosts}
         if self.finished_s is not None:
             payload["elapsed_s"] = round(self.finished_s - self.created_s, 3)
         return payload
@@ -99,8 +114,8 @@ class SweepService:
     Parameters
     ----------
     cache_dir:
-        Result-cache directory every run's fresh store opens (``None``
-        resolves like the CLI: ``$REPRO_CACHE_DIR`` or the default).
+        Result-cache directory of the workers' stores (``None`` resolves
+        like the CLI: ``$REPRO_CACHE_DIR`` or the default).
     workers:
         Concurrent sweep executions (each is one ``run_sweep`` call;
         parallelism *within* a sweep is the request's ``jobs``/backend).
@@ -124,7 +139,11 @@ class SweepService:
         self.queue_limit = max(1, queue_limit)
         self.metrics = ServiceMetrics()
         self._records: dict[str, SweepRecord] = {}
+        #: Ids of terminal records, oldest finished first.
+        self._finished: OrderedDict[str, None] = OrderedDict()
         self._queue: deque[str] = deque()
+        #: Each worker thread's own store (``.store``), opened lazily.
+        self._local = threading.local()
         self._cond = threading.Condition()
         self._threads: list[threading.Thread] = []
         self._draining = False
@@ -213,6 +232,7 @@ class SweepService:
                     record.error = None
                     record.completed = 0
                     record.request = request
+                    del self._finished[sweep_id]
                     self._queue.append(sweep_id)
                     self._cond.notify_all()
                     return record.snapshot(), 202
@@ -252,6 +272,11 @@ class SweepService:
                 self._records[sid].snapshot()
                 for sid in sorted(self._records)
             ]
+
+    def sweep_count(self) -> int:
+        """Records currently held (``/healthz``), without snapshots."""
+        with self._cond:
+            return len(self._records)
 
     def events_since(self, sweep_id: str, seq: int,
                      wait_s: float = 0.0) -> tuple[list, int, bool] | None:
@@ -300,15 +325,40 @@ class SweepService:
             try:
                 self._run(record)
             except BaseException as exc:  # never kill the worker thread
+                # The failure may have left this worker's index half
+                # updated: the next sweep reopens the store from disk.
+                self._local.store = None
                 with self._cond:
                     record.state = "failed"
                     record.error = f"{type(exc).__name__}: {exc}"
-                    record.finished_s = time.time()
+                    self._finish(record)
                     self.metrics.failed += 1
                     self._cond.notify_all()
             else:
                 with self._cond:
                     self._cond.notify_all()
+
+    def _finish(self, record: SweepRecord) -> None:
+        """Stamp a record terminal and forget the oldest finished ones
+        past :data:`MAX_FINISHED_RECORDS`.  Caller holds the lock."""
+        record.finished_s = time.time()
+        self._finished[record.sweep_id] = None
+        while len(self._finished) > MAX_FINISHED_RECORDS:
+            oldest, _ = self._finished.popitem(last=False)
+            del self._records[oldest]
+
+    def _worker_store(self):
+        """This worker thread's store: opened on its first sweep, then
+        refreshed (other writers' rows, external compactions, the
+        auto-compaction policy) before every later one."""
+        from repro.exp import ResultStore
+
+        store = getattr(self._local, "store", None)
+        if store is None:
+            store = self._local.store = ResultStore(self.cache_dir)
+        else:
+            store.refresh()
+        return store
 
     def _build_backend(self, request: SweepRequest):
         """Run options -> backend argument for ``run_sweep``.
@@ -332,11 +382,11 @@ class SweepService:
         )
 
     def _run(self, record: SweepRecord) -> None:
-        from repro.exp import ResultStore, run_sweep, sweep_digest
+        from repro.exp import run_sweep, sweep_digest
 
         request = record.request
         spec = request.spec()
-        store = ResultStore(self.cache_dir)
+        store = self._worker_store()
 
         def on_event(event: dict) -> None:
             with self._cond:
@@ -356,6 +406,7 @@ class SweepService:
             events=on_event,
         )
         digest = sweep_digest(sweep)
+        fleet = fleet_backend_metrics(sweep.metrics) if sweep.metrics else None
         aggregates = None
         try:
             comparison = sweep.comparison()
@@ -384,10 +435,8 @@ class SweepService:
             record.completed = sweep.total_jobs
             record.digest = digest
             record.trace_path = sweep.trace_path
-            record.metrics = (
-                sweep.metrics.to_dict() if sweep.metrics else None
-            )
+            record.fleet_hosts = fleet["hosts"] if fleet else None
             record.aggregates = aggregates
-            record.finished_s = time.time()
+            self._finish(record)
             self.metrics.completed += 1
             self._cond.notify_all()

@@ -344,6 +344,95 @@ class TestConcurrentWriters:
         assert ours.health()["reconciled_records"] == 1
 
 
+class TestLongLivedStore:
+    """One instance kept across sweeps: refresh, O(1) counts, windows."""
+
+    def test_salt_counts_track_every_write(self, tmp_path, monkeypatch):
+        import repro.exp.cache as cache
+
+        monkeypatch.setattr(cache, "_current_salt", lambda: "now")
+        store = ResultStore(tmp_path)
+        store.put("a", {"v": 1}, salt="old")
+        store.put("b", {"v": 2}, salt="old")
+        store.put("c", {"v": 3}, salt="now")
+        store.put("d", {"v": 4})
+        store.put("a", {"v": 5}, salt="now")  # rewritten under today's
+        assert store.info().stale_records == 1
+        other = ResultStore(tmp_path)
+        other.put("e", {"v": 6}, salt="old")
+        other.put("c", {"v": 7}, salt="old")
+        assert store.reconcile() == 2
+        assert store.info().stale_records == 3
+        assert ResultStore(tmp_path).info().stale_records == 3
+        after = store.compact()
+        assert after.stale_records == 0 and after.live_keys == 2
+        store.put("f", {"v": 8}, salt="old")
+        assert store.info().stale_records == 1
+
+    def test_unsalted_store_never_computes_the_salt(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.exp.cache as cache
+
+        def boom():
+            raise AssertionError("salt computed for an unsalted store")
+
+        monkeypatch.setattr(cache, "_current_salt", boom)
+        store = ResultStore(tmp_path)
+        for n in range(cache.AUTO_COMPACT_MIN_WASTE * 2):
+            store.put("churn", {"v": n})
+        assert store.refresh() == 0
+        assert store.auto_compactions == 1  # dead rows alone
+        assert store.info().stale_records == 0
+        assert store.health()["stale_records"] == 0
+
+    def test_refresh_absorbs_and_auto_compacts(self, tmp_path):
+        from repro.exp.cache import AUTO_COMPACT_MIN_WASTE
+
+        store = ResultStore(tmp_path)
+        store.put("fresh", {"v": 1})
+        writer = ResultStore(tmp_path)
+        for n in range(AUTO_COMPACT_MIN_WASTE):
+            writer.put(f"old-{n}", {"v": n}, salt="obsolete-salt")
+        assert store.refresh() == AUTO_COMPACT_MIN_WASTE
+        assert store.auto_compactions == 1
+        assert store.info().stale_records == 0
+        assert store.get("fresh") == {"v": 1}
+        assert ResultStore(tmp_path, auto_compact=False).info().live_keys == 1
+
+    def test_refresh_respects_disabled_auto_compaction(self, tmp_path):
+        from repro.exp.cache import AUTO_COMPACT_MIN_WASTE
+
+        store = ResultStore(tmp_path, auto_compact=False)
+        writer = ResultStore(tmp_path)
+        for n in range(AUTO_COMPACT_MIN_WASTE):
+            writer.put(f"old-{n}", {"v": n}, salt="obsolete-salt")
+        assert store.refresh() == AUTO_COMPACT_MIN_WASTE
+        assert store.auto_compactions == 0
+        assert store.info().stale_records == AUTO_COMPACT_MIN_WASTE
+
+    def test_first_sweep_window_includes_the_open(self, tmp_path):
+        from repro.exp.cache import AUTO_COMPACT_MIN_WASTE
+
+        writer = ResultStore(tmp_path)
+        for n in range(AUTO_COMPACT_MIN_WASTE * 2):
+            writer.put("churn", {"v": n})
+        store = ResultStore(tmp_path)  # auto-compacts on open
+        store.get("churn")
+        window = store.sweep_health()
+        assert window["compaction"]["count"] == 1
+        assert window["auto_compactions"] == 1
+        assert window["compaction"]["last_s"] is not None
+        assert window["hits"] == 1
+        store.get("nope")
+        window = store.sweep_health()
+        assert window["compaction"] == {
+            "count": 0, "total_s": 0.0, "last_s": None,
+        }
+        assert (window["hits"], window["misses"]) == (0, 1)
+        assert store.health()["compaction"]["count"] == 1
+
+
 class TestSpoolGc:
     @staticmethod
     def _make_spool(root, name, age_s, mtime_now):

@@ -282,6 +282,57 @@ def test_store_health_counters(tmp_path):
     assert health["dead_records"] == 0
 
 
+def test_concurrent_trace_writers_never_collide(tmp_path):
+    """Two writers of one sweep's trace (the service and a CLI sweep of
+    the same grid) each write a temp file of their own: neither rename
+    loses its file to the other, and no temp file is left behind."""
+    import threading
+
+    from repro.obs import SweepMetrics, write_sweep_trace
+
+    metrics = SweepMetrics(
+        sweep_id="ab" * 32, backend="serial", total_jobs=64, executed=64,
+        cache_hits=0, elapsed_s=1.0, exec_elapsed_s=1.0, exec_rate=64.0,
+    )
+    rows = [{"type": "job", "index": i, "label": f"job-{i}"}
+            for i in range(64)]
+    path = trace_path_for(tmp_path, metrics.sweep_id)
+    errors: list[BaseException] = []
+
+    def rewrite() -> None:
+        try:
+            for _ in range(30):
+                write_sweep_trace(path, metrics, rows)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    writers = [threading.Thread(target=rewrite) for _ in range(2)]
+    for writer in writers:
+        writer.start()
+    for writer in writers:
+        writer.join(timeout=60.0)
+        assert not writer.is_alive()
+    assert errors == []
+    trace = read_trace(path)
+    assert trace["header"]["sweep_id"] == metrics.sweep_id
+    assert len(trace["jobs"]) == len(rows)
+    assert sorted(path.parent.iterdir()) == [path]
+
+
+def test_sweep_health_reports_each_sweep_alone(tmp_path):
+    store = ResultStore(tmp_path)
+    first = run_sweep(_tiny_spec(), store=store).metrics.store
+    assert (first["hits"], first["misses"]) == (0, 2)
+    assert first["flush"]["count"] == 2
+    again = run_sweep(_tiny_spec(), store=store).metrics.store
+    assert (again["hits"], again["misses"]) == (2, 0)
+    assert again["flush"]["count"] == 0
+    assert again["flush"]["max_s"] == 0.0
+    # The instance attributes stay lifetime totals.
+    assert (store.hits, store.misses, store.flush_count) == (2, 2, 2)
+    assert store.health()["hits"] == 2
+
+
 def test_sweep_id_ignores_code_version(tmp_path):
     """Trace identity is pure spec content — unlike cache keys, it must
     survive simulator edits so trajectories accumulate in one file."""

@@ -9,15 +9,21 @@ jobs and report the same digest.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import threading
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
+import repro
+import repro.serve.service as service_module
 from repro.errors import ReproError
 from repro.exp import ResultStore, run_sweep, sweep_digest
-from repro.obs import sweep_id_for
+from repro.obs import read_trace, sweep_id_for
 from repro.serve import (
     ServiceError,
     SweepHTTPServer,
@@ -29,12 +35,37 @@ from repro.serve import (
 
 #: One small grid shared by most tests (2 jobs: baseline + qprac).
 GRID = {"workloads": ["429.mcf"], "defenses": ["qprac"], "entries": 150}
+#: A grid sharing no job with GRID (2 jobs).
+OTHER = {"workloads": ["470.lbm"], "defenses": ["qprac"], "entries": 150}
+#: A grid sharing GRID's baseline job (2 jobs, 1 of them new).
+THIRD = {"workloads": ["429.mcf"], "defenses": ["moat"], "entries": 150}
 
 
 def serial_digest(tmp_path) -> str:
     spec = build_spec(["429.mcf"], defenses=["qprac"], entries=150)
     store = ResultStore(tmp_path / "serial-cache")
     return sweep_digest(run_sweep(spec, store=store, backend="serial"))
+
+
+def run_to_end(service: SweepService, payload: dict) -> dict:
+    """Submit ``payload`` and wait for its terminal snapshot."""
+    snapshot, _ = service.submit(payload)
+    return service.status(snapshot["sweep_id"], wait_s=120.0)
+
+
+def trace_store(snapshot: dict) -> dict:
+    """The store block of a finished sweep's trace header."""
+    return read_trace(snapshot["trace_path"])["header"]["metrics"]["store"]
+
+
+def scratch_rows(directory: Path, payload: dict) -> tuple[list[str], str]:
+    """Run ``payload``'s grid into a store of its own: its JSONL lines
+    and the serial digest."""
+    spec = build_spec(payload["workloads"], defenses=payload["defenses"],
+                      entries=payload["entries"])
+    store = ResultStore(directory)
+    digest = sweep_digest(run_sweep(spec, store=store, backend="serial"))
+    return store.path.read_text().splitlines(), digest
 
 
 @pytest.fixture
@@ -244,6 +275,98 @@ class TestService:
         assert {e["type"] for e in events} == {"job"}
         assert sorted(e["index"] for e in events) == [0, 1]
 
+    def test_evicted_sweep_is_404_then_replays_from_store(
+        self, http_service, monkeypatch
+    ):
+        monkeypatch.setattr(service_module, "MAX_FINISHED_RECORDS", 2)
+        _svc, base = http_service
+        finals = []
+        for grid in (GRID, OTHER, THIRD):  # cap + 1 distinct sweeps
+            snapshot = client.submit(base, grid)
+            finals.append(client.wait_done(base, snapshot["sweep_id"],
+                                           timeout=120.0))
+        oldest = finals[0]
+        with pytest.raises(ServiceError) as exc:
+            client.status(base, oldest["sweep_id"])
+        assert exc.value.status == 404
+        assert client.healthz(base)["sweeps"] == 2
+        again = client.submit(base, GRID)
+        assert again["replay"] is False  # the record is gone: a re-run
+        final = client.wait_done(base, again["sweep_id"], timeout=120.0)
+        assert final["state"] == "done"
+        assert final["executed"] == 0
+        assert final["cache_hits"] == final["total_jobs"]
+        assert final["digest"] == oldest["digest"]
+
+    def test_cap_never_evicts_a_running_sweep(self, tmp_path, monkeypatch):
+        import repro.exp
+
+        monkeypatch.setattr(service_module, "MAX_FINISHED_RECORDS", 1)
+        release = threading.Event()
+        real_run_sweep = repro.exp.run_sweep
+
+        def gated(spec, **kwargs):
+            if spec.workloads[0].name == "470.lbm":
+                release.wait(timeout=120.0)
+            return real_run_sweep(spec, **kwargs)
+
+        monkeypatch.setattr(repro.exp, "run_sweep", gated)
+        svc = SweepService(cache_dir=tmp_path / "cache", workers=2).start()
+        try:
+            # The oldest record runs until released; two younger ones
+            # finish past the cap of one meanwhile.
+            held = svc.submit(OTHER)[0]["sweep_id"]
+            done = [run_to_end(svc, grid)["sweep_id"]
+                    for grid in (GRID, THIRD)]
+            assert svc.status(held)["state"] in ("queued", "running")
+            assert svc.status(done[0]) is None  # oldest finished goes
+            assert svc.status(done[1])["state"] == "done"
+            release.set()
+            assert svc.status(held, wait_s=120.0)["state"] == "done"
+            assert svc.status(done[1]) is None
+            assert svc.sweep_count() == 1
+        finally:
+            release.set()
+            svc.stop(timeout=30.0)
+
+    def test_stress_many_workers_small_cap(self, tmp_path, monkeypatch):
+        """More workers than cores, a short switch interval and a cap of
+        two: every cached sweep completes on its worker's own store and
+        exactly the cap's worth of finished records remains.  A lost
+        update to the record bookkeeping breaks a count or kills a
+        worker."""
+        import itertools
+
+        monkeypatch.setattr(service_module, "MAX_FINISHED_RECORDS", 2)
+        workloads = ("429.mcf", "470.lbm")
+        defenses = ("qprac", "moat", "qprac+proactive")
+        cache = tmp_path / "cache"
+        run_sweep(build_spec(list(workloads), defenses=list(defenses),
+                             entries=150), store=ResultStore(cache))
+        grids = [
+            {"workloads": list(ws), "defenses": list(ds), "entries": 150}
+            for n in (1, 2) for ws in itertools.combinations(workloads, n)
+            for m in (1, 2, 3) for ds in itertools.combinations(defenses, m)
+        ]
+        svc = SweepService(cache_dir=cache, workers=4,
+                           queue_limit=len(grids))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            svc.start()
+            for grid in grids:
+                assert svc.submit(grid)[1] == 202
+            assert svc.drain(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+            svc.stop(timeout=30.0)
+        assert all(not thread.is_alive() for thread in svc._threads)
+        assert svc.metrics.completed == len(grids) == 21
+        assert svc.metrics.failed == 0
+        assert svc.sweep_count() == 2
+        # Every sweep was a replay: nothing was appended to the store.
+        assert ResultStore(cache).info().total_records == 8
+
     def test_writes_sweep_trace_keyed_by_id(self, service):
         from repro.obs import trace_path_for
 
@@ -252,6 +375,163 @@ class TestService:
         expected = trace_path_for(service.cache_dir, snapshot["sweep_id"])
         assert final["trace_path"] == str(expected)
         assert expected.exists()
+
+
+class TestWorkerStore:
+    """Each worker keeps one store, synced before every sweep."""
+
+    @pytest.fixture
+    def one_worker(self, tmp_path):
+        svc = SweepService(cache_dir=tmp_path / "cache", workers=1).start()
+        yield svc
+        svc.stop(timeout=30.0)
+
+    def test_start_opens_no_store(self, tmp_path, monkeypatch):
+        opened = []
+        real_init = ResultStore.__init__
+
+        def counting_init(store, *args, **kwargs):
+            opened.append(threading.current_thread().name)
+            real_init(store, *args, **kwargs)
+
+        monkeypatch.setattr(ResultStore, "__init__", counting_init)
+        svc = SweepService(cache_dir=tmp_path / "cache", workers=1).start()
+        try:
+            assert opened == []
+            assert run_to_end(svc, GRID)["state"] == "done"
+            assert run_to_end(svc, OTHER)["state"] == "done"
+            assert opened == ["sweep-worker-0"]  # once, by the worker
+        finally:
+            svc.stop(timeout=30.0)
+
+    def test_rows_from_another_process_are_cache_hits(self, one_worker):
+        run_to_end(one_worker, GRID)  # opens the worker's store
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            str(Path(repro.__file__).resolve().parents[1]),
+            env.get("PYTHONPATH"),
+        ]))
+        out = subprocess.run(
+            [sys.executable, "-m", "repro", "sweep", "470.lbm",
+             "--defenses", "qprac", "--entries", "150",
+             "--backend", "serial", "--cache-dir",
+             str(one_worker.cache_dir), "--quiet", "--print-digest"],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert out.returncode == 0, out.stderr
+        digest = out.stdout.split("aggregate sha256: ")[1].split()[0]
+        final = run_to_end(one_worker, OTHER)
+        assert final["state"] == "done"
+        assert final["executed"] == 0
+        assert final["cache_hits"] == 2
+        assert final["digest"] == digest
+        assert trace_store(final)["reconciled_records"] == 2
+
+    @pytest.mark.parametrize("size", ["same", "larger"])
+    def test_external_compaction_is_picked_up(self, tmp_path, size):
+        # OTHER's rows come back into the service's store only through
+        # another instance's compaction, which lands the file at the
+        # same byte size as (or past) what the worker last synced.
+        lines, digest = scratch_rows(tmp_path / "scratch", OTHER)
+        width = sum(len(line) + 1 for line in lines)
+        if size == "larger":
+            width //= 2
+        cache = tmp_path / "cache"
+        empty = {"key": "filler", "payload": {"pad": ""}, "salt": "old"}
+        pad = width - len(json.dumps(empty, sort_keys=True)) - 1
+        ResultStore(cache).put("filler", {"pad": "x" * pad}, salt="old")
+        assert (cache / "results.jsonl").stat().st_size == width
+        svc = SweepService(cache_dir=cache, workers=1).start()
+        try:
+            run_to_end(svc, GRID)  # the worker syncs filler + GRID rows
+            synced = (cache / "results.jsonl").stat().st_size
+            other = ResultStore(cache)
+            other.compact()  # drops the stale filler: a new inode
+            for line in lines:
+                row = json.loads(line)
+                other.put(row["key"], row["payload"], salt=row["salt"])
+            grown = (cache / "results.jsonl").stat().st_size
+            assert (grown == synced) if size == "same" else grown > synced
+            final = run_to_end(svc, OTHER)
+            assert final["executed"] == 0
+            assert final["digest"] == digest
+            store = trace_store(final)
+            assert store["stale_records"] == 0
+            assert store["damaged_lines"] == 0
+            assert store["live_keys"] == 4
+        finally:
+            svc.stop(timeout=30.0)
+
+    def test_torn_tail_is_not_served_or_counted_twice(
+        self, one_worker, tmp_path
+    ):
+        run_to_end(one_worker, GRID)  # opens the worker's store
+        lines, digest = scratch_rows(tmp_path / "scratch", OTHER)
+        # A writer killed mid-append left half of an OTHER row behind.
+        with (one_worker.cache_dir / "results.jsonl").open("a") as fh:
+            fh.write(lines[0][: len(lines[0]) // 2])
+        final = run_to_end(one_worker, OTHER)
+        assert final["executed"] == 2  # the torn row is never served
+        assert final["digest"] == digest
+        assert trace_store(final)["damaged_lines"] == 1
+        later = run_to_end(one_worker, THIRD)
+        assert trace_store(later)["damaged_lines"] == 1
+        assert ResultStore(one_worker.cache_dir).info().damaged_lines == 1
+
+    def test_mostly_stale_store_auto_compacts_on_next_sweep(
+        self, one_worker, monkeypatch
+    ):
+        from repro.exp.cache import AUTO_COMPACT_MIN_WASTE
+
+        run_to_end(one_worker, GRID)  # opens the worker's store
+        monkeypatch.setenv("REPRO_STORE_FSYNC", "0")
+        writer = ResultStore(one_worker.cache_dir)
+        for n in range(AUTO_COMPACT_MIN_WASTE):
+            writer.put(f"old-{n}", {"v": n}, salt="obsolete-salt")
+        final = run_to_end(one_worker, OTHER)
+        store = trace_store(final)
+        assert store["auto_compactions"] == 1
+        assert store["compaction"]["count"] == 1
+        assert store["stale_records"] == 0
+        on_disk = ResultStore(one_worker.cache_dir, auto_compact=False)
+        assert on_disk.info().stale_records == 0
+        assert len(on_disk) == 4
+
+    def test_each_sweep_reports_its_own_store_counters(self, one_worker):
+        first = trace_store(run_to_end(one_worker, GRID))
+        assert (first["hits"], first["misses"]) == (0, 2)
+        assert first["flush"]["count"] == 2
+        both = dict(GRID, defenses=["qprac", "moat"])
+        second = trace_store(run_to_end(one_worker, both))
+        assert (second["hits"], second["misses"]) == (2, 1)
+        assert second["flush"]["count"] == 1
+        assert second["live_keys"] == 3  # on-disk state stays whole
+
+    def test_failed_sweep_reopens_the_store(self, one_worker, monkeypatch):
+        import repro.exp
+
+        opened = []
+        real_init = ResultStore.__init__
+
+        def counting_init(store, *args, **kwargs):
+            opened.append(1)
+            real_init(store, *args, **kwargs)
+
+        real_run_sweep = repro.exp.run_sweep
+        calls = {"n": 0}
+
+        def flaky(*args, **kwargs):
+            calls["n"] += 1
+            if calls["n"] == 2:
+                raise RuntimeError("coordinator died")
+            return real_run_sweep(*args, **kwargs)
+
+        monkeypatch.setattr(ResultStore, "__init__", counting_init)
+        monkeypatch.setattr(repro.exp, "run_sweep", flaky)
+        run_to_end(one_worker, GRID)
+        assert run_to_end(one_worker, OTHER)["state"] == "failed"
+        assert run_to_end(one_worker, THIRD)["state"] == "done"
+        assert len(opened) == 2
 
 
 class TestHTTP:
