@@ -137,7 +137,11 @@ def _backfill_telemetry(sweep: SweepResult) -> None:
     (matched by cache key).  Reading it back here makes the hunt's PSQ
     column identical between a cold run and a fully cached replay.
     """
-    if sweep.trace_path is None:
+    pending = [
+        outcome for outcome in sweep.outcomes
+        if outcome.result.latency is None and outcome.from_cache
+    ]
+    if not pending or sweep.trace_path is None:
         return
     try:
         rows = read_trace(sweep.trace_path)["jobs"]
@@ -146,9 +150,7 @@ def _backfill_telemetry(sweep: SweepResult) -> None:
     by_key = {
         row["key"]: row for row in rows if isinstance(row.get("key"), str)
     }
-    for outcome in sweep.outcomes:
-        if outcome.result.latency is not None or not outcome.from_cache:
-            continue
+    for outcome in pending:
         row = by_key.get(outcome.job.cache_key())
         if row is not None and row.get("latency") is not None:
             outcome.result.latency = row["latency"]

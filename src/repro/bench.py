@@ -230,7 +230,8 @@ def _measure_cell(
     """
     from repro.defenses import resolve_defense
     from repro.params import default_config
-    from repro.sim.engines import resolve_engine
+    from repro.sim.engines import EpochEngine, resolve_engine
+    from repro.sim.engines.epoch import _prepare_stream
     from repro.workloads.suites import workload as lookup_workload
 
     started = time.perf_counter()
@@ -239,11 +240,19 @@ def _measure_cell(
     if spec.variant is not None:
         config = config.with_variant(spec.variant)
     sim = resolve_engine(engine).build()
+    workload_spec = lookup_workload(workload)
+    if isinstance(sim, EpochEngine):
+        # Time a full replay, never one served from the Alert-free timing
+        # memo an earlier run left on the cached stream.  The stream
+        # stays cached; a cold run builds it here instead of in simulate.
+        _prepare_stream(
+            workload_spec, n_entries, seed, config.org, config.cpu
+        ).timing.clear()
     kwargs = {}
     if telemetry is not None and getattr(telemetry, "enabled", False):
         kwargs["telemetry"] = telemetry
     result = sim.simulate(
-        lookup_workload(workload),
+        workload_spec,
         config,
         spec.factory(),
         n_entries=n_entries,

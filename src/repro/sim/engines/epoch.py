@@ -33,6 +33,25 @@ What is approximated
     tolerance asserted by ``tests/test_engines.py``; individual event
     timings do not.
 
+What is shared
+    Stream preparation (traces, merge, LLC filter) depends only on the
+    workload, trace length, seed and machine geometry, so it is memoized
+    per process and shared by every defense.  Request *timing* is shared
+    too, for runs that cannot move it: a defense changes timing only
+    through Alerts and cadence RFMs (proactive ``on_ref`` mitigations
+    happen in the REF shadow, and ``on_ref``'s return value is
+    ignored), and defense state depends only on the ordered hook calls
+    it receives.  A run is *eligible* when it has no telemetry recorder
+    and no cadence defense.  An eligible full replay that raises no
+    Alert stores its hook log (every ACT as flat bank plus row, every
+    REF tick as rank, in global order) and its timing outputs on the
+    cached stream, keyed by ``(config.timing, trefi_chunk)``.  A later
+    eligible run on that stream drives its own fresh defenses through
+    the log and takes its timing from the memo; at the first
+    ``on_activation`` that asks for an Alert it discards those defenses
+    and replays in full, since from there on its timing differs.  A
+    result served this way is byte-identical to a full replay.
+
 Determinism: everything is a fixed-order loop over deterministic
 arrays — two runs are byte-identical, pinned by the epoch golden
 digests next to the event engine's.
@@ -42,6 +61,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -134,7 +154,7 @@ class _EpochCore:
     __slots__ = (
         "cid", "reqs", "req", "load_inst",
         "idx", "n", "base", "delay", "front_total", "total_instructions",
-        "read_done", "read_pmax", "read_inst", "read_loadidx",
+        "read_pmax", "read_loadidx",
         "rob_ptr", "rob_read_ptr", "mshr_ptr",
         "write_done", "last_done", "finish",
     )
@@ -159,9 +179,8 @@ class _EpochCore:
         self.delay = 0.0
         self.front_total = front_total
         self.total_instructions = total_instructions
-        self.read_done: list[float] = []
+        #: Per DRAM read: prefix-max completion time and load number.
         self.read_pmax: list[float] = []
-        self.read_inst: list[int] = []
         self.read_loadidx: list[int] = []
         #: First-load-not-yet-known-retired search pointer (ROB window)
         #: and the count of DRAM reads at or before it.
@@ -210,12 +229,40 @@ class EpochEngine(SimEngine):
         telemetry=None,
     ) -> SystemResult:
         tm = active_telemetry(telemetry)
-        stats = MemStats()
         banks, ranks = self._build_memory(config, defense_factory)
         stream = _prepare_stream(
             workload, n_entries, seed, config.org, config.cpu
         )
-        llc_hits, llc_total = stream.llc_hits, stream.llc_total
+        self.work_units = stream.llc_total
+        # Timing reuse (module docstring, "What is shared"): only runs
+        # whose defenses can move timing through Alerts alone take part.
+        key = None
+        if tm is None and all(b.cadence_acts is None for b in banks):
+            key = (config.timing, self.trefi_chunk)
+            memo = stream.timing.get(key)
+            if memo is not None:
+                if self._drive(memo.hooks, banks, ranks):
+                    return self._result(
+                        workload, config, variant_name, memo, banks
+                    )
+                # The first Alert: the memo's timing stops applying.
+                banks, ranks = self._build_memory(config, defense_factory)
+        timing = self._run(stream, banks, ranks, config, tm,
+                           record=key is not None)
+        if key is not None and timing.stats.alerts == 0:
+            # Threads sharing the stream need no lock: a memo is complete
+            # before it is stored, and a racing store of the same key
+            # only swaps it for an identical one.
+            stream.timing[key] = timing
+        result = self._result(workload, config, variant_name, timing, banks)
+        if tm is not None:
+            result.latency = tm.summary_dict()
+        return result
+
+    def _run(self, stream, banks, ranks, config, tm, record):
+        """One full replay of ``stream``; its timing, plus the hook log
+        when ``record`` is set."""
+        stats = MemStats()
         cores = [
             _EpochCore(
                 reqs=stream.reqs[c],
@@ -226,9 +273,8 @@ class EpochEngine(SimEngine):
             )
             for c in range(len(stream.reqs))
         ]
-        self.work_units = llc_total
-
-        self._replay(cores, banks, ranks, config, stats, tm)
+        hooks = ([], []) if record else None
+        self._replay(cores, banks, ranks, config, stats, tm, hooks)
 
         timing = config.timing
         t_refi = timing.t_refi
@@ -239,8 +285,11 @@ class EpochEngine(SimEngine):
         # with them proactive mitigations) until the last core retires.
         for rank in ranks:
             while rank.next_ref < sim_time:
-                for bank in rank.banks:
-                    bank.view.on_ref()
+                for hook in rank.on_refs:
+                    hook()
+                if hooks is not None:
+                    hooks[0].append(_REF_TICK)
+                    hooks[1].append(rank.index)
                 if tm is not None:
                     tm.record_ref(
                         rank.next_ref, rank.next_ref + timing.t_rfc,
@@ -257,24 +306,48 @@ class EpochEngine(SimEngine):
         stats.rfm_commands = sum(rank.rfm_commands for rank in ranks)
 
         freq = config.cpu.freq_ghz
-        core_ipcs = [
-            (core.total_instructions / (core.finish * freq))
-            if core.finish > 0 else 0.0
-            for core in cores
-        ]
-        result = SystemResult.from_stats(
+        llc_total = stream.llc_total
+        return _Timing(
+            hooks=hooks,
+            sim_time=sim_time,
+            core_ipcs=tuple(
+                (core.total_instructions / (core.finish * freq))
+                if core.finish > 0 else 0.0
+                for core in cores
+            ),
+            instructions=sum(c.total_instructions for c in cores),
+            llc_hit_rate=stream.llc_hits / llc_total if llc_total else 0.0,
+            stats=stats,
+        )
+
+    @staticmethod
+    def _drive(hooks, banks, ranks) -> bool:
+        """Feed a stored hook log to fresh defenses, in order.
+
+        Returns False at the first ACT whose defense asks for an Alert
+        (the log stops describing this run there), True at the end.
+        """
+        on_acts = [bank.on_activation for bank in banks]
+        on_refs = [rank.on_refs for rank in ranks]
+        for target, arg in zip(*hooks):
+            if target == _REF_TICK:
+                for hook in on_refs[arg]:
+                    hook()
+            elif on_acts[target](arg):
+                return False
+        return True
+
+    def _result(self, workload, config, variant_name, timing, banks):
+        return SystemResult.from_stats(
             workload=workload.name,
             variant=variant_name or config.variant.value,
-            sim_time_ns=sim_time,
-            core_ipcs=core_ipcs,
-            instructions=sum(c.total_instructions for c in cores),
-            stats=stats,
-            llc_hit_rate=llc_hits / llc_total if llc_total else 0.0,
+            sim_time_ns=timing.sim_time,
+            core_ipcs=list(timing.core_ipcs),
+            instructions=timing.instructions,
+            stats=timing.stats,
+            llc_hit_rate=timing.llc_hit_rate,
             mitigations=self._defense_stats(banks),
         )
-        if tm is not None:
-            result.latency = tm.summary_dict()
-        return result
 
     # ------------------------------------------------------------------
     # Setup: banks, ranks, defenses
@@ -308,7 +381,8 @@ class EpochEngine(SimEngine):
     # ------------------------------------------------------------------
     # The replay loop (hot): issue-ordered merge in tREFI-chunk batches
     # ------------------------------------------------------------------
-    def _replay(self, cores, banks, ranks, config, stats, tm=None):
+    def _replay(self, cores, banks, ranks, config, stats, tm=None,
+                hooks=None):
         timing = config.timing
         prac = config.prac
         t_rp = timing.t_rp
@@ -341,6 +415,11 @@ class EpochEngine(SimEngine):
         # Telemetry is observation-only: one None test per request when
         # off, mirroring the controller's _service_hot slot.
         tm_record = tm.record_request if tm is not None else None
+        # The hook log (see _Timing): one None test per ACT when off.
+        if hooks is not None:
+            log_target, log_arg = hooks[0].append, hooks[1].append
+        else:
+            log_target = log_arg = None
 
         # The merge frontier: every live core's next issue time.  Four
         # cores, so a linear argmin beats a heap; requests are processed
@@ -400,6 +479,9 @@ class EpochEngine(SimEngine):
                     while rank.next_ref < base:
                         for hook in rank.on_refs:
                             hook()
+                        if log_target is not None:
+                            log_target(_REF_TICK)
+                            log_arg(rank.index)
                         if tm is not None:
                             tm.record_ref(
                                 rank.next_ref, rank.next_ref + t_rfc,
@@ -407,7 +489,7 @@ class EpochEngine(SimEngine):
                             )
                         rank.next_ref += t_refi
                 continue
-            (_front, inst_i, loadidx_i, bank_i, row, ch, is_write,
+            (_front, _inst, loadidx_i, bank_i, row, ch, is_write,
              demand) = core.req
 
             t0 = base + llc_latency
@@ -469,11 +551,9 @@ class EpochEngine(SimEngine):
                     bank.pre_allowed = pre_floor
                 n_reads += 1
                 read_latency_sum += done - t0
-                core.read_done.append(done)
                 pmax = core.read_pmax
                 pmax.append(done if not pmax or done > pmax[-1]
                             else pmax[-1])
-                core.read_inst.append(inst_i)
                 core.read_loadidx.append(loadidx_i)
             if done > core.last_done:
                 core.last_done = done
@@ -489,6 +569,9 @@ class EpochEngine(SimEngine):
                     while rank.next_ref <= act_time:
                         for hook in rank.on_refs:
                             hook()
+                        if log_target is not None:
+                            log_target(_REF_TICK)
+                            log_arg(rank.index)
                         if tm is not None:
                             tm.record_ref(
                                 rank.next_ref, rank.next_ref + t_rfc,
@@ -496,6 +579,9 @@ class EpochEngine(SimEngine):
                             )
                         rank.next_ref += t_refi
                 rank.acts_since_rfm += 1
+                if log_target is not None:
+                    log_target(bank_i)
+                    log_arg(row)
                 wants_alert = bank.on_activation(row)
                 cadence = bank.cadence_acts
                 if cadence is not None:
@@ -519,8 +605,7 @@ class EpochEngine(SimEngine):
             front_i = r[0]
             delay = core.delay
             if r[7]:  # demand request
-                read_done = core.read_done
-                nr = len(read_done)
+                nr = len(core.read_pmax)
                 limit = r[1] - rob_entries
                 if nr and limit > 0:
                     # ROB space: retirement (quantized at load
@@ -698,11 +783,33 @@ class EpochEngine(SimEngine):
         return totals
 
 
+#: Hook-log target of a REF tick (ACT entries target a flat bank index;
+#: a REF entry's argument is the rank index).
+_REF_TICK = -1
+
+
+class _Timing(NamedTuple):
+    """Timing outputs of one full replay, plus its defense-hook log.
+
+    ``hooks`` is a pair of parallel lists ``(targets, args)``: an ACT
+    is ``(flat bank, row)``, a REF tick ``(_REF_TICK, rank)``, in the
+    global order the replay called them.  Stored on a
+    :class:`_PreparedStream` as an Alert-free memo, it is never mutated.
+    """
+
+    hooks: tuple[list[int], list[int]] | None
+    sim_time: float
+    core_ipcs: tuple[float, ...]
+    instructions: int
+    llc_hit_rate: float
+    stats: MemStats
+
+
 class _PreparedStream:
     """Defense-independent replay input for one (workload, geometry) cell."""
 
     __slots__ = ("reqs", "load_inst", "front_total", "total_instructions",
-                 "llc_hits", "llc_total")
+                 "llc_hits", "llc_total", "timing")
 
     def __init__(self):
         self.reqs: list[list[tuple]] = []
@@ -711,6 +818,9 @@ class _PreparedStream:
         self.total_instructions: list[int] = []
         self.llc_hits = 0
         self.llc_total = 0
+        #: Alert-free :class:`_Timing` memos by ``(config.timing,
+        #: trefi_chunk)`` (module docstring, "What is shared").
+        self.timing: dict[tuple, _Timing] = {}
 
 
 @lru_cache(maxsize=8)
@@ -718,16 +828,15 @@ def _prepare_stream(workload, n_entries, seed, org, cpu) -> _PreparedStream:
     """Traces → merged LLC stream → per-core DRAM request columns.
 
     Trace columns are consumed vectorized (cumsum front-end clocks, one
-    lexsort merge, one array decode); only the inherently sequential LRU
-    filter runs as a Python loop, with every column pre-sliced to plain
-    lists.  The result depends only on the workload, the trace length,
-    the seed and the machine *geometry* — never on the defense or the
-    timing parameters — so it is memoized exactly like
+    lexsort merge, the :func:`_llc_filter` pass, one array decode).  The
+    result depends only on the workload, the trace length, the seed and
+    the machine *geometry* — never on the defense or the timing
+    parameters — so it is memoized exactly like
     :func:`~repro.workloads.synthetic.generate_trace`: a defense sweep
     re-simulating one workload under many defenses pays for the LLC
     filter once.  Request tuples carry the flat bank *index* (banks are
-    per-run objects); everything cached here is treated as immutable by
-    the replay loop.
+    per-run objects); everything cached here except the ``timing`` memo
+    table is treated as immutable by the replay loop.
     """
     per_inst_ns = cpu.cycle_ns / cpu.issue_width
     traces = [
@@ -744,104 +853,130 @@ def _prepare_stream(workload, n_entries, seed, org, cpu) -> _PreparedStream:
     all_core = np.concatenate([
         np.full(len(t), c, dtype=np.int64) for c, t in enumerate(traces)
     ])
-    all_entry = np.concatenate([
-        np.arange(len(t), dtype=np.int64) for t in traces
-    ])
     all_addr = np.concatenate([t.addresses for t in traces])
     all_write = np.concatenate([t.is_write for t in traces])
     # Unstalled front-end order approximates the event engine's temporal
     # interleaving — at the shared LLC *and* at the DRAM frontiers (bank
     # and bus state is touched in near-time order, which is what keeps
     # cross-core contention honest); core id breaks ties
-    # deterministically.
+    # deterministically.  Within one core this is entry order.
     order = np.lexsort((all_core, all_front))
-
-    offset_bits = org.line_size_bytes.bit_length() - 1
-    line = all_addr[order] >> np.int64(offset_bits)
-    llc_sets = cpu.llc_bytes // (cpu.llc_ways * org.line_size_bytes)
-    set_bits = llc_sets.bit_length() - 1
-    m_core = all_core[order].tolist()
-    m_entry = all_entry[order].tolist()
-    m_addr = all_addr[order].tolist()
-    m_write = all_write[order].tolist()
-    m_set = (line & np.int64(llc_sets - 1)).tolist()
-    m_tag = (line >> np.int64(set_bits)).tolist()
-
-    n_cores = cpu.cores
-    # Load bookkeeping is LLC-independent, so it is computed vectorized
-    # up front: LLC-hit loads occupy MSHR slots in the event core too
-    # (slots free on in-order retirement), so the MSHR window counts
-    # every load, and the ROB model retires at load granularity via
-    # per-load cumulative-instruction marks.
-    load_cums = []      # per core: entry -> loads issued through it
-    load_insts = []     # per core: per-load cumulative-inst mark
-    for c, trace in enumerate(traces):
-        is_load = ~trace.is_write
-        load_cums.append(np.cumsum(is_load).tolist())
-        load_insts.append(insts[c][np.nonzero(is_load)[0]].tolist())
-    p_entry: list[list[int]] = [[] for _ in range(n_cores)]
-    p_addr: list[list[int]] = [[] for _ in range(n_cores)]
-    p_write: list[list[bool]] = [[] for _ in range(n_cores)]
-    p_demand: list[list[bool]] = [[] for _ in range(n_cores)]
-    # SetAssociativeCache.access, inlined over the pre-sliced columns
-    # (this runs once per merged access; keep in sync with
-    # repro.cpu.cache — tests/test_engines.py asserts parity against
-    # the canonical cache over a real merged stream).
-    sets: list[OrderedDict] = [OrderedDict() for _ in range(llc_sets)]
-    n_ways = cpu.llc_ways
-    hits = 0
-    for c, e, addr, is_write, set_i, tag in zip(
-        m_core, m_entry, m_addr, m_write, m_set, m_tag
-    ):
-        ways = sets[set_i]
-        if tag in ways:
-            hits += 1
-            ways.move_to_end(tag)
-            if is_write:
-                ways[tag] = True
-            continue
-        writeback = None
-        if len(ways) >= n_ways:
-            victim, dirty = ways.popitem(last=False)
-            if dirty:
-                writeback = ((victim << set_bits) | set_i) << offset_bits
-        ways[tag] = is_write
-        p_entry[c].append(e)
-        p_addr[c].append(addr)
-        p_write[c].append(is_write)
-        p_demand[c].append(True)
-        if writeback is not None:
-            p_entry[c].append(e)
-            p_addr[c].append(writeback)
-            p_write[c].append(True)
-            p_demand[c].append(False)
+    miss, writeback = _llc_filter(
+        all_addr[order], all_write[order], org, cpu
+    )
+    # Back to per-core entry order (the concatenation's own order).
+    miss_at = np.empty_like(miss)
+    miss_at[order] = miss
+    writeback_at = np.empty_like(writeback)
+    writeback_at[order] = writeback
 
     mapper = AddressMapper(org)
     stream = _PreparedStream()
+    lo = 0
     for c, trace in enumerate(traces):
-        if p_addr[c]:
-            addr_arr = np.asarray(p_addr[c], dtype=np.int64)
+        hi = lo + len(trace)
+        entries = np.nonzero(miss_at[lo:hi])[0]
+        victims = writeback_at[lo:hi][entries]
+        has_wb = victims >= 0
+        # Each miss emits its demand request, then its writeback (if
+        # any: a non-demand write) directly after it.
+        slot = np.arange(len(entries)) + np.cumsum(has_wb) - has_wb
+        wb_slot = slot[has_wb] + 1
+        n_reqs = len(entries) + len(wb_slot)
+        req_entry = np.empty(n_reqs, dtype=np.int64)
+        req_addr = np.empty(n_reqs, dtype=np.int64)
+        req_write = np.ones(n_reqs, dtype=bool)
+        req_demand = np.zeros(n_reqs, dtype=bool)
+        req_entry[slot] = entries
+        req_addr[slot] = trace.addresses[entries]
+        req_write[slot] = trace.is_write[entries]
+        req_demand[slot] = True
+        req_entry[wb_slot] = entries[has_wb]
+        req_addr[wb_slot] = victims[has_wb]
+        # Load bookkeeping is LLC-independent: LLC-hit loads occupy MSHR
+        # slots in the event core too (slots free on in-order
+        # retirement), so the MSHR window counts every load, and the ROB
+        # model retires at load granularity via per-load
+        # cumulative-instruction marks.
+        is_load = ~trace.is_write
+        if n_reqs:
             channel, _rank, _bg, _bank, row, _col, flat = (
-                mapper.decode_arrays(addr_arr)
+                mapper.decode_arrays(req_addr)
             )
-            entries = np.asarray(p_entry[c], dtype=np.int64)
-            cum = load_cums[c]
             reqs = list(zip(
-                fronts[c][entries].tolist(),
-                insts[c][entries].tolist(),
-                [cum[e] for e in p_entry[c]],
+                fronts[c][req_entry].tolist(),
+                insts[c][req_entry].tolist(),
+                np.cumsum(is_load)[req_entry].tolist(),
                 flat.tolist(),
                 row.tolist(),
                 channel.tolist(),
-                p_write[c],
-                p_demand[c],
+                req_write.tolist(),
+                req_demand.tolist(),
             ))
         else:
             reqs = []
         stream.reqs.append(reqs)
-        stream.load_inst.append(load_insts[c])
+        stream.load_inst.append(insts[c][np.nonzero(is_load)[0]].tolist())
         stream.front_total.append(float(fronts[c][-1]))
         stream.total_instructions.append(trace.total_instructions)
-    stream.llc_hits = hits
-    stream.llc_total = len(m_core)
+        lo = hi
+    stream.llc_total = len(order)
+    stream.llc_hits = stream.llc_total - int(np.count_nonzero(miss))
     return stream
+
+
+def _llc_filter(addr, is_write, org, cpu):
+    """Exact LRU decisions of the shared LLC over one merged stream.
+
+    Returns ``(miss, writeback)``: per access, whether it misses, and
+    the address its miss writes back (-1 for none).  A set that never
+    holds more than ``llc_ways`` distinct lines never evicts: an access
+    there hits iff its line was seen before, and nothing is written
+    back.  Only the accesses of sets that overflow run the sequential
+    LRU — :meth:`~repro.cpu.cache.SetAssociativeCache.access`, inlined
+    (keep in sync; ``tests/test_engines.py`` asserts parity against the
+    canonical cache over real merged streams).
+    """
+    offset_bits = org.line_size_bytes.bit_length() - 1
+    n_sets = cpu.llc_bytes // (cpu.llc_ways * org.line_size_bytes)
+    set_bits = n_sets.bit_length() - 1
+    n_ways = cpu.llc_ways
+    line = addr >> np.int64(offset_bits)
+    set_of = line & np.int64(n_sets - 1)
+    lines, first = np.unique(line, return_index=True)
+    miss = np.zeros(len(line), dtype=bool)
+    miss[first] = True
+    writeback = np.full(len(line), -1, dtype=np.int64)
+    distinct = np.bincount(lines & np.int64(n_sets - 1), minlength=n_sets)
+    overflowing = distinct > n_ways
+    if not overflowing.any():
+        return miss, writeback
+
+    seq = np.nonzero(overflowing[set_of])[0]
+    ways_of: list = [None] * n_sets
+    for set_i in np.nonzero(overflowing)[0].tolist():
+        ways_of[set_i] = OrderedDict()
+    seq_miss: list[int] = []
+    wb_at: list[int] = []
+    wb_addr: list[int] = []
+    for j, set_i, tag, dirty_access in zip(
+        seq.tolist(), set_of[seq].tolist(),
+        (line[seq] >> np.int64(set_bits)).tolist(), is_write[seq].tolist(),
+    ):
+        ways = ways_of[set_i]
+        if tag in ways:
+            ways.move_to_end(tag)
+            if dirty_access:
+                ways[tag] = True
+            continue
+        seq_miss.append(j)
+        if len(ways) >= n_ways:
+            victim, dirty = ways.popitem(last=False)
+            if dirty:
+                wb_at.append(j)
+                wb_addr.append(((victim << set_bits) | set_i) << offset_bits)
+        ways[tag] = dirty_access
+    miss[seq] = False
+    miss[seq_miss] = True
+    writeback[wb_at] = wb_addr
+    return miss, writeback

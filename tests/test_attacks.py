@@ -527,6 +527,32 @@ def test_hunt_ranks_deterministically(tmp_path):
     assert warm.digest() == cold.digest()
 
 
+def test_cold_hunt_skips_trace_read(tmp_path, monkeypatch):
+    """A cold hunt executes every job, so no outcome needs telemetry
+    from the sweep trace and the trace is never re-read; a cached hunt
+    still reads it once (its backfill is checked above)."""
+    import repro.attacks.hunt as hunt
+
+    reads = []
+    read_trace = hunt.read_trace
+
+    def spy(path):
+        reads.append(path)
+        return read_trace(path)
+
+    monkeypatch.setattr(hunt, "read_trace", spy)
+    store = ResultStore(tmp_path)
+    cold = run_hunt(
+        ["qprac"], patterns=HUNT_GRID, n_entries=800, store=store
+    )
+    assert cold.sweep.trace_path is not None
+    assert reads == []
+    warm = run_hunt(
+        ["qprac"], patterns=HUNT_GRID, n_entries=800, store=store
+    )
+    assert reads == [warm.sweep.trace_path]
+
+
 def test_hunt_validates_inputs():
     with pytest.raises(ConfigError, match="at least one attack"):
         run_hunt(["qprac"], patterns=())

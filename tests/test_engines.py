@@ -1,6 +1,6 @@
 """Simulation-engine tier tests.
 
-Four layers of guarantees:
+Five layers of guarantees:
 
 * **EngineSpec identity** — string/dict round-trips, sorted-param
   canonicalization, fail-fast validation against the registry, and
@@ -19,6 +19,11 @@ Four layers of guarantees:
   the contract quoted in the README).  A registry-completeness guard
   fails loudly when an engine is registered without a golden digest or
   without appearing in the differential matrix.
+* **Epoch exactness of shared work** — a result served from an
+  Alert-free run's timing memo is byte-identical to a full replay for
+  every registered defense; runs the memo does not cover (cadence
+  defenses, telemetry, another timing key) never read or store one; and
+  the vectorized LLC filter matches the canonical cache.
 """
 
 from __future__ import annotations
@@ -359,13 +364,299 @@ def test_differential_headline_cell():
         assert alerts_within_tolerance(event_at, epoch_at), defense
 
 
-def test_epoch_llc_filter_matches_canonical_cache():
-    """The LLC loop inlined in the epoch engine's stream preparation
-    must stay decision-identical to SetAssociativeCache.access: drive
-    the canonical cache over the same merged access stream and compare
-    hit counts and the full per-core DRAM request columns (guards the
-    'keep in sync' copy, like the event engine's twin test in
-    test_determinism_golden.py)."""
+# ----------------------------------------------------------------------
+# Alert-free timing reuse: memo-served results vs full replays
+# ----------------------------------------------------------------------
+#: Entries per core for the memo tests: short runs, whose Alerts come
+#: from the lowered N_BO of the second PRAC setting.
+MEMO_ENTRIES = 1500
+MEMO_WORKLOADS = ("429.mcf", "470.lbm", "ycsb-a", "541.leela")
+MEMO_SEEDS = (0, 3)
+
+
+def _memo_configs():
+    """The default PRAC setting (almost every run Alert-free at this
+    length) and N_BO = 16 (most alert-driven defenses alert).  Both
+    share one timing key, so each reads the other's memos."""
+    from repro.params import default_config
+
+    return (default_config(), default_config().with_prac(n_bo=16))
+
+
+def _memo_stream(workload, seed=0):
+    """The cached stream the epoch engine replays for this cell."""
+    from repro.params import default_config
+    from repro.sim.engines.epoch import _prepare_stream
+    from repro.workloads.suites import workload as lookup_workload
+
+    config = default_config()
+    return _prepare_stream(
+        lookup_workload(workload), MEMO_ENTRIES, seed, config.org, config.cpu
+    )
+
+
+def _epoch_run(workload, defense, seed=0, engine="epoch", **kwargs):
+    """One epoch run at MEMO_ENTRIES: (canonical JSON, result)."""
+    result = simulate_workload(
+        workload, defense=defense, n_entries=MEMO_ENTRIES, seed=seed,
+        engine=engine, **kwargs,
+    )
+    return canonical_json(result_to_dict(result)), result
+
+
+def _full_replay(workload, defense, seed=0, **kwargs):
+    """A run with no memo to read, and none left behind."""
+    stream = _memo_stream(workload, seed)
+    stream.timing.clear()
+    try:
+        return _epoch_run(workload, defense, seed, **kwargs)
+    finally:
+        stream.timing.clear()
+
+
+def _is_cadence(defense):
+    from repro.defenses import resolve_defense
+    from repro.params import default_config
+
+    bank = resolve_defense(defense).factory()(0, default_config())
+    return bank.rfm_cadence_acts is not None
+
+
+@pytest.fixture
+def epoch_calls(monkeypatch):
+    """Counts full replays (``EpochEngine._replay``) and memo drives by
+    outcome: ``served`` ran the whole log, ``aborted`` met an Alert."""
+    from repro.sim.engines.epoch import EpochEngine
+
+    calls = {"replay": 0, "served": 0, "aborted": 0}
+    replay, drive = EpochEngine._replay, EpochEngine._drive
+
+    def counting_replay(self, *args, **kwargs):
+        calls["replay"] += 1
+        return replay(self, *args, **kwargs)
+
+    def counting_drive(hooks, banks, ranks):
+        served = drive(hooks, banks, ranks)
+        calls["served" if served else "aborted"] += 1
+        return served
+
+    monkeypatch.setattr(EpochEngine, "_replay", counting_replay)
+    monkeypatch.setattr(EpochEngine, "_drive", staticmethod(counting_drive))
+    return calls
+
+
+@pytest.mark.parametrize("workload", MEMO_WORKLOADS)
+def test_differential_timing_memo_matches_full_replay(workload, epoch_calls):
+    """Every registered defense, under two PRAC settings and two seeds:
+    the result served after a recording run is byte-identical to a full
+    replay.  Baseline first, then reversed (baseline last), so every
+    Alert-free defense runs both after baseline (served from its memo)
+    and before it (recording, or served from another defense's)."""
+    defenses = ["baseline", *_matrix_defenses()]
+    cells = [
+        (defense, config)
+        for defense in defenses for config in _memo_configs()
+    ]
+    for seed in MEMO_SEEDS:
+        full = {
+            (defense, config): _full_replay(
+                workload, defense, seed, config=config
+            )
+            for defense, config in cells
+        }
+        alert_free = [
+            cell for cell in cells
+            if not _is_cadence(cell[0]) and full[cell][1].alerts == 0
+        ]
+        alerting = [
+            cell for cell in cells
+            if not _is_cadence(cell[0]) and cell not in alert_free
+        ]
+        assert len(alert_free) > 2
+        for order in (cells, cells[::-1]):
+            _memo_stream(workload, seed).timing.clear()
+            before = dict(epoch_calls)
+            for defense, config in order:
+                served, _ = _epoch_run(workload, defense, seed, config=config)
+                assert served == full[(defense, config)][0], (
+                    workload, seed, defense, config.prac.n_bo,
+                )
+            # The first Alert-free run records; every later eligible run
+            # drives its memo, to the end or to its first Alert.
+            first = next(
+                i for i, cell in enumerate(order) if cell in alert_free
+            )
+            assert epoch_calls["served"] - before["served"] == \
+                len(alert_free) - 1
+            assert epoch_calls["aborted"] - before["aborted"] == \
+                sum(cell in alerting for cell in order[first:])
+        _memo_stream(workload, seed).timing.clear()
+
+
+def test_differential_memo_abort_matches_full_replay(epoch_calls):
+    """An alerting run after a stored memo drives it to its first
+    Alert, then replays in full and matches a plain full replay; an
+    alerting run never stores a memo."""
+    _, alerting = _memo_configs()
+    expected, result = _full_replay("429.mcf", "qprac", config=alerting)
+    assert result.alerts > 0
+    stream = _memo_stream("429.mcf")
+    stream.timing.clear()
+    _epoch_run("429.mcf", "baseline")
+    stored = dict(stream.timing)
+    assert len(stored) == 1
+    before = dict(epoch_calls)
+    served, _ = _epoch_run("429.mcf", "qprac", config=alerting)
+    assert served == expected
+    assert epoch_calls["aborted"] == before["aborted"] + 1
+    assert epoch_calls["replay"] == before["replay"] + 1
+    assert stream.timing == stored
+    stream.timing.clear()
+    _epoch_run("429.mcf", "qprac", config=alerting)
+    assert stream.timing == {}
+
+
+def test_differential_memo_exclusions(epoch_calls):
+    """Cadence defenses and telemetry-on runs neither store nor read a
+    memo, and a recorded run's telemetry summary does not depend on
+    whether a memo was present."""
+    from repro.obs import Telemetry
+
+    cadence = ("pride:t_rh=256", "mithril:t_rh=256")
+    stream = _memo_stream("470.lbm")
+    stream.timing.clear()
+    expected = {defense: _epoch_run("470.lbm", defense)[0]
+                for defense in cadence}
+    bare_json, bare = _epoch_run(
+        "470.lbm", "qprac+proactive", telemetry=Telemetry()
+    )
+    assert stream.timing == {}
+    _epoch_run("470.lbm", "baseline")
+    stored = dict(stream.timing)
+    assert len(stored) == 1
+    before = dict(epoch_calls)
+    for defense in cadence:
+        assert _epoch_run("470.lbm", defense)[0] == expected[defense]
+    memo_json, memo = _epoch_run(
+        "470.lbm", "qprac+proactive", telemetry=Telemetry()
+    )
+    assert memo_json == bare_json
+    assert memo.latency == bare.latency
+    assert epoch_calls["replay"] == before["replay"] + 3
+    assert epoch_calls["served"] == before["served"]
+    assert epoch_calls["aborted"] == before["aborted"]
+    assert stream.timing == stored
+    stream.timing.clear()
+
+
+def test_differential_memo_isolated_by_timing_and_chunk(epoch_calls):
+    """``epoch:trefi_chunk=4`` and a timing override never read a memo
+    recorded under another timing key; each stores its own."""
+    import dataclasses
+
+    from repro.params import default_config
+
+    config = default_config()
+    slower = dataclasses.replace(
+        config, timing=dataclasses.replace(config.timing, t_rfc=450.0)
+    )
+    cases = (
+        ({"engine": "epoch:trefi_chunk=4"}, (config.timing, 4)),
+        ({"config": slower}, (slower.timing, 1)),
+    )
+    expected = [
+        _full_replay("470.lbm", "qprac+proactive", **kwargs)[0]
+        for kwargs, _ in cases
+    ]
+    stream = _memo_stream("470.lbm")
+    stream.timing.clear()
+    _epoch_run("470.lbm", "baseline")
+    assert set(stream.timing) == {(config.timing, 1)}
+    before = dict(epoch_calls)
+    for (kwargs, key), want in zip(cases, expected):
+        got, _ = _epoch_run("470.lbm", "qprac+proactive", **kwargs)
+        assert got == want
+        assert key in stream.timing
+    assert epoch_calls["served"] == before["served"]
+    assert epoch_calls["aborted"] == before["aborted"]
+    assert epoch_calls["replay"] == before["replay"] + 2
+    assert len(stream.timing) == 3
+    stream.timing.clear()
+
+
+def test_differential_memo_threads_match_serial():
+    """Eight threads race mixed defenses on one shared stream (memo
+    stores and reads interleaved at a tiny switch interval): every
+    result equals its serial full replay."""
+    import sys
+    import threading
+
+    _, alerting = _memo_configs()
+    cells = (
+        ("baseline", None), ("qprac+proactive", None), ("qprac", alerting),
+        ("moat", None), ("pride:t_rh=256", None), ("qprac-noop", alerting),
+    )
+    serial = {
+        cell: _full_replay("429.mcf", cell[0], config=cell[1])[0]
+        for cell in cells
+    }
+    _memo_stream("429.mcf").timing.clear()
+    results: list[dict | None] = [None] * 8
+    errors: list[Exception] = []
+
+    def worker(index):
+        try:
+            shift = index % len(cells)
+            results[index] = {
+                cell: _epoch_run("429.mcf", cell[0], config=cell[1])[0]
+                for cell in cells[shift:] + cells[:shift]
+            }
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=worker, args=(i,), daemon=True)
+        for i in range(8)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors
+    assert all(result == serial for result in results)
+    _memo_stream("429.mcf").timing.clear()
+
+
+#: LLC parity regimes: (workload, entries/core, LLC bytes or None for
+#: the default, share of accesses in sets that overflow the ways).
+LLC_REGIMES = {
+    # A deliberately tiny LLC: every set overflows, so the parity covers
+    # evictions and dirty writebacks (ycsb-a is write-heavy).
+    "tiny-all-overflow": ("ycsb-a", 2000, 64 * 1024, (1.0, 1.0)),
+    # The default LLC with a few hundred overflowing sets: both the
+    # never-evicting shortcut and the sequential LRU run.
+    "default-mixed": ("470.lbm", 10_000, None, (0.05, 0.2)),
+    # No set ever holds more lines than it has ways.
+    "default-no-overflow": ("429.mcf", 2000, None, (0.0, 0.0)),
+}
+
+
+@pytest.mark.parametrize("regime", sorted(LLC_REGIMES))
+def test_epoch_llc_filter_matches_canonical_cache(regime):
+    """The epoch engine's LLC filter must stay decision-identical to
+    SetAssociativeCache.access: drive the canonical cache over the same
+    merged access stream and compare hit counts and the full per-core
+    DRAM request columns (guards the 'keep in sync' copy, like the
+    event engine's twin test in test_determinism_golden.py), in each
+    regime of the filter's never-evicting shortcut."""
+    import dataclasses
+
     import numpy as np
 
     from repro.cpu.cache import SetAssociativeCache
@@ -375,16 +666,13 @@ def test_epoch_llc_filter_matches_canonical_cache():
     from repro.workloads.suites import workload as lookup_workload
     from repro.workloads.synthetic import generate_trace
 
-    import dataclasses
-
+    name, n_entries, llc_bytes, (low, high) = LLC_REGIMES[regime]
     config = default_config()
     org = config.org
-    # A deliberately tiny LLC so 2000 entries/core overflow it: the
-    # parity must cover evictions and dirty writebacks, not just the
-    # hit/miss split.
-    cpu = dataclasses.replace(config.cpu, llc_bytes=64 * 1024)
-    workload = lookup_workload("ycsb-a")  # write-heavy: dirty evictions
-    n_entries = 2000
+    cpu = config.cpu
+    if llc_bytes is not None:
+        cpu = dataclasses.replace(cpu, llc_bytes=llc_bytes)
+    workload = lookup_workload(name)
     stream = _prepare_stream(workload, n_entries, 0, org, cpu)
 
     # Reference pass: the canonical cache over the identical merged
@@ -407,6 +695,15 @@ def test_epoch_llc_filter_matches_canonical_cache():
 
     llc = SetAssociativeCache(cpu.llc_bytes, cpu.llc_ways,
                               org.line_size_bytes)
+    # The regime: share of accesses whose set ever holds more distinct
+    # lines than the LLC has ways.
+    lines = all_addr // org.line_size_bytes
+    set_of = lines % llc.num_sets
+    distinct = np.bincount(np.unique(lines) % llc.num_sets,
+                           minlength=llc.num_sets)
+    overflow_share = float(np.mean(distinct[set_of] > cpu.llc_ways))
+    assert low <= overflow_share <= high, overflow_share
+
     mapper = AddressMapper(org)
     reference: list[list[tuple]] = [[] for _ in range(cpu.cores)]
     for c, addr, is_write in zip(
@@ -421,7 +718,8 @@ def test_epoch_llc_filter_matches_canonical_cache():
                 ch, _r, _bg, _b, row, _col, flat = \
                     mapper.decode_flat(writeback)
                 reference[c].append((flat, row, ch, True, False))
-    assert llc.writebacks > 0, "cell must exercise the writeback path"
+    if overflow_share == 1.0:
+        assert llc.writebacks > 0, "cell must exercise the writeback path"
     assert stream.llc_hits == llc.hits
     for c in range(cpu.cores):
         got = [
@@ -453,6 +751,36 @@ def test_bench_records_engine_and_speedup():
     assert restored.engine == "epoch"
     assert restored.reference_event.wall_s == \
         report.reference_event.wall_s
+
+
+def test_bench_repeats_time_full_replays(monkeypatch):
+    """Two DEFAULT_CELLS raise no Alert on epoch, so from their second
+    repeat on the timing memo would serve them; every timed repeat must
+    still run the full replay."""
+    from repro.bench import DEFAULT_CELLS, QUICK_ENTRIES, _measure_cell_task
+    from repro.sim.engines.epoch import EpochEngine
+
+    cells = (("429.mcf", "baseline"), ("470.lbm", "qprac+proactive"))
+    assert set(cells) <= set(DEFAULT_CELLS)
+    for workload, defense in cells:  # each leaves a memo behind
+        assert simulate_workload(
+            workload, defense=defense, n_entries=QUICK_ENTRIES,
+            engine="epoch",
+        ).alerts == 0
+    replays = []
+    replay = EpochEngine._replay
+
+    def counting_replay(self, *args, **kwargs):
+        replays.append(self)
+        return replay(self, *args, **kwargs)
+
+    monkeypatch.setattr(EpochEngine, "_replay", counting_replay)
+    for workload, defense in cells:
+        _measure_cell_task({
+            "workload": workload, "defense": defense,
+            "n_entries": QUICK_ENTRIES, "repeats": 3, "engine": "epoch",
+        })
+    assert len(replays) == 6
 
 
 def test_bench_comparison_never_pairs_engines():
