@@ -74,7 +74,7 @@ def main() -> None:
     cores = [
         _EpochCore(
             reqs=stream.reqs[c],
-            load_inst=stream.load_inst[c],
+            stall=stream.stall[c],
             front_total=stream.front_total[c],
             total_instructions=stream.total_instructions[c],
         )

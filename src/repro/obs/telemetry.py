@@ -27,6 +27,8 @@ from __future__ import annotations
 import os
 from typing import Iterable, Iterator
 
+import numpy as np
+
 #: Set to ``1`` to enable per-request telemetry in sweep workers.
 TELEMETRY_ENV = "REPRO_TELEMETRY"
 
@@ -57,34 +59,38 @@ def percentile(sorted_values: list[float], fraction: float) -> float:
 
 
 def summarize_latencies(latencies: Iterable[float]) -> dict:
-    """Percentiles + histogram of a latency population (ns).
+    """Percentiles + histogram of a latency population (ns), as floats.
 
     Deterministic: depends only on the multiset of values.  The
     histogram is a list of ``[upper_bound_ns, count]`` pairs over fixed
     log2 buckets, empty buckets omitted; the open-ended tail bucket has
-    bound ``None``.
+    bound ``None``.  A value falls in the first bucket whose bound is at
+    least the value.
     """
-    values = sorted(latencies)
-    count = len(values)
+    raw = np.fromiter(latencies, dtype=np.float64)
+    count = len(raw)
     if not count:
         return {
             "count": 0, "mean_ns": 0.0, "p50_ns": 0.0, "p95_ns": 0.0,
             "p99_ns": 0.0, "max_ns": 0.0, "histogram": [],
         }
-    buckets: dict[float | None, int] = {}
-    edges = _HISTOGRAM_EDGES
-    for value in values:
-        for edge in edges:
-            if value <= edge:
-                buckets[edge] = buckets.get(edge, 0) + 1
-                break
-        else:
-            buckets[None] = buckets.get(None, 0) + 1
+    ordered = np.sort(raw)
+    if ordered[0] <= 0.0 <= ordered[-1]:
+        # -0.0 and 0.0 compare equal: only a stable sort keeps them in
+        # input order, as sorted() does.
+        ordered = np.sort(raw, kind="stable")
+    at_or_below = np.searchsorted(ordered, _HISTOGRAM_EDGES, side="right")
     histogram = [
-        [edge, buckets[edge]] for edge in edges if edge in buckets
+        [edge, n] for edge, n in zip(
+            _HISTOGRAM_EDGES, np.diff(at_or_below, prepend=0).tolist()
+        ) if n
     ]
-    if None in buckets:
-        histogram.append([None, buckets[None]])
+    tail = count - int(at_or_below[-1])
+    if tail:
+        histogram.append([None, tail])
+    # The mean is Python's sum over the sorted list: numpy's pairwise
+    # sum would round differently.
+    values = ordered.tolist()
     return {
         "count": count,
         "mean_ns": sum(values) / count,
@@ -142,14 +148,16 @@ class Telemetry:
       nothing), with the high-water mark retained.
 
     ``max_samples`` caps only the exported per-request rows; summaries
-    always cover the full population.
+    always cover the full population.  The latency summary is computed
+    once per population: the engine's :meth:`summary_dict` and the
+    worker's :meth:`export` of the same run share it.
     """
 
     enabled = True
 
     __slots__ = (
         "max_samples", "latencies", "samples", "blackout_counts",
-        "blackout_ns", "psq_high_water",
+        "blackout_ns", "psq_high_water", "_latency_summary",
     )
 
     def __init__(self, max_samples: int = DEFAULT_MAX_SAMPLES) -> None:
@@ -161,6 +169,9 @@ class Telemetry:
         self.blackout_counts: dict[str, int] = {}
         self.blackout_ns: dict[str, float] = {}
         self.psq_high_water = 0
+        #: ``(population size, summarize_latencies result)``; samples
+        #: are only ever appended, so the size identifies the population.
+        self._latency_summary: tuple[int, dict] | None = None
 
     # -- engine-facing hooks (hot when enabled) ------------------------
     def record_request(self, arrive_ns, done_ns, is_write, core_id) -> None:
@@ -192,8 +203,15 @@ class Telemetry:
     # -- reporting -----------------------------------------------------
     def summary_dict(self) -> dict:
         """The latency/blackout summary attached to a result (JSON-able,
-        deterministic for a deterministic run)."""
-        summary = summarize_latencies(self.latencies)
+        deterministic for a deterministic run).  Every call returns a
+        fresh dict, so callers may keep or mutate it."""
+        cached = self._latency_summary
+        if cached is None or cached[0] != len(self.latencies):
+            cached = (len(self.latencies),
+                      summarize_latencies(self.latencies))
+            self._latency_summary = cached
+        summary = dict(cached[1])
+        summary["histogram"] = [list(pair) for pair in summary["histogram"]]
         summary["blackouts"] = {
             kind: {
                 "count": self.blackout_counts[kind],

@@ -36,7 +36,10 @@ What is approximated
 What is shared
     Stream preparation (traces, merge, LLC filter) depends only on the
     workload, trace length, seed and machine geometry, so it is memoized
-    per process and shared by every defense.  Request *timing* is shared
+    per process and shared by every defense.  So are the stall columns:
+    which MSHR, ROB and write-buffer entry binds each request is stream
+    data too, computed once per stream, and a run only reads the
+    completion times those entries point at.  Request *timing* is shared
     too, for runs that cannot move it: a defense changes timing only
     through Alerts and cadence RFMs (proactive ``on_ref`` mitigations
     happen in the REF shadow, and ``on_ref``'s return value is
@@ -59,6 +62,7 @@ digests next to the event engine's.
 
 from __future__ import annotations
 
+from array import array
 from collections import OrderedDict
 from functools import lru_cache
 from typing import NamedTuple
@@ -148,28 +152,31 @@ class _EpochCore:
     ``max_outstanding_misses`` before it), the ROB window (a read waits
     for loads more than ``rob_entries`` instructions older to retire —
     the prefix-max of their completions, since retirement is in-order)
-    and the posted-write ring (``WRITE_BUFFER_DEPTH`` deep).
+    and the posted-write ring (``WRITE_BUFFER_DEPTH`` deep).  *Which*
+    entry of each ring binds a request depends only on the stream, so
+    it comes precomputed (:class:`_StallColumns`); the run fills in only
+    the completion times the entries point at.
     """
 
     __slots__ = (
-        "cid", "reqs", "req", "load_inst",
+        "cid", "reqs", "req",
         "idx", "n", "base", "delay", "front_total", "total_instructions",
-        "read_pmax", "read_loadidx",
-        "rob_ptr", "rob_read_ptr", "mshr_ptr",
-        "write_done", "last_done", "finish",
+        "rob_read", "rob_hop", "hits", "stall_front", "ring", "ring_hop",
+        "read_pmax", "write_done", "last_done", "finish",
     )
 
-    def __init__(self, reqs, load_inst, front_total, total_instructions,
+    def __init__(self, reqs, stall, front_total, total_instructions,
                  cid=0):
         #: Core index, carried only for telemetry sample attribution.
         self.cid = cid
-        #: Request tuples ``(front, inst, loadidx, bank, row, chan,
-        #: is_write, is_demand)`` — one unpack per request in the replay
-        #: loop instead of eight indexed column loads.
+        #: Request tuples ``(front, bank, row, chan, is_write,
+        #: is_demand)`` — one unpack per request in the replay loop
+        #: instead of six indexed column loads.
         self.reqs = reqs
         #: The tuple at ``idx`` (staged by the replay loop's advance).
         self.req = reqs[0] if reqs else None
-        self.load_inst = load_inst
+        (self.rob_read, self.rob_hop, self.hits, self.stall_front,
+         self.ring, self.ring_hop) = stall
         self.idx = 0
         self.n = len(reqs)
         #: Issue time of the next request (delay + ring floors applied);
@@ -179,14 +186,9 @@ class _EpochCore:
         self.delay = 0.0
         self.front_total = front_total
         self.total_instructions = total_instructions
-        #: Per DRAM read: prefix-max completion time and load number.
+        #: Per DRAM read: prefix-max completion time.
         self.read_pmax: list[float] = []
-        self.read_loadidx: list[int] = []
-        #: First-load-not-yet-known-retired search pointer (ROB window)
-        #: and the count of DRAM reads at or before it.
-        self.rob_ptr = 0
-        self.rob_read_ptr = 0
-        self.mshr_ptr = -1
+        #: Per demand write: completion time.
         self.write_done: list[float] = []
         self.last_done = 0.0
         self.finish = 0.0
@@ -266,7 +268,7 @@ class EpochEngine(SimEngine):
         cores = [
             _EpochCore(
                 reqs=stream.reqs[c],
-                load_inst=stream.load_inst[c],
+                stall=stream.stall[c],
                 front_total=stream.front_total[c],
                 total_instructions=stream.total_instructions[c],
                 cid=c,
@@ -397,9 +399,6 @@ class EpochEngine(SimEngine):
         t_refi = timing.t_refi
         t_rfc = timing.t_rfc
         llc_latency = config.cpu.llc_latency_ns
-        rob_entries = config.cpu.rob_entries
-        max_misses = config.cpu.max_outstanding_misses
-        per_inst_ns = config.cpu.cycle_ns / config.cpu.issue_width
         # Shared short-occupancy resources (channel bus, rank tRRD gate)
         # are modeled as M/D/1-style queueing waits from the previous
         # chunk's utilization, not as hard reservation frontiers: the
@@ -429,15 +428,16 @@ class EpochEngine(SimEngine):
         #
         # A core's next issue time ("base") is its front-end schedule
         # plus the binding ROB/MSHR/write-buffer floor, computed inline
-        # at each advance (bottom of the loop).  The ROB floor is
-        # *lag-based*: the event core stalls at the first entry that no
-        # longer fits the window, and on resume still re-executes every
-        # instruction between that entry and this request — modeling the
-        # floor at this request's own front (a plain ``max``) would
-        # silently delete that re-execution time, so the lag folds it
-        # into the monotone delay accumulator instead.  MSHR and
-        # write-buffer stalls do happen at the request's own entry, so
-        # those are plain floors.
+        # at each advance (bottom of the loop) from the stream's stall
+        # columns (see _stall_columns for which entry binds).  The ROB
+        # floor is *lag-based*: the event core stalls at the first entry
+        # that no longer fits the window, and on resume still
+        # re-executes every instruction between that entry and this
+        # request — modeling the floor at this request's own front (a
+        # plain ``max``) would silently delete that re-execution time,
+        # so the lag folds it into the monotone delay accumulator
+        # instead.  MSHR and write-buffer stalls do happen at the
+        # request's own entry, so those are plain floors.
         live = [core for core in cores if core.n]
         epoch_end = chunk_ns
         # Aggregate counters accumulate in locals and flush once after
@@ -489,8 +489,7 @@ class EpochEngine(SimEngine):
                             )
                         rank.next_ref += t_refi
                 continue
-            (_front, _inst, loadidx_i, bank_i, row, ch, is_write,
-             demand) = core.req
+            _front, bank_i, row, ch, is_write, demand = core.req
 
             t0 = base + llc_latency
             bank = banks[bank_i]
@@ -554,7 +553,6 @@ class EpochEngine(SimEngine):
                 pmax = core.read_pmax
                 pmax.append(done if not pmax or done > pmax[-1]
                             else pmax[-1])
-                core.read_loadidx.append(loadidx_i)
             if done > core.last_done:
                 core.last_done = done
             if tm_record is not None:
@@ -604,83 +602,37 @@ class EpochEngine(SimEngine):
             core.req = r
             front_i = r[0]
             delay = core.delay
-            if r[7]:  # demand request
-                nr = len(core.read_pmax)
-                limit = r[1] - rob_entries
-                if nr and limit > 0:
-                    # ROB space: retirement (quantized at load
-                    # completions — bubbles and writes drain behind the
-                    # nearest load) must reach inst - rob.  The binding
-                    # point is the FIRST load, hit or miss, whose mark
-                    # reaches that limit; it retires at the prefix-max
-                    # completion of every DRAM read up to it plus the
-                    # LLC hop(s) for hit loads in between.  When even
-                    # the newest issued load falls short, the whole
-                    # window drains (over-ROB bubble-block streaming).
-                    load_inst = core.load_inst
-                    read_loadidx = core.read_loadidx
-                    issued_loads = r[2]
-                    rob_ptr = core.rob_ptr
-                    while rob_ptr < issued_loads and \
-                            load_inst[rob_ptr] < limit:
-                        rob_ptr += 1
-                    core.rob_ptr = rob_ptr
-                    if rob_ptr >= issued_loads:
-                        resume = core.read_pmax[nr - 1]
-                        stall_front = front_i
+            if r[5]:  # demand request
+                k = core.rob_read[i]
+                if k != _NO_ROB_FLOOR:
+                    # ROB space: the binding load retires at a DRAM
+                    # read's prefix-max completion (or from 0.0), plus
+                    # one LLC hop if that load was itself a hit, plus
+                    # one per hit load issued after it.
+                    if k >= 0:
+                        resume = core.read_pmax[k]
+                        if core.rob_hop[i]:
+                            resume += llc_latency
                     else:
-                        bind = rob_ptr + 1  # 1-based load number
-                        rp = core.rob_read_ptr
-                        while rp < nr and read_loadidx[rp] <= bind:
-                            rp += 1
-                        core.rob_read_ptr = rp
-                        if rp:
-                            resume = core.read_pmax[rp - 1]
-                            if read_loadidx[rp - 1] != bind:
-                                resume += llc_latency
-                        else:
-                            resume = 0.0
-                        hits_between = (issued_loads - 1 - bind) \
-                            - (nr - rp)
-                        if hits_between > 0:
-                            resume += hits_between * llc_latency
-                        prev_mark = load_inst[rob_ptr - 1] if rob_ptr \
-                            else 0
-                        stall_front = (prev_mark + rob_entries) \
-                            * per_inst_ns
-                        if stall_front > front_i:
-                            stall_front = front_i
-                    lag = resume - stall_front
+                        resume = 0.0
+                    hits = core.hits[i]
+                    if hits:
+                        resume += hits * llc_latency
+                    lag = resume - core.stall_front[i]
                     if lag > delay:
                         delay = lag
                 base = front_i + delay
-                if r[6]:  # demand write: write-buffer ring
-                    write_done = core.write_done
-                    nw = len(write_done)
-                    if nw >= WRITE_BUFFER_DEPTH:
-                        floor = write_done[nw - WRITE_BUFFER_DEPTH]
-                        if floor > base:
-                            base = floor
-                            delay = base - front_i
-                else:
-                    # MSHR window counts every load — LLC hits included
-                    # — and slots free on in-order retirement.
-                    displaced = r[2] - max_misses
-                    if displaced > 0:
-                        mshr_ptr = core.mshr_ptr
-                        read_loadidx = core.read_loadidx
-                        while mshr_ptr + 1 < nr and \
-                                read_loadidx[mshr_ptr + 1] <= displaced:
-                            mshr_ptr += 1
-                        if mshr_ptr != core.mshr_ptr:
-                            core.mshr_ptr = mshr_ptr
-                        if mshr_ptr >= 0:
-                            floor = core.read_pmax[mshr_ptr]
-                            if read_loadidx[mshr_ptr] != displaced:
-                                floor += llc_latency  # displaced = hit
-                            if floor > base:
-                                base = floor
-                                delay = base - front_i
+                m = core.ring[i]
+                if m >= 0:
+                    if r[4]:  # demand write: write-buffer ring
+                        floor = core.write_done[m]
+                    else:  # demand read: MSHR ring
+                        floor = core.read_pmax[m]
+                        if core.ring_hop[i]:
+                            floor += llc_latency  # displaced load = hit
+                    if floor > base:
+                        base = floor
+                        delay = base - front_i
                 core.delay = delay
             else:
                 base = front_i + delay
@@ -805,15 +757,145 @@ class _Timing(NamedTuple):
     stats: MemStats
 
 
+class _StallColumns(NamedTuple):
+    """Per-request positions in one core's stall-model rings.
+
+    Row ``i`` describes the floors on request ``i``'s issue time, as
+    typed columns (one per field, ``array.array``).  Only demand
+    requests have floors; every other row holds the "none" values.
+
+    ``rob_read``
+        The DRAM read whose prefix-max completion the binding ROB load
+        retires at: an index into ``read_pmax``, :data:`_ROB_FROM_ZERO`
+        (no DRAM read at or before it: retire from 0.0) or
+        :data:`_NO_ROB_FLOOR`.
+    ``rob_hop``
+        1 when the binding load is an LLC hit (one LLC hop on top).
+    ``hits``
+        LLC-hit loads issued after the binding load (an LLC hop each).
+    ``stall_front``
+        Front-end time the ROB stall is charged from.
+    ``ring``
+        The MSHR (demand read: index into ``read_pmax``) or
+        write-buffer (demand write: index into ``write_done``) entry
+        whose completion frees this request's slot; -1 for none.
+    ``ring_hop``
+        1 when the displaced MSHR load is an LLC hit.
+    """
+
+    rob_read: array
+    rob_hop: array
+    hits: array
+    stall_front: array
+    ring: array
+    ring_hop: array
+
+
+#: ``rob_read`` values that do not index ``read_pmax``.
+_NO_ROB_FLOOR = -1
+_ROB_FROM_ZERO = -2
+
+
+def _stall_columns(front, inst, loads, is_write, is_demand, load_inst,
+                   cpu) -> _StallColumns:
+    """Where each request of one core binds in the stall-model rings.
+
+    Per request (entry order): its front-end time, cumulative
+    instruction mark and issued-load count (loads at or before its
+    trace entry, LLC hits included), and its write / demand flags;
+    ``load_inst`` holds the instruction mark of every load of the core.
+    Along the requests the mark, the load count and the number of
+    earlier DRAM reads never decrease, so every binding entry is a
+    ``searchsorted`` over the core's loads or DRAM reads:
+
+    * ROB: the binding load is the first one whose mark reaches
+      ``inst - rob_entries``.  When even the newest issued load falls
+      short, the whole window drains (over-ROB bubble-block
+      streaming: the newest DRAM read, charged from the request's own
+      front).  Otherwise it retires at the
+      prefix-max completion of every DRAM read up to it (plus an LLC
+      hop when it is a hit itself) and one more hop per hit load
+      between it and the request, charged from the front where it left
+      the window.  Retirement is quantized at load completions:
+      bubbles and writes drain behind the nearest load.
+    * MSHR: a read waits for the load ``max_outstanding_misses``
+      before it (every load holds a slot, LLC hits included, and slots
+      free on in-order retirement): the last DRAM read at or before
+      that load, plus an LLC hop when the load is a hit.
+    * Write buffer: a demand write waits for the demand write
+      ``WRITE_BUFFER_DEPTH`` before it.
+    """
+    rob_entries = cpu.rob_entries
+    per_inst_ns = cpu.cycle_ns / cpu.issue_width
+    is_read = ~is_write
+    # DRAM reads and demand writes strictly before each request.
+    n_read = np.cumsum(is_read) - is_read
+    demand_write = is_write & is_demand
+    n_write = np.cumsum(demand_write) - demand_write
+    read_loads = loads[is_read]
+    # Leading sentinels: position 0 stands for "before the first".
+    read_load_at = np.concatenate(([-1], read_loads))
+    mark_before = np.concatenate(([0], load_inst))
+
+    limit = inst - rob_entries
+    has_rob = is_demand & (n_read > 0) & (limit > 0)
+    rob_ptr = np.minimum(loads, np.searchsorted(load_inst, limit))
+    drain = rob_ptr >= loads
+    bind = rob_ptr + 1  # 1-based number of the binding load
+    # DRAM reads at or before the binding load.
+    n_bound = np.minimum(n_read, np.searchsorted(read_loads, bind, "right"))
+    rob_read = np.where(
+        drain, n_read - 1,
+        np.where(n_bound > 0, n_bound - 1, _ROB_FROM_ZERO),
+    )
+    rob_read[~has_rob] = _NO_ROB_FLOOR
+    bound = has_rob & ~drain
+    rob_hop = bound & (n_bound > 0) & (read_load_at[n_bound] != bind)
+    hits = np.where(
+        bound, np.maximum(0, (loads - 1 - bind) - (n_read - n_bound)), 0
+    )
+    stall_front = np.where(
+        drain, front,
+        np.minimum((mark_before[rob_ptr] + rob_entries) * per_inst_ns,
+                   front),
+    )
+    stall_front[~has_rob] = 0.0
+
+    displaced = loads - cpu.max_outstanding_misses
+    n_displaced = np.minimum(
+        n_read, np.searchsorted(read_loads, displaced, "right")
+    )
+    mshr = is_demand & is_read & (displaced > 0) & (n_displaced > 0)
+    ring_hop = mshr & (read_load_at[n_displaced] != displaced)
+    write_ring = demand_write & (n_write >= WRITE_BUFFER_DEPTH)
+    ring = np.where(
+        mshr, n_displaced - 1,
+        np.where(write_ring, n_write - WRITE_BUFFER_DEPTH, -1),
+    )
+
+    def column(code, values):
+        return array(code, values.astype(np.dtype(code)).tobytes())
+
+    return _StallColumns(
+        rob_read=column("i", rob_read),
+        rob_hop=column("b", rob_hop),
+        hits=column("i", hits),
+        stall_front=column("d", stall_front),
+        ring=column("i", ring),
+        ring_hop=column("b", ring_hop),
+    )
+
+
 class _PreparedStream:
     """Defense-independent replay input for one (workload, geometry) cell."""
 
-    __slots__ = ("reqs", "load_inst", "front_total", "total_instructions",
+    __slots__ = ("reqs", "stall", "front_total", "total_instructions",
                  "llc_hits", "llc_total", "timing")
 
     def __init__(self):
         self.reqs: list[list[tuple]] = []
-        self.load_inst: list[list[int]] = []
+        #: Per core: its :class:`_StallColumns`.
+        self.stall: list[_StallColumns] = []
         self.front_total: list[float] = []
         self.total_instructions: list[int] = []
         self.llc_hits = 0
@@ -834,9 +916,10 @@ def _prepare_stream(workload, n_entries, seed, org, cpu) -> _PreparedStream:
     parameters — so it is memoized exactly like
     :func:`~repro.workloads.synthetic.generate_trace`: a defense sweep
     re-simulating one workload under many defenses pays for the LLC
-    filter once.  Request tuples carry the flat bank *index* (banks are
-    per-run objects); everything cached here except the ``timing`` memo
-    table is treated as immutable by the replay loop.
+    filter and the stall columns (:func:`_stall_columns`) once.  Request
+    tuples carry the flat bank *index* (banks are per-run objects);
+    everything cached here except the ``timing`` memo table is treated
+    as immutable by the replay loop.
     """
     per_inst_ns = cpu.cycle_ns / cpu.issue_width
     traces = [
@@ -899,14 +982,13 @@ def _prepare_stream(workload, n_entries, seed, org, cpu) -> _PreparedStream:
         # model retires at load granularity via per-load
         # cumulative-instruction marks.
         is_load = ~trace.is_write
+        req_front = fronts[c][req_entry]
         if n_reqs:
             channel, _rank, _bg, _bank, row, _col, flat = (
                 mapper.decode_arrays(req_addr)
             )
             reqs = list(zip(
-                fronts[c][req_entry].tolist(),
-                insts[c][req_entry].tolist(),
-                np.cumsum(is_load)[req_entry].tolist(),
+                req_front.tolist(),
                 flat.tolist(),
                 row.tolist(),
                 channel.tolist(),
@@ -916,7 +998,10 @@ def _prepare_stream(workload, n_entries, seed, org, cpu) -> _PreparedStream:
         else:
             reqs = []
         stream.reqs.append(reqs)
-        stream.load_inst.append(insts[c][np.nonzero(is_load)[0]].tolist())
+        stream.stall.append(_stall_columns(
+            req_front, insts[c][req_entry], np.cumsum(is_load)[req_entry],
+            req_write, req_demand, insts[c][is_load], cpu,
+        ))
         stream.front_total.append(float(fronts[c][-1]))
         stream.total_instructions.append(trace.total_instructions)
         lo = hi

@@ -22,8 +22,9 @@ Five layers of guarantees:
 * **Epoch exactness of shared work** — a result served from an
   Alert-free run's timing memo is byte-identical to a full replay for
   every registered defense; runs the memo does not cover (cadence
-  defenses, telemetry, another timing key) never read or store one; and
-  the vectorized LLC filter matches the canonical cache.
+  defenses, telemetry, another timing key) never read or store one; the
+  vectorized LLC filter matches the canonical cache; and the stream's
+  precomputed stall columns match the per-request pointer walk.
 """
 
 from __future__ import annotations
@@ -724,10 +725,165 @@ def test_epoch_llc_filter_matches_canonical_cache(regime):
     for c in range(cpu.cores):
         got = [
             (bank_i, row, ch, is_write, demand)
-            for (_f, _i, _l, bank_i, row, ch, is_write, demand)
-            in stream.reqs[c]
+            for (_f, bank_i, row, ch, is_write, demand) in stream.reqs[c]
         ]
         assert got == reference[c], f"core {c} request stream diverged"
+
+
+def _walk_stall_rows(requests, load_inst, cpu, write_depth):
+    """The replay loop's former per-request pointer walk, as reference.
+
+    ``requests`` holds ``(front, inst, loads, is_write, is_demand)`` in
+    entry order.  Walks the ROB and MSHR pointers forward exactly as the
+    loop's advance step did, but returns, per request, *where* it binds
+    (one :class:`_StallColumns` row) instead of the floor's value, plus
+    the set of stall-model cases the walk passed through.
+    """
+    from repro.sim.engines.epoch import _NO_ROB_FLOOR, _ROB_FROM_ZERO
+
+    rob_entries = cpu.rob_entries
+    per_inst_ns = cpu.cycle_ns / cpu.issue_width
+    rows, cases = [], set()
+    read_loadidx: list[int] = []
+    n_writes = 0
+    rob_ptr = rob_read_ptr = 0
+    mshr_ptr = -1
+    for i, (front_i, inst, issued_loads, is_write, demand) in \
+            enumerate(requests):
+        rob = (_NO_ROB_FLOOR, 0, 0, 0.0)
+        ring = (-1, 0)
+        nr = len(read_loadidx)
+        if i == 0:
+            cases.add("first request")
+        if demand:
+            limit = inst - rob_entries
+            if not nr and i:
+                cases.add("no read yet")
+            if nr and limit > 0:
+                while rob_ptr < issued_loads and \
+                        load_inst[rob_ptr] < limit:
+                    rob_ptr += 1
+                if rob_ptr >= issued_loads:
+                    cases.add("whole-window drain")
+                    rob = (nr - 1, 0, 0, front_i)
+                else:
+                    bind = rob_ptr + 1
+                    while rob_read_ptr < nr and \
+                            read_loadidx[rob_read_ptr] <= bind:
+                        rob_read_ptr += 1
+                    rp = rob_read_ptr
+                    if rp:
+                        k, hop = rp - 1, int(read_loadidx[rp - 1] != bind)
+                    else:
+                        cases.add("rp == 0")
+                        k, hop = _ROB_FROM_ZERO, 0
+                    hits_between = (issued_loads - 1 - bind) - (nr - rp)
+                    prev_mark = load_inst[rob_ptr - 1] if rob_ptr else 0
+                    stall_front = (prev_mark + rob_entries) * per_inst_ns
+                    if stall_front > front_i:
+                        stall_front = front_i
+                    rob = (k, hop, max(hits_between, 0), stall_front)
+            if is_write:
+                if n_writes >= write_depth:
+                    if n_writes == write_depth:
+                        cases.add("write-buffer depth boundary")
+                    ring = (n_writes - write_depth, 0)
+            else:
+                displaced = issued_loads - cpu.max_outstanding_misses
+                if displaced > 0:
+                    while mshr_ptr + 1 < nr and \
+                            read_loadidx[mshr_ptr + 1] <= displaced:
+                        mshr_ptr += 1
+                    if mshr_ptr >= 0:
+                        hit = read_loadidx[mshr_ptr] != displaced
+                        cases.add("displaced LLC hit" if hit
+                                  else "displaced DRAM read")
+                        ring = (mshr_ptr, int(hit))
+        rows.append(rob + ring)
+        if not is_write:
+            read_loadidx.append(issued_loads)
+        elif demand:
+            n_writes += 1
+    return rows, cases
+
+
+def test_differential_stall_columns_match_pointer_walk():
+    """The stream's precomputed stall columns equal, row for row, what
+    the per-request pointer walk they replace computes, on generated
+    single-core streams (loads and stores, LLC hits and misses, dirty
+    writebacks) under small ROB, MSHR and write-buffer sizes — and the
+    generated streams reach every case of the stall model."""
+    import dataclasses
+    from unittest import mock
+
+    import numpy as np
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from repro.params import default_config
+    from repro.sim.engines import epoch
+
+    entry = st.tuples(
+        st.integers(0, 6),  # bubbles before the memory op
+        st.booleans(),      # store (else load)
+        st.booleans(),      # LLC miss (else hit: no request)
+        st.booleans(),      # the miss writes back a dirty line
+    )
+    seen: set[str] = set()
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        entries=st.lists(entry, min_size=1, max_size=60),
+        rob_entries=st.integers(1, 24),
+        max_misses=st.integers(1, 6),
+        write_depth=st.integers(1, 4),
+    )
+    def check(entries, rob_entries, max_misses, write_depth):
+        cpu = dataclasses.replace(
+            default_config().cpu, rob_entries=rob_entries,
+            max_outstanding_misses=max_misses,
+        )
+        per_inst_ns = cpu.cycle_ns / cpu.issue_width
+        bubbles = np.array([e[0] for e in entries], dtype=np.int64)
+        is_store = np.array([e[1] for e in entries], dtype=bool)
+        inst = np.cumsum(bubbles + 1)
+        loads = np.cumsum(~is_store)
+        front = inst * per_inst_ns
+        requests, at = [], []
+        for j, (_b, store, miss, writeback) in enumerate(entries):
+            if miss:
+                requests.append((store, True))
+                at.append(j)
+                if writeback:
+                    requests.append((True, False))
+                    at.append(j)
+        if not requests:
+            return
+        at = np.array(at)
+        req_write = np.array([w for w, _ in requests], dtype=bool)
+        req_demand = np.array([d for _, d in requests], dtype=bool)
+        load_inst = inst[~is_store]
+        with mock.patch.object(epoch, "WRITE_BUFFER_DEPTH", write_depth):
+            columns = epoch._stall_columns(
+                front[at], inst[at], loads[at], req_write, req_demand,
+                load_inst, cpu,
+            )
+        expected, cases = _walk_stall_rows(
+            list(zip(front[at].tolist(), inst[at].tolist(),
+                     loads[at].tolist(), req_write.tolist(),
+                     req_demand.tolist())),
+            load_inst.tolist(), cpu, write_depth,
+        )
+        seen.update(cases)
+        assert all(len(column) == len(requests) for column in columns)
+        assert list(zip(*columns)) == expected
+
+    check()
+    assert seen == {
+        "first request", "no read yet", "whole-window drain", "rp == 0",
+        "displaced LLC hit", "displaced DRAM read",
+        "write-buffer depth boundary",
+    }
 
 
 # ----------------------------------------------------------------------

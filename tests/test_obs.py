@@ -9,10 +9,14 @@ so traces are reproducible.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import math
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from test_determinism_golden import (
     GOLDEN_DEFENSE_HASHES,
     needs_golden_env,
@@ -62,6 +66,163 @@ def test_summarize_latencies_fields_and_histogram():
     assert summary["mean_ns"] == pytest.approx(1303.75)
     total_binned = sum(count for _, count in summary["histogram"])
     assert total_binned == 4
+
+
+_REFERENCE_EDGES = tuple(float(1 << exp) for exp in range(4, 21))
+
+
+def _reference_summarize_latencies(latencies):
+    """The pure-Python summary the vectorized one replaced."""
+    values = sorted(latencies)
+    count = len(values)
+    if not count:
+        return {
+            "count": 0, "mean_ns": 0.0, "p50_ns": 0.0, "p95_ns": 0.0,
+            "p99_ns": 0.0, "max_ns": 0.0, "histogram": [],
+        }
+    buckets = {}
+    edges = _REFERENCE_EDGES
+    for value in values:
+        for edge in edges:
+            if value <= edge:
+                buckets[edge] = buckets.get(edge, 0) + 1
+                break
+        else:
+            buckets[None] = buckets.get(None, 0) + 1
+    histogram = [
+        [edge, buckets[edge]] for edge in edges if edge in buckets
+    ]
+    if None in buckets:
+        histogram.append([None, buckets[None]])
+    return {
+        "count": count,
+        "mean_ns": sum(values) / count,
+        "p50_ns": percentile(values, 0.50),
+        "p95_ns": percentile(values, 0.95),
+        "p99_ns": percentile(values, 0.99),
+        "max_ns": values[-1],
+        "histogram": histogram,
+    }
+
+
+_EDGE_VALUES = [
+    neighbour
+    for exp in range(0, 24)
+    for neighbour in (
+        math.nextafter(2.0 ** exp, 0.0), 2.0 ** exp,
+        math.nextafter(2.0 ** exp, math.inf),
+    )
+]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    values=st.lists(
+        st.one_of(
+            st.sampled_from(_EDGE_VALUES),
+            st.floats(min_value=2.0 ** 20, max_value=1e12),
+            st.floats(min_value=-50.0, max_value=5e6, allow_nan=False),
+        ),
+        max_size=80,
+    ),
+    repeat=st.integers(1, 3),
+    as_generator=st.booleans(),
+)
+@example(values=[], repeat=1, as_generator=True)
+@example(values=[0.0, -0.0, 0.0, -0.0], repeat=1, as_generator=False)
+@example(values=[2.0 ** 20 + 1.0, 1.0, 16.0, 17.0], repeat=3,
+         as_generator=True)
+def test_summarize_latencies_matches_reference(values, repeat, as_generator):
+    """The vectorized summary is value- and repr-identical to the
+    reference on values on and beside every log2 edge, above the last
+    edge, duplicated, signed zeros, empty input, and generator input."""
+    values = values * repeat
+    got = summarize_latencies(
+        (v for v in values) if as_generator else values
+    )
+    want = _reference_summarize_latencies(values)
+    assert got == want
+    assert repr(got) == repr(want)
+
+
+#: (engine, target, defense) cells of the latency pin, at
+#: LATENCY_PIN_ENTRIES entries and seed 0: benign workloads, two
+#: Alert-raising attack patterns (their sample counts pass the default
+#: export cap) and one event-engine cell.
+LATENCY_PIN_CELLS = (
+    ("epoch", {"workload": "429.mcf"}, "qprac"),
+    ("epoch", {"workload": "541.leela"}, "qprac+proactive"),
+    ("epoch", {"workload": "470.lbm"}, "moat"),
+    ("epoch", {"attack": "many-sided:sides=8"}, "qprac"),
+    ("epoch", {"attack": "double-sided:pairs=6"}, "moat"),
+    ("event", {"workload": "429.mcf"}, "qprac"),
+)
+LATENCY_PIN_ENTRIES = 4000
+#: sha256 over each cell's ``result.latency`` plus ``Telemetry.export()``
+#: (sorted-key JSON, in cell order), recorded under the golden
+#: environment before the summary was vectorized.
+LATENCY_PIN = (
+    "10384e1432e2e10181bf06d8fc921455728066921246dc1dc5a46b94f2fb275a"
+)
+
+
+@needs_golden_env
+def test_latency_summaries_and_exports_match_pin():
+    digest = hashlib.sha256()
+    for engine, target, defense in LATENCY_PIN_CELLS:
+        recorder = Telemetry()
+        result = simulate_workload(
+            **target, defense=defense, n_entries=LATENCY_PIN_ENTRIES,
+            seed=0, engine=engine, telemetry=recorder,
+        )
+        digest.update(json.dumps(
+            {"latency": result.latency, "export": recorder.export()},
+            sort_keys=True,
+        ).encode())
+    assert digest.hexdigest() == LATENCY_PIN
+
+
+def test_summary_dicts_never_alias():
+    recorder = Telemetry()
+    for i in range(5):
+        recorder.record_request(0.0, 20.0 * (i + 1), False, 0)
+    first = recorder.summary_dict()
+    first["histogram"][0][1] = -1
+    first["p50_ns"] = -1.0
+    assert recorder.export()["latency"] == recorder.summary_dict()
+    assert recorder.summary_dict()["p50_ns"] == 60.0
+    assert recorder.summary_dict()["histogram"] == [
+        [32.0, 1], [64.0, 2], [128.0, 2],
+    ]
+    # A grown population is summarized afresh.
+    recorder.record_request(0.0, 1e7, True, 1)
+    assert recorder.summary_dict()["count"] == 6
+    assert recorder.summary_dict()["max_ns"] == 1e7
+
+
+@pytest.mark.parametrize("engine", ["event", "epoch"])
+def test_one_latency_summary_per_telemetry_job(engine, monkeypatch,
+                                               tmp_path):
+    """The engine's summary and the worker's export of one job share a
+    single ``summarize_latencies`` pass."""
+    import repro.obs.telemetry as telemetry_module
+
+    calls = []
+    real = telemetry_module.summarize_latencies
+
+    def spy(latencies):
+        calls.append(len(latencies))
+        return real(latencies)
+
+    monkeypatch.setattr(telemetry_module, "summarize_latencies", spy)
+    spec = SweepSpec.build(
+        ["541.leela", "429.mcf"], ["qprac", "moat"], n_entries=400,
+        engine=engine,
+    )
+    sweep = run_sweep(spec, store=ResultStore(tmp_path), telemetry=True)
+    assert sweep.executed == len(sweep.outcomes) > 2
+    assert len(calls) == sweep.executed
+    assert all(o.result.latency["count"] > 0 for o in sweep.outcomes)
 
 
 def test_null_telemetry_is_inert():
