@@ -25,6 +25,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 from repro.core.prac_counters import PRACCounterBank
 from repro.core.psq import PriorityServiceQueue
@@ -37,6 +38,11 @@ class MitigationReason(Enum):
     OPPORTUNISTIC = "opportunistic"
     PROACTIVE = "proactive"
     CADENCE = "cadence"
+
+    # Members are singletons compared by identity, so the identity hash
+    # agrees with ``==``.  It keeps every ``mitigations_by_reason[reason]``
+    # update in C; ``Enum.__hash__`` is a Python-level call.
+    __hash__ = object.__hash__
 
 
 @dataclass
@@ -54,10 +60,6 @@ class DefenseStats:
     def total_mitigations(self) -> int:
         return sum(self.mitigations_by_reason.values())
 
-    def record_mitigation(self, reason: MitigationReason, victims: int) -> None:
-        self.mitigations_by_reason[reason] += 1
-        self.victim_refreshes += victims
-
 
 def blast_radius_victims(row: int, radius: int, num_rows: int) -> list[int]:
     """Victim rows within ``radius`` of ``row``, clipped to the bank."""
@@ -68,6 +70,15 @@ def blast_radius_victims(row: int, radius: int, num_rows: int) -> list[int]:
         if row + offset < num_rows:
             victims.append(row + offset)
     return victims
+
+
+@lru_cache(maxsize=None)
+def _victim_offsets(radius: int) -> tuple[int, ...]:
+    """:func:`blast_radius_victims`' order as offsets from an unclipped row."""
+    return tuple(
+        victim - radius
+        for victim in blast_radius_victims(radius, radius, 2 * radius + 1)
+    )
 
 
 def apply_mitigation(
@@ -82,25 +93,50 @@ def apply_mitigation(
     """Mitigate ``row``: refresh victims, reset the aggressor counter.
 
     Implements Section III-C2 of the paper: each mitigative refresh to a
-    victim row increments the victim's PRAC counter, and the victim is
-    offered to the PSQ (when one exists) under the normal insertion rule —
-    this is QPRAC's transitive (Half-Double) protection.  Returns the list
-    of refreshed victim rows.
+    victim row increments the victim's PRAC counter (saturating, and
+    counted in ``total_activations``, exactly as
+    :meth:`~repro.core.prac_counters.PRACCounterBank.activate`), and the
+    victim is offered to the PSQ (when one exists) under the normal
+    insertion rule — this is QPRAC's transitive (Half-Double) protection.
+    Returns the list of refreshed victim rows, in
+    :func:`blast_radius_victims` order.
+
+    This is the one mitigation path, shared by every defense: victim
+    offsets come from a per-radius cache (rows within ``radius`` of an
+    edge fall back to :func:`blast_radius_victims` for clipping), and the
+    counters (increments, saturation, the aggressor's reset) and
+    ``stats`` are updated in place rather than through per-victim calls.
 
     ``reset_aggressor=False`` models Panopticon's t-bit design, whose
     counters keep counting across mitigations (the next enqueue happens at
     the next threshold multiple).
     """
-    victims = blast_radius_victims(row, radius, counters.num_rows)
+    num_rows = counters.num_rows
+    if radius <= row < num_rows - radius:
+        victims = [row + offset for offset in _victim_offsets(radius)]
+    else:
+        counters.check_row(row)
+        victims = blast_radius_victims(row, radius, num_rows)
+    counts = counters.counts
+    cap = counters.max_value
+    observe = psq.observe if psq is not None else None
     for victim in victims:
-        new_count = counters.increment_victim(victim)
-        if psq is not None:
-            psq.observe(victim, new_count)
+        count = counts[victim]
+        if cap is not None and count >= cap:
+            counters.saturation_events += 1
+        else:
+            count += 1
+            counts[victim] = count
+        if observe is not None:
+            observe(victim, count)
+    counters.total_activations += len(victims)
     if reset_aggressor:
-        counters.reset(row)
+        counts.pop(row, None)
+        counters.total_resets += 1
     if psq is not None:
         psq.remove(row)
-    stats.record_mitigation(reason, len(victims))
+    stats.mitigations_by_reason[reason] += 1
+    stats.victim_refreshes += len(victims)
     return victims
 
 

@@ -63,13 +63,21 @@ class MOATBank(BankDefense):
 
     def on_activation(self, row: int) -> bool:
         self.stats.activations += 1
-        count = self.counters.activate(row)
+        # PRACCounterBank.activate, inline (MOAT's counters never saturate).
+        counters = self.counters
+        if row < 0 or row >= counters.num_rows:
+            counters.check_row(row)
+        counters.total_activations += 1
+        counts = counters.counts
+        count = counts[row] + 1
+        counts[row] = count
         if row == self._tracked_row:
             self._tracked_count = count
         elif count >= self.eth and count > self._tracked_count:
             self._tracked_row = row
             self._tracked_count = count
-        return self.wants_alert()
+        # wants_alert(), inline.
+        return self._tracked_count >= self.n_bo
 
     def wants_alert(self) -> bool:
         return self._tracked_count >= self.n_bo

@@ -39,6 +39,24 @@ class PRACCounterBank:
         Width of each counter; counts saturate at ``2**counter_bits - 1``.
         ``None`` disables saturation (an "ideal" unbounded counter, used by
         the security analyses to observe true activation counts).
+
+    Attributes
+    ----------
+    num_rows:
+        Rows in the bank.
+    max_value:
+        Saturation value, or None for unbounded counters.
+    counts:
+        The live row -> count mapping (a ``defaultdict(int)``).  The
+        defenses' inlined activation paths and
+        :func:`~repro.core.defense.apply_mitigation` (whose victim
+        refreshes count as activations, paper Section III-C2) update it in
+        place together with ``total_activations`` and
+        ``saturation_events``, exactly as :meth:`activate` does.  Other
+        callers read :meth:`get` or :meth:`nonzero_rows`.
+
+    All three are fixed at construction and read-only to callers (the
+    mapping's contents aside).
     """
 
     def __init__(self, num_rows: int, counter_bits: int | None = None) -> None:
@@ -46,65 +64,52 @@ class PRACCounterBank:
             raise ConfigError(f"num_rows must be >= 1, got {num_rows}")
         if counter_bits is not None and counter_bits < 1:
             raise ConfigError(f"counter_bits must be >= 1, got {counter_bits}")
-        self._num_rows = num_rows
-        self._max_value = (
+        self.num_rows = num_rows
+        self.max_value = (
             (1 << counter_bits) - 1 if counter_bits is not None else None
         )
-        self._counts: dict[int, int] = defaultdict(int)
+        self.counts: dict[int, int] = defaultdict(int)
         # Lifetime statistics.
         self.total_activations = 0
         self.total_resets = 0
         self.saturation_events = 0
 
-    @property
-    def num_rows(self) -> int:
-        return self._num_rows
-
-    @property
-    def max_value(self) -> int | None:
-        """Saturation value, or None for unbounded counters."""
-        return self._max_value
-
-    def _check_row(self, row: int) -> None:
-        if not 0 <= row < self._num_rows:
+    def check_row(self, row: int) -> None:
+        """Raise :class:`~repro.errors.ConfigError` unless ``row`` is in
+        the bank."""
+        if not 0 <= row < self.num_rows:
             raise ConfigError(
-                f"row {row} out of range for bank with {self._num_rows} rows"
+                f"row {row} out of range for bank with {self.num_rows} rows"
             )
 
     def activate(self, row: int) -> int:
         """Record an activation of ``row``; return the new counter value."""
-        if row < 0 or row >= self._num_rows:
-            self._check_row(row)
+        if row < 0 or row >= self.num_rows:
+            self.check_row(row)
         self.total_activations += 1
-        counts = self._counts
+        counts = self.counts
         value = counts[row]
-        if self._max_value is not None and value >= self._max_value:
+        if self.max_value is not None and value >= self.max_value:
             self.saturation_events += 1
             return value
         counts[row] = value + 1
         return value + 1
 
-    def increment_victim(self, row: int) -> int:
-        """Transitive-attack bookkeeping: a mitigative refresh to a victim
-        increments its counter (paper Section III-C2).  Returns new value.
-        """
-        return self.activate(row)
-
     def reset(self, row: int) -> None:
         """Reset ``row``'s counter to zero (the aggressor was mitigated)."""
-        self._check_row(row)
-        if row in self._counts:
-            del self._counts[row]
+        self.check_row(row)
+        if row in self.counts:
+            del self.counts[row]
         self.total_resets += 1
 
     def get(self, row: int) -> int:
         """Current counter value for ``row`` (0 if never activated)."""
-        self._check_row(row)
-        return self._counts.get(row, 0)
+        self.check_row(row)
+        return self.counts.get(row, 0)
 
     def nonzero_rows(self) -> dict[int, int]:
         """Copy of all rows with a nonzero counter (oracle scans use this)."""
-        return dict(self._counts)
+        return dict(self.counts)
 
     def top_n(self, n: int) -> list[tuple[int, int]]:
         """The ``n`` highest-count (row, count) pairs, descending.
@@ -116,16 +121,16 @@ class PRACCounterBank:
         if n < 0:
             raise ConfigError(f"n must be >= 0, got {n}")
         items = sorted(
-            self._counts.items(), key=lambda kv: (kv[1], kv[0]), reverse=True
+            self.counts.items(), key=lambda kv: (kv[1], kv[0]), reverse=True
         )
         return items[:n]
 
     def max_count(self) -> int:
         """Highest counter value currently stored in the bank."""
-        if not self._counts:
+        if not self.counts:
             return 0
-        return max(self._counts.values())
+        return max(self.counts.values())
 
     def __len__(self) -> int:
         """Number of rows with a nonzero count."""
-        return len(self._counts)
+        return len(self.counts)

@@ -13,26 +13,40 @@ Operation (paper Figure 5):
   strictly greater than the queue's minimum count, in which case the
   minimum-count entry is evicted.
 * The queue raises the bank's Alert once its maximum count reaches the
-  Back-Off threshold (checked by the caller via :meth:`top`).
+  Back-Off threshold (checked by the caller via
+  :meth:`~PriorityServiceQueue.max_count`).
 
 Unlike the FIFO queues of Panopticon/UPRAC, the PSQ is *intentionally*
 always full: being full never causes information loss about heavily
 activated rows, which is exactly the property the paper's security argument
 rests on (Section IV-B).
 
-Implementation note: :class:`PriorityServiceQueue` keeps the maximum
-entry cached at all times and the minimum entry cached lazily, both
-maintained incrementally, so the activation-path operations
-(:meth:`observe`, :meth:`max_count`, :meth:`top`) are O(1) amortized —
-``min()``/``max()`` scans happen only when a cached extreme is actually
-invalidated.  :class:`ReferencePriorityServiceQueue` retains the original
-scan-on-every-call implementation as an executable specification; the
-differential tests in ``tests/test_determinism_golden.py`` drive both
-with identical operation streams and assert identical behaviour.
+Implementation note: :class:`PriorityServiceQueue` stores its entries as
+one list of ``(count, seq, row)`` tuples kept in ascending order with
+:mod:`bisect`, plus a row -> tuple dict.  The last tuple is the top (the
+mitigation target: highest count, newest among ties) and the first is the
+eviction victim (lowest count, oldest among ties), so no operation scans
+the queue or calls a Python-level sort key: a hit moves one tuple
+(``del`` + ``insort``), a miss compares against the first tuple, and
+:meth:`~PriorityServiceQueue.peek`, :meth:`~PriorityServiceQueue.max_count`
+and :meth:`~PriorityServiceQueue.min_count` index an end of the list.
+Those moves cost O(size) in C, which suits the queues the paper
+evaluates: at most 5 entries (the default is 5 = max N_mit + 1, and
+Figure 17 sweeps 1-5).  ``benchmarks/perf/bench_psq.py`` also times 16-
+and 64-entry queues, where the moves start to show; those sizes are a
+scaling probe, not simulator traffic.
+
+:class:`ReferencePriorityServiceQueue` keeps the original scan-per-call
+algorithm over mutable :class:`PSQEntry` objects as an executable
+specification; the lockstep differentials in
+``tests/test_determinism_golden.py`` and
+``tests/test_property_differential.py`` drive both queues with identical
+operation streams and compare every observable after every operation.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from typing import Iterator
 
 from repro.errors import ConfigError, ProtocolError
@@ -45,7 +59,7 @@ class PSQEntry:
     used to break ties deterministically: among equal counts the *oldest*
     entry is considered lower priority and evicted first.  The paper does
     not specify tie-breaking; tests assert that security-relevant
-    invariants hold regardless (see ``tests/core/test_psq_properties.py``).
+    invariants hold regardless (see ``tests/test_psq_properties.py``).
     """
 
     __slots__ = ("row", "count", "seq")
@@ -83,12 +97,12 @@ class PriorityServiceQueue:
 
     Notes
     -----
-    A dict gives O(1) hit lookup; the highest-priority entry is cached
-    eagerly (it is read on *every* activation via
-    :meth:`~repro.core.qprac.QPRACBank.wants_alert`) and the eviction
-    victim lazily.  Entry sort keys ``(count, seq)`` are globally unique
-    (sequence numbers never repeat), so "the" min and max are always
-    well-defined and cache maintenance cannot change which entry wins.
+    Entry keys ``(count, seq)`` are globally unique (sequence numbers
+    never repeat), so the ascending ``(count, seq, row)`` order is total
+    and "the" top and eviction victim are always well-defined.
+    :meth:`top`, :meth:`pop_top` and iteration hand out fresh
+    :class:`PSQEntry` snapshots; :meth:`peek` returns the stored tuple
+    for callers on the per-activation path.
     """
 
     def __init__(self, size: int, strict_insertion: bool = True) -> None:
@@ -96,14 +110,12 @@ class PriorityServiceQueue:
             raise ConfigError(f"PSQ size must be >= 1, got {size}")
         self._size = size
         self.strict_insertion = strict_insertion
-        self._entries: dict[int, PSQEntry] = {}
+        #: Every entry as a ``(count, seq, row)`` tuple, ascending.
+        self._order: list[tuple[int, int, int]] = []
+        #: row -> that row's tuple in ``_order``.
+        self._entries: dict[int, tuple[int, int, int]] = {}
         self._entries_get = self._entries.get
         self._next_seq = 0
-        #: Cached highest-priority entry; always valid (None iff empty).
-        self._top: PSQEntry | None = None
-        #: Cached lowest-priority entry; None means "unknown" (recomputed
-        #: on demand), which is also the value while the queue is empty.
-        self._victim: PSQEntry | None = None
         # Statistics (read by the energy model and tests).
         self.inserts = 0
         self.evictions = 0
@@ -119,25 +131,26 @@ class PriorityServiceQueue:
         return self._size
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._order)
 
     def __contains__(self, row: int) -> bool:
         return row in self._entries
 
     def __iter__(self) -> Iterator[PSQEntry]:
-        """Iterate entries in descending priority order."""
-        return iter(
-            sorted(self._entries.values(), key=PSQEntry.sort_key, reverse=True)
-        )
+        """Iterate entries in descending priority order (a snapshot)."""
+        return iter([
+            PSQEntry(row, count, seq)
+            for count, seq, row in reversed(self._order)
+        ])
 
     @property
     def is_full(self) -> bool:
-        return len(self._entries) >= self._size
+        return len(self._order) >= self._size
 
     def count_of(self, row: int) -> int | None:
         """Stored activation count for ``row``, or None if absent."""
-        entry = self._entries.get(row)
-        return entry.count if entry is not None else None
+        entry = self._entries_get(row)
+        return entry[0] if entry is not None else None
 
     def min_count(self) -> int:
         """Lowest stored count; 0 when the queue has free space.
@@ -146,21 +159,36 @@ class PriorityServiceQueue:
         a row enters iff its count is strictly greater than ``min_count()``
         *or* there is free space (and every real count is >= 1).
         """
-        if len(self._entries) < self._size:
+        order = self._order
+        if len(order) < self._size:
             return 0
-        return self._find_victim().count
+        return order[0][0]
+
+    def peek(self) -> tuple[int, int, int] | None:
+        """The top entry as its stored ``(count, seq, row)`` tuple, or None.
+
+        The same values :meth:`top` wraps in a :class:`PSQEntry`, without
+        the allocation: the accessor for per-activation callers such as
+        :class:`~repro.core.qprac.QPRACBank`.
+        """
+        order = self._order
+        return order[-1] if order else None
 
     def top(self) -> PSQEntry | None:
         """Highest-priority entry (max count; newest among ties), or None."""
-        return self._top
+        order = self._order
+        if not order:
+            return None
+        count, seq, row = order[-1]
+        return PSQEntry(row, count, seq)
 
     def max_count(self) -> int:
-        top = self._top
-        return top.count if top is not None else 0
+        order = self._order
+        return order[-1][0] if order else 0
 
     def rows(self) -> list[int]:
         """Row ids currently tracked, in descending priority order."""
-        return [entry.row for entry in self]
+        return [entry[2] for entry in reversed(self._order)]
 
     # ------------------------------------------------------------------
     # Mutation
@@ -174,134 +202,117 @@ class PriorityServiceQueue:
         """
         if count < 0:
             raise ProtocolError(f"negative activation count {count}")
-        entries = self._entries
+        order = self._order
         entry = self._entries_get(row)
         if entry is not None:
-            # Hit: update count in place (paper Figure 5, right path).
-            old = entry.count
-            entry.count = count
+            # Hit: update the count in place (paper Figure 5, right path);
+            # the entry keeps its insertion tag and moves to its new rank.
             self.hits += 1
-            top = self._top
-            if entry is top:
-                if count < old:
-                    self._recompute_top()
-            elif count > top.count or (
-                count == top.count and entry.seq > top.seq
-            ):
-                self._top = entry
-            victim = self._victim
-            if entry is victim:
-                if count > old:
-                    self._victim = None
-            elif victim is not None and (
-                count < victim.count
-                or (count == victim.count and entry.seq < victim.seq)
-            ):
-                self._victim = entry
+            del order[bisect_left(order, entry)]
+            entry = (count, entry[1], row)
+            self._entries[row] = entry
+            insort(order, entry)
             return True
-        if len(entries) < self._size:
-            self._insert(row, count)
-            return True
-        victim = self._find_victim()
-        accepts = (
-            count > victim.count
-            if self.strict_insertion
-            else count >= victim.count
-        )
-        if accepts:
-            # Priority insertion: replace the lowest-count entry.
-            del entries[victim.row]
+        if len(order) >= self._size:
+            victim = order[0]
+            if count < victim[0] or (
+                count == victim[0] and self.strict_insertion
+            ):
+                self.rejected += 1
+                return False
+            # Priority insertion: replace the lowest-priority entry.
+            del order[0]
+            del self._entries[victim[2]]
             self.evictions += 1
-            if victim is self._top:
-                self._top = None
-            self._victim = None
-            self._insert(row, count)
-            if self._top is None:
-                self._recompute_top()
-            return True
-        self.rejected += 1
-        return False
+        # A fresh entry carries the highest sequence number, so it ranks
+        # above every entry with its count (oldest-first eviction).
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        entry = (count, seq, row)
+        self._entries[row] = entry
+        insort(order, entry)
+        self.inserts += 1
+        return True
 
     def pop_top(self) -> PSQEntry:
         """Remove and return the highest-priority entry (for mitigation)."""
-        top = self._top
-        if top is None:
+        order = self._order
+        if not order:
             raise ProtocolError("pop_top() on an empty PSQ")
-        del self._entries[top.row]
-        if self._victim is top:
-            self._victim = None
-        self._recompute_top()
-        return top
+        count, seq, row = order.pop()
+        del self._entries[row]
+        return PSQEntry(row, count, seq)
 
     def remove(self, row: int) -> bool:
         """Remove ``row`` if present (mitigation by an oracle); True if removed."""
         entry = self._entries.pop(row, None)
         if entry is None:
             return False
-        if entry is self._top:
-            self._recompute_top()
-        if entry is self._victim:
-            self._victim = None
+        del self._order[bisect_left(self._order, entry)]
         return True
 
     def clear(self) -> None:
+        self._order.clear()
         self._entries.clear()
-        self._top = None
-        self._victim = None
-
-    def _insert(self, row: int, count: int) -> None:
-        entry = PSQEntry(row, count, self._next_seq)
-        self._next_seq += 1
-        self._entries[row] = entry
-        self.inserts += 1
-        top = self._top
-        # The fresh entry carries the highest sequence number, so it wins
-        # any count tie for the top slot and loses any tie for the victim
-        # slot (oldest-first eviction).
-        if top is None or count >= top.count:
-            self._top = entry
-        if len(self._entries) == 1:
-            self._victim = entry
-        else:
-            victim = self._victim
-            if victim is not None and count < victim.count:
-                self._victim = entry
-
-    def _recompute_top(self) -> None:
-        entries = self._entries
-        self._top = (
-            max(entries.values(), key=PSQEntry.sort_key) if entries else None
-        )
-
-    def _find_victim(self) -> PSQEntry:
-        victim = self._victim
-        if victim is None:
-            victim = min(self._entries.values(), key=PSQEntry.sort_key)
-            self._victim = victim
-        return victim
 
     # ------------------------------------------------------------------
     # Convenience used by the mitigation engine
     # ------------------------------------------------------------------
     def snapshot(self) -> list[tuple[int, int]]:
         """(row, count) pairs in descending priority order (for reports)."""
-        return [(entry.row, entry.count) for entry in self]
+        return [(row, count) for count, _seq, row in reversed(self._order)]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         body = ", ".join(f"{r}:{c}" for r, c in self.snapshot())
         return f"PSQ[{len(self)}/{self._size}]({body})"
 
 
-class ReferencePriorityServiceQueue(PriorityServiceQueue):
+class ReferencePriorityServiceQueue:
     """Executable specification: the original scan-per-call PSQ.
 
     Every query recomputes min/max over the live entries, exactly as the
-    hardware CAM's priority encoder would and exactly as this class was
-    implemented before the incremental-extremes optimization.  It exists
-    so differential tests can drive the optimized queue and this oracle
-    with identical operation streams and assert byte-identical outcomes;
-    it is also handy when debugging a suspected cache-maintenance bug.
+    hardware CAM's priority encoder would, over a dict of mutable
+    :class:`PSQEntry` objects.  It shares no storage or code with
+    :class:`PriorityServiceQueue`, so differential tests can drive the
+    optimized queue and this oracle with identical operation streams and
+    assert byte-identical outcomes; it is also handy when debugging a
+    suspected ordering bug.
     """
+
+    def __init__(self, size: int, strict_insertion: bool = True) -> None:
+        if size < 1:
+            raise ConfigError(f"PSQ size must be >= 1, got {size}")
+        self._size = size
+        self.strict_insertion = strict_insertion
+        self._entries: dict[int, PSQEntry] = {}
+        self._next_seq = 0
+        self.inserts = 0
+        self.evictions = 0
+        self.hits = 0
+        self.rejected = 0
+
+    @property
+    def size(self) -> int:
+        return self._size
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __contains__(self, row: int) -> bool:
+        return row in self._entries
+
+    def __iter__(self) -> Iterator[PSQEntry]:
+        return iter(
+            sorted(self._entries.values(), key=PSQEntry.sort_key, reverse=True)
+        )
+
+    @property
+    def is_full(self) -> bool:
+        return len(self._entries) >= self._size
+
+    def count_of(self, row: int) -> int | None:
+        entry = self._entries.get(row)
+        return entry.count if entry is not None else None
 
     def min_count(self) -> int:
         if len(self._entries) < self._size:
@@ -316,6 +327,9 @@ class ReferencePriorityServiceQueue(PriorityServiceQueue):
     def max_count(self) -> int:
         top = self.top()
         return top.count if top is not None else 0
+
+    def rows(self) -> list[int]:
+        return [entry.row for entry in self]
 
     def observe(self, row: int, count: int) -> bool:
         if count < 0:
@@ -355,7 +369,17 @@ class ReferencePriorityServiceQueue(PriorityServiceQueue):
             return True
         return False
 
+    def clear(self) -> None:
+        self._entries.clear()
+
     def _spec_insert(self, row: int, count: int) -> None:
         self._entries[row] = PSQEntry(row, count, self._next_seq)
         self._next_seq += 1
         self.inserts += 1
+
+    def snapshot(self) -> list[tuple[int, int]]:
+        return [(entry.row, entry.count) for entry in self]
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        body = ", ".join(f"{r}:{c}" for r, c in self.snapshot())
+        return f"RefPSQ[{len(self)}/{self._size}]({body})"

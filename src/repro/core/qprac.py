@@ -71,10 +71,27 @@ class QPRACBank(BankDefense):
             params.psq_size, strict_insertion=params.strict_psq_insertion
         )
         self._refs_seen = 0
+        # The variant's policy as flags fixed at construction, so the
+        # hooks test booleans instead of comparing enum members per call.
+        self._noop = variant is MitigationVariant.QPRAC_NOOP
+        self._ideal = variant is MitigationVariant.QPRAC_IDEAL
+        self._proactive = variant not in (
+            MitigationVariant.QPRAC_NOOP,
+            MitigationVariant.QPRAC,
+        )
+        #: Lowest top count a proactive mitigation acts on: N_PRO for the
+        #: energy-aware variant, 0 (no gate) for the others.
+        self._n_pro = (
+            params.n_pro
+            if variant is MitigationVariant.QPRAC_PROACTIVE_EA
+            else 0
+        )
+        self._every_n_refs = params.proactive_every_n_refs
+        self._radius = params.blast_radius
         # Hot-path prebinds: on_activation runs once per DRAM ACT.
         self._n_bo = params.n_bo
-        self._counters_activate = self.counters.activate
         self._psq_observe = self.psq.observe
+        self._psq_peek = self.psq.peek
 
     # ------------------------------------------------------------------
     # Activation path
@@ -82,79 +99,78 @@ class QPRACBank(BankDefense):
     def on_activation(self, row: int) -> bool:
         """Increment PRAC counter, update PSQ, report Alert demand."""
         self.stats.activations += 1
-        count = self._counters_activate(row)
+        # PRACCounterBank.activate, inline.
+        counters = self.counters
+        if row < 0 or row >= counters.num_rows:
+            counters.check_row(row)
+        counters.total_activations += 1
+        counts = counters.counts
+        count = counts[row]
+        cap = counters.max_value
+        if cap is not None and count >= cap:
+            counters.saturation_events += 1
+        else:
+            count += 1
+            counts[row] = count
         self._psq_observe(row, count)
-        # wants_alert(), inline: the PSQ keeps its top entry cached, so
-        # the per-ACT threshold check is one attribute read.
-        top = self.psq._top
-        return top is not None and top.count >= self._n_bo
+        # wants_alert(), inline: observe() never leaves the queue empty.
+        return self._psq_peek()[0] >= self._n_bo
 
     def wants_alert(self) -> bool:
         """Single-threshold rule of Section III-C: top PSQ count >= N_BO."""
-        return self.psq.max_count() >= self.params.n_bo
+        return self.psq.max_count() >= self._n_bo
 
     # ------------------------------------------------------------------
     # Mitigation paths
     # ------------------------------------------------------------------
     def on_rfm(self, is_alerting_bank: bool) -> list[int]:
         """Service one RFM; mitigate according to the variant policy."""
-        if self.variant is MitigationVariant.QPRAC_NOOP and not is_alerting_bank:
-            # No opportunistic mitigation: banks below N_BO stay idle.
-            if not self.wants_alert():
-                return []
-        if self.variant is MitigationVariant.QPRAC_IDEAL:
-            return self._mitigate_ideal(
-                MitigationReason.ALERT
-                if is_alerting_bank
-                else MitigationReason.OPPORTUNISTIC
-            )
         reason = (
             MitigationReason.ALERT
             if is_alerting_bank
             else MitigationReason.OPPORTUNISTIC
         )
-        return self._mitigate_top(reason)
-
-    def on_ref(self) -> list[int]:
-        """Proactive mitigation in the shadow of a REF (Section III-D2)."""
-        self._refs_seen += 1
-        if self.variant in (
-            MitigationVariant.QPRAC_NOOP,
-            MitigationVariant.QPRAC,
-        ):
-            return []
-        if self._refs_seen % self.params.proactive_every_n_refs != 0:
-            return []
-        top = self.psq.top()
+        if self._ideal:
+            return self._mitigate_ideal(reason)
+        top = self._psq_peek()
         if top is None:
             return []
-        if (
-            self.variant is MitigationVariant.QPRAC_PROACTIVE_EA
-            and top.count < self.params.n_pro
-        ):
-            # Energy-aware: skip wasteful mitigations of cold rows.
+        if self._noop and not is_alerting_bank and top[0] < self._n_bo:
+            # No opportunistic mitigation: banks below N_BO stay idle.
             return []
-        return self._mitigate_top(MitigationReason.PROACTIVE)
+        row = top[2]
+        apply_mitigation(
+            self.counters, row, self._radius, self.stats, reason, self.psq
+        )
+        return [row]
+
+    def on_ref(self) -> list[int]:
+        """Proactive mitigation in the shadow of a REF (Section III-D2).
+
+        Every proactive variant, QPRAC-Ideal included, mitigates the PSQ's
+        top entry here; the energy-aware one skips wasteful mitigations
+        of rows below N_PRO.
+        """
+        self._refs_seen += 1
+        if not self._proactive or self._refs_seen % self._every_n_refs:
+            return []
+        top = self._psq_peek()
+        if top is None or top[0] < self._n_pro:
+            return []
+        row = top[2]
+        apply_mitigation(
+            self.counters,
+            row,
+            self._radius,
+            self.stats,
+            MitigationReason.PROACTIVE,
+            self.psq,
+        )
+        return [row]
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _mitigate_top(self, reason: MitigationReason) -> list[int]:
-        """Mitigate the highest-priority PSQ entry, if any."""
-        top = self.psq.top()
-        if top is None:
-            return []
-        row = top.row
-        apply_mitigation(
-            self.counters,
-            row,
-            self.params.blast_radius,
-            self.stats,
-            reason,
-            psq=self.psq,
-        )
-        return [row]
-
     def _mitigate_ideal(self, reason: MitigationReason) -> list[int]:
         """Oracle mitigation: the single globally-highest-count row.
 
@@ -167,12 +183,7 @@ class QPRACBank(BankDefense):
             return []
         row, _count = top[0]
         apply_mitigation(
-            self.counters,
-            row,
-            self.params.blast_radius,
-            self.stats,
-            reason,
-            psq=self.psq,
+            self.counters, row, self._radius, self.stats, reason, self.psq
         )
         return [row]
 

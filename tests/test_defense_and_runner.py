@@ -55,7 +55,33 @@ class TestApplyMitigation:
         assert counters.get(50) == 0
         assert counters.get(49) == 1
         assert stats.total_mitigations == 1
+        assert stats.mitigations_by_reason[MitigationReason.ALERT] == 1
         assert stats.victim_refreshes == 2
+
+    def test_victim_refresh_saturates_like_activate(self):
+        counters = PRACCounterBank(100, counter_bits=2)  # saturate at 3
+        stats = DefenseStats()
+        for _ in range(3):
+            counters.activate(49)
+        apply_mitigation(counters, 50, 1, stats, MitigationReason.ALERT)
+        assert counters.get(49) == 3
+        assert counters.get(51) == 1
+        assert counters.saturation_events == 1
+        assert counters.total_activations == 5
+
+    def test_edge_victims_clipped_in_order(self):
+        counters = PRACCounterBank(10)
+        stats = DefenseStats()
+        assert apply_mitigation(
+            counters, 1, 3, stats, MitigationReason.ALERT
+        ) == blast_radius_victims(1, 3, 10) == [0, 2, 3, 4]
+        assert apply_mitigation(
+            counters, 8, 2, stats, MitigationReason.CADENCE
+        ) == [7, 9, 6]
+        assert apply_mitigation(
+            counters, 5, 2, stats, MitigationReason.PROACTIVE
+        ) == blast_radius_victims(5, 2, 10) == [4, 6, 3, 7]
+        assert stats.victim_refreshes == 11
 
     def test_keep_aggressor_counter(self):
         counters = PRACCounterBank(100)

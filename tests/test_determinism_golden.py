@@ -1,8 +1,8 @@
 """Golden-hash determinism tests for the simulator hot path.
 
-The hot-path overhaul (allocation-free event loop, incremental PSQ,
-decode-once requests) promises **byte-identical** results.  These tests
-pin that promise down three ways:
+The hot-path overhauls (allocation-free event loop, the PSQ's ordered
+layout, decode-once requests) promise **byte-identical** results.  These
+tests pin that promise down three ways:
 
 * *Golden hashes*: SHA-256 digests of the canonical-JSON serialization
   of ``simulate_workload`` results, recorded on the pre-optimization
@@ -11,7 +11,7 @@ pin that promise down three ways:
 * *Parallel equivalence*: a ``jobs=4`` sweep must produce the same
   payload bytes and the same cache rows as ``jobs=1`` and as a plain
   in-process loop.
-* *Differential PSQ*: the incremental-extremes queue is driven through
+* *Differential PSQ*: the bisect-ordered queue is driven through
   randomized operation streams in lockstep with
   :class:`~repro.core.psq.ReferencePriorityServiceQueue` (the retained
   scan-per-call implementation) and must agree on every observable after
@@ -212,7 +212,7 @@ def test_sweep_matches_direct_simulation():
 
 
 # ----------------------------------------------------------------------
-# Differential test: incremental PSQ vs the retained reference
+# Differential test: bisect-ordered PSQ vs the retained reference
 # ----------------------------------------------------------------------
 def _observable_state(psq) -> tuple:
     return (
@@ -228,15 +228,18 @@ def _observable_state(psq) -> tuple:
     )
 
 
-@pytest.mark.parametrize("size", [1, 2, 5, 8])
+@pytest.mark.parametrize("size", [1, 2, 5, 8, 16, 64])
 @pytest.mark.parametrize("strict", [True, False])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_psq_fast_path_matches_reference(size, strict, seed):
-    """Randomized lockstep: every op, every observable, both queues."""
+    """Randomized lockstep: every op, every observable, both queues.
+
+    At 16 and 64 entries the row universe grows with the queue, so hits
+    move entries across long ordered lists."""
     rng = random.Random(seed * 1000 + size * 10 + strict)
     fast = PriorityServiceQueue(size, strict_insertion=strict)
     ref = ReferencePriorityServiceQueue(size, strict_insertion=strict)
-    rows = list(range(12))
+    rows = list(range(max(12, size + size // 2)))
     for step in range(600):
         op = rng.random()
         if op < 0.70:

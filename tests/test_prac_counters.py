@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.defense import DefenseStats, MitigationReason, apply_mitigation
 from repro.core.prac_counters import PRACCounterBank
 from repro.errors import ConfigError
 
@@ -41,8 +42,14 @@ class TestBasics:
 
     def test_victim_increment_counts_as_activation(self, bank):
         # Section III-C2: mitigative refreshes increment victim counters.
-        assert bank.increment_victim(5) == 1
+        bank.activate(6)
+        victims = apply_mitigation(
+            bank, 6, 1, DefenseStats(), MitigationReason.ALERT
+        )
+        assert victims == [5, 7]
         assert bank.get(5) == 1
+        assert bank.get(7) == 1
+        assert bank.total_activations == 3
 
     def test_out_of_range_rejected(self, bank):
         with pytest.raises(ConfigError):

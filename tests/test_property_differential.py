@@ -5,8 +5,8 @@ generate whole random *operation programs* from seeds and drive the
 optimized implementations against their retained executable
 specifications:
 
-* :class:`~repro.core.psq.PriorityServiceQueue` (incremental cached
-  extremes) vs :class:`~repro.core.psq.ReferencePriorityServiceQueue`
+* :class:`~repro.core.psq.PriorityServiceQueue` (bisect-ordered
+  entries) vs :class:`~repro.core.psq.ReferencePriorityServiceQueue`
   (scan per call) over randomized geometries, policies and op mixes —
   including adversarial shapes the fixed vectors never reach (count
   *decreases* on hit, churn at capacity 1, clears mid-stream).
@@ -108,7 +108,7 @@ def test_psq_random_program_matches_reference(seed):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_psq_capacity_one_churn_matches_reference(seed):
-    """Size-1 queues maximize evict/replace churn on the cached extremes."""
+    """Size-1 queues maximize evict/replace churn at both list ends."""
     rng = random.Random(31_000 + seed)
     fast = PriorityServiceQueue(1)
     ref = ReferencePriorityServiceQueue(1)
