@@ -355,10 +355,13 @@ def _write_trace(
     the same sweep (matched by cache key, so stale observations from an
     older code version are never carried forward): a fully cached
     re-run refreshes the metrics header without erasing latencies.
+    Their fields pass through as stored, in either sample layout.  The
+    previous trace is read only when some job is cached: after a
+    simulator edit every key changes, so none of it could be reused.
     """
     path = trace_path_for(store.directory, metrics.sweep_id)
     previous: dict[str, dict] = {}
-    if path.exists():
+    if any(cached) and path.exists():
         previous = {
             row["key"]: row
             for row in read_trace(path)["jobs"]

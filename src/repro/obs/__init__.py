@@ -31,11 +31,13 @@ from repro.obs.metrics import (
 from repro.obs.telemetry import (
     DEFAULT_MAX_SAMPLES,
     NULL_TELEMETRY,
+    SAMPLES_LAYOUT,
     TELEMETRY_ENV,
     TELEMETRY_MAX_SAMPLES_ENV,
     NullTelemetry,
     Telemetry,
     active_telemetry,
+    decode_samples,
     percentile,
     summarize_latencies,
     telemetry_from_env,
@@ -44,6 +46,7 @@ from repro.obs.telemetry import (
 __all__ = [
     "DEFAULT_MAX_SAMPLES",
     "NULL_TELEMETRY",
+    "SAMPLES_LAYOUT",
     "SWEEP_TRACE_SCHEMA",
     "TELEMETRY_ENV",
     "TELEMETRY_MAX_SAMPLES_ENV",
@@ -51,6 +54,7 @@ __all__ = [
     "SweepMetrics",
     "Telemetry",
     "active_telemetry",
+    "decode_samples",
     "latest_trace_path",
     "list_trace_paths",
     "percentile",

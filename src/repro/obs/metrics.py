@@ -13,6 +13,14 @@ content identity so re-running the same spec updates the same file.
 Line 1 is the header (``type: "sweep"``), every following line is one
 job (``type: "job"``) in spec-expansion order.
 
+Schema-2 job rows carry their ``samples`` as the packed sample field of
+:func:`~repro.obs.telemetry.pack_samples` (base64 columns, inline in
+the row: one file keeps the write a single atomic rename).  Schema-1
+rows carried the same samples as a list of ``[arrive, latency,
+is_write, core]`` rows; they still load, and a cached re-run carries
+them forward unchanged, so one file may hold both layouts.
+:func:`~repro.obs.telemetry.decode_samples` reads either.
+
 NOTE this module must not import :mod:`repro.exp` at module scope: the
 controller imports :mod:`repro.obs`, which would close an import cycle
 through ``exp.serialize`` → ``cpu.system`` → controller.  The one spec
@@ -27,7 +35,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 #: Bump when the trace-file layout changes; readers stay tolerant.
-SWEEP_TRACE_SCHEMA = 1
+SWEEP_TRACE_SCHEMA = 2
 
 #: Subdirectory of the result-cache directory holding trace files.
 TRACE_DIR_NAME = "traces"
@@ -183,7 +191,7 @@ def read_trace(path: str | Path) -> dict:
     """Load one trace file: ``{"header": ..., "jobs": [...]}``.
 
     Tolerant of unknown line types (future schema growth) and of
-    damaged trailing lines (a crashed writer), which are skipped.
+    damaged lines (a crashed writer), which are skipped.
     """
     header: dict | None = None
     jobs: list[dict] = []
@@ -195,6 +203,8 @@ def read_trace(path: str | Path) -> dict:
             try:
                 row = json.loads(line)
             except json.JSONDecodeError:
+                continue
+            if not isinstance(row, dict):
                 continue
             kind = row.get("type")
             if kind == "sweep" and header is None:

@@ -6,6 +6,11 @@ Both subcommands read the JSONL sweep traces written by
 internals, store health, and per-job latency percentiles — while
 ``repro trace`` dumps the capped per-request samples of one job.
 
+Trace files are outside input, so a job row with a bad value never
+stops either command: a latency block ``repro stats`` cannot use
+renders as ``-``, and samples that do not decode render as
+``<label>: samples unreadable`` while the other jobs still print.
+
 Kept out of :mod:`repro.obs`'s package ``__init__`` on purpose: the
 simulation controller imports the package, and rendering must never be
 on the hot path's import chain.
@@ -18,6 +23,7 @@ from pathlib import Path
 
 from repro.analysis.report import render_table
 from repro.obs.metrics import fleet_backend_metrics
+from repro.obs.telemetry import decode_samples, is_number
 
 
 def format_ns(value) -> str:
@@ -175,10 +181,31 @@ def _store_rows(store: dict) -> list[list[object]]:
     return rows
 
 
-def _latency_rows(jobs: list[dict]) -> list[list[object]]:
+def _usable_latency(latency) -> dict | None:
+    """A job's latency block if ``repro stats`` can render it, else
+    ``None``: its percentiles must be numbers (or absent) and its
+    blackouts a dict of dicts with numeric counts."""
+    if not isinstance(latency, dict):
+        return None
+    for key in ("p50_ns", "p95_ns", "p99_ns", "max_ns"):
+        value = latency.get(key)
+        if value is not None and not is_number(value):
+            return None
+    blackouts = latency.get("blackouts") or {}
+    if not isinstance(blackouts, dict) or not all(
+        isinstance(b, dict) and is_number(b.get("count", 0))
+        for b in blackouts.values()
+    ):
+        return None
+    return latency
+
+
+def _latency_rows(
+    jobs: list[dict], latencies: list[dict | None]
+) -> list[list[object]]:
     rows = []
-    for job in jobs:
-        latency = job.get("latency") or {}
+    for job, latency in zip(jobs, latencies):
+        latency = latency or {}
         blackouts = latency.get("blackouts") or {}
         rows.append([
             job.get("label", "?"),
@@ -217,13 +244,14 @@ def render_stats(trace: dict, path: str | Path | None = None) -> str:
         sections.append(render_table(
             "Fleet hosts", FLEET_HOST_COLUMNS, _fleet_host_rows(fleet)
         ))
+    latencies = [_usable_latency(job.get("latency")) for job in jobs]
     sections.append(render_table(
         "Per-job request latency (simulated time)",
         ["job", "engine", "source", "requests", "p50", "p95", "p99",
          "max", "blackouts", "psq hw"],
-        _latency_rows(jobs),
+        _latency_rows(jobs, latencies),
     ))
-    observed = sum(1 for j in jobs if j.get("latency"))
+    observed = sum(1 for latency in latencies if latency)
     if observed < len(jobs):
         sections.append(
             f"{len(jobs) - observed} of {len(jobs)} job(s) have no "
@@ -253,8 +281,12 @@ def render_trace(
             return f"no job matching {job!r}; jobs in trace: {known}"
     sections = []
     for row in jobs:
-        samples = row.get("samples") or []
         label = row.get("label", "?")
+        try:
+            samples = decode_samples(row.get("samples") or [])
+        except ValueError:
+            sections.append(f"{label}: samples unreadable")
+            continue
         if not samples:
             sections.append(f"{label}: no recorded samples")
             continue
@@ -269,7 +301,9 @@ def render_trace(
             ["arrive", "latency", "op", "core"],
             body,
         )
-        total = row.get("samples_total", len(samples))
+        total = row.get("samples_total")
+        if not isinstance(total, int):
+            total = len(samples)
         if len(samples) > limit or total > len(samples):
             table += (
                 f"\n({min(limit, len(samples))} of {total} requests shown; "

@@ -20,11 +20,30 @@ Worker processes enable telemetry through the environment
 boundaries where no object can travel: ``run_sweep(...,
 telemetry=True)`` sets the variable around backend execution and
 :func:`telemetry_from_env` builds the recorder inside the worker.
+
+Per-request samples are kept as columns, not rows.  The recorder
+appends each request's arrival, write flag and core to three plain
+lists (the latency column is the prefix of the full latency population
+it keeps anyway), so recording allocates no per-request container and
+leaves the garbage collector nothing to scan.  :meth:`Telemetry.export`
+packs the capped prefix once into a single JSON-safe *packed sample
+field* (:func:`pack_samples`)::
+
+    {"layout": "columns-le/1", "n": 3,
+     "arrive": <b64>, "latency": <b64>, "is_write": <b64>, "core": <b64>}
+
+Each column is base64 over fixed-width little-endian values: float64
+``arrive`` and ``latency`` (ns, bit-exact), uint8 ``is_write`` and
+int16 ``core`` (``-1`` stands for a core of ``None``).  About 25 bytes
+of JSON per request, against ~49 for the ``[arrive, latency, is_write,
+core]`` row lists that schema-1 sweep traces carry inline.
+:func:`decode_samples` is the one reader of both layouts.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -40,6 +59,15 @@ TELEMETRY_MAX_SAMPLES_ENV = "REPRO_TELEMETRY_MAX_SAMPLES"
 #: Default export cap: enough for latency scatter plots, small enough
 #: that sweep trace files stay in the low megabytes.
 DEFAULT_MAX_SAMPLES = 10_000
+
+#: Layout tag of the packed sample field (:func:`pack_samples`).
+SAMPLES_LAYOUT = "columns-le/1"
+
+#: ``(name, dtype)`` of the packed columns, in row order.
+_SAMPLE_COLUMNS = (
+    ("arrive", "<f8"), ("latency", "<f8"), ("is_write", "u1"),
+    ("core", "<i2"),
+)
 
 #: Histogram bucket upper bounds (ns), log2-spaced.  The last bucket is
 #: open-ended (represented as ``null`` in JSON).
@@ -102,6 +130,77 @@ def summarize_latencies(latencies: Iterable[float]) -> dict:
     }
 
 
+def is_number(value) -> bool:
+    """True for a float, or an int that ``float()`` converts: the trace
+    readers' test for a numeric field."""
+    return isinstance(value, float) or (
+        isinstance(value, int) and abs(value) <= sys.float_info.max
+    )
+
+
+def pack_samples(arrive, latency, is_write, core) -> dict:
+    """Pack four equal-length sample columns into one JSON-safe field.
+
+    ``arrive`` and ``latency`` are ns floats, ``is_write`` counts by
+    truthiness and ``core`` holds core ids (0..32767) or ``None``.
+    """
+    import base64  # off the engines' import chain
+
+    columns = (
+        arrive, latency, list(map(bool, is_write)),
+        [-1 if c is None else c for c in core],
+    )
+    field: dict = {"layout": SAMPLES_LAYOUT, "n": len(arrive)}
+    for (name, dtype), values in zip(_SAMPLE_COLUMNS, columns):
+        field[name] = base64.b64encode(
+            np.array(values, dtype=dtype).tobytes()
+        ).decode("ascii")
+    return field
+
+
+def decode_samples(field) -> list[list]:
+    """Rows ``[arrive, latency, is_write, core]`` of a job's ``samples``.
+
+    Reads both layouts: the packed field of :func:`pack_samples`, and
+    the schema-1 list of rows (returned as is).  Raises ``ValueError``
+    when ``field`` cannot be decoded: an unknown layout tag, a bad row
+    count, bad base64, a column whose length disagrees with the row
+    count, or schema-1 rows that are not four-element lists with
+    numeric arrival and latency.
+    """
+    import base64
+
+    if isinstance(field, list):
+        for row in field:
+            if not (isinstance(row, list) and len(row) == 4
+                    and is_number(row[0]) and is_number(row[1])):
+                raise ValueError(f"malformed sample row {row!r}")
+        return field
+    if not isinstance(field, dict) or field.get("layout") != SAMPLES_LAYOUT:
+        raise ValueError("unknown sample layout")
+    n = field.get("n")
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise ValueError(f"bad sample count {n!r}")
+    columns = []
+    for name, dtype in _SAMPLE_COLUMNS:
+        encoded = field.get(name)
+        if not isinstance(encoded, str):
+            raise ValueError(f"missing sample column {name!r}")
+        # binascii.Error (bad base64) is a ValueError.
+        raw = base64.b64decode(encoded, validate=True)
+        if len(raw) != n * np.dtype(dtype).itemsize:
+            raise ValueError(f"sample column {name!r} is not {n} rows")
+        columns.append(np.frombuffer(raw, dtype=dtype))
+    arrive, latency, is_write, core = columns
+    return [
+        [a, lat, w, None if c < 0 else c]
+        for a, lat, w, c in zip(
+            arrive.tolist(), latency.tolist(), (is_write != 0).tolist(),
+            core.tolist(),
+        )
+    ]
+
+
 class NullTelemetry:
     """The disabled recorder: every hook is a no-op.
 
@@ -147,25 +246,32 @@ class Telemetry:
       rank's banks (defenses without a ``psq`` attribute contribute
       nothing), with the high-water mark retained.
 
-    ``max_samples`` caps only the exported per-request rows; summaries
-    always cover the full population.  The latency summary is computed
-    once per population: the engine's :meth:`summary_dict` and the
-    worker's :meth:`export` of the same run share it.
+    ``max_samples`` caps only the exported per-request samples;
+    summaries always cover the full population.  The samples are the
+    first ``max_samples`` requests, kept as columns: ``sample_arrive``,
+    ``sample_is_write`` and ``sample_core``, whose latencies are the
+    same-length prefix of ``latencies``.  The latency summary is
+    computed once per population: the engine's :meth:`summary_dict`
+    and the worker's :meth:`export` of the same run share it.
     """
 
     enabled = True
 
     __slots__ = (
-        "max_samples", "latencies", "samples", "blackout_counts",
-        "blackout_ns", "psq_high_water", "_latency_summary",
+        "max_samples", "latencies", "sample_arrive", "sample_is_write",
+        "sample_core", "blackout_counts", "blackout_ns", "psq_high_water",
+        "_latency_summary",
     )
 
     def __init__(self, max_samples: int = DEFAULT_MAX_SAMPLES) -> None:
         self.max_samples = max(0, int(max_samples))
         #: Full latency population (ns), service order.
         self.latencies: list[float] = []
-        #: Exported rows ``[arrive_ns, latency_ns, is_write, core_id]``.
-        self.samples: list[list] = []
+        #: Sample columns (arrival ns, write flag, core id) of the
+        #: first ``max_samples`` requests.
+        self.sample_arrive: list[float] = []
+        self.sample_is_write: list = []
+        self.sample_core: list = []
         self.blackout_counts: dict[str, int] = {}
         self.blackout_ns: dict[str, float] = {}
         self.psq_high_water = 0
@@ -175,12 +281,11 @@ class Telemetry:
 
     # -- engine-facing hooks (hot when enabled) ------------------------
     def record_request(self, arrive_ns, done_ns, is_write, core_id) -> None:
-        latency = done_ns - arrive_ns
-        self.latencies.append(latency)
-        if len(self.samples) < self.max_samples:
-            self.samples.append(
-                [arrive_ns, latency, bool(is_write), core_id]
-            )
+        self.latencies.append(done_ns - arrive_ns)
+        if len(self.sample_arrive) < self.max_samples:
+            self.sample_arrive.append(arrive_ns)
+            self.sample_is_write.append(is_write)
+            self.sample_core.append(core_id)
 
     def record_blackout(self, start_ns, end_ns, kind) -> None:
         self.blackout_counts[kind] = self.blackout_counts.get(kind, 0) + 1
@@ -223,11 +328,15 @@ class Telemetry:
         return summary
 
     def export(self) -> dict:
-        """Summary plus the capped per-request sample rows (the payload
-        side channel a sweep worker ships home)."""
+        """Summary plus the packed sample field (the payload side channel
+        a sweep worker ships home)."""
+        n = len(self.sample_arrive)
         return {
             "latency": self.summary_dict(),
-            "samples": self.samples,
+            "samples": pack_samples(
+                self.sample_arrive, self.latencies[:n],
+                self.sample_is_write, self.sample_core,
+            ),
             "samples_total": len(self.latencies),
         }
 

@@ -9,10 +9,13 @@ so traces are reproducible.
 
 from __future__ import annotations
 
+import base64
+import copy
 import hashlib
 import json
 import math
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,9 +29,12 @@ from test_determinism_golden import (
 from repro.exp import ResultStore, SweepSpec, run_sweep
 from repro.obs import (
     NULL_TELEMETRY,
+    SAMPLES_LAYOUT,
     NullTelemetry,
+    SweepMetrics,
     Telemetry,
     active_telemetry,
+    decode_samples,
     percentile,
     read_trace,
     resolve_trace_path,
@@ -36,6 +42,7 @@ from repro.obs import (
     sweep_id_for,
     trace_path_for,
 )
+from repro.obs.stats import render_stats, render_trace
 from repro.sim import simulate_workload
 
 
@@ -159,8 +166,10 @@ LATENCY_PIN_CELLS = (
 )
 LATENCY_PIN_ENTRIES = 4000
 #: sha256 over each cell's ``result.latency`` plus ``Telemetry.export()``
-#: (sorted-key JSON, in cell order), recorded under the golden
-#: environment before the summary was vectorized.
+#: with its samples decoded back to schema-1 ``[arrive, latency,
+#: is_write, core]`` rows (sorted-key JSON, in cell order), recorded
+#: under the golden environment before the summary was vectorized and
+#: before the samples were packed.
 LATENCY_PIN = (
     "10384e1432e2e10181bf06d8fc921455728066921246dc1dc5a46b94f2fb275a"
 )
@@ -175,8 +184,10 @@ def test_latency_summaries_and_exports_match_pin():
             **target, defense=defense, n_entries=LATENCY_PIN_ENTRIES,
             seed=0, engine=engine, telemetry=recorder,
         )
+        export = recorder.export()
+        export["samples"] = decode_samples(export["samples"])
         digest.update(json.dumps(
-            {"latency": result.latency, "export": recorder.export()},
+            {"latency": result.latency, "export": export},
             sort_keys=True,
         ).encode())
     assert digest.hexdigest() == LATENCY_PIN
@@ -247,7 +258,10 @@ def test_telemetry_sample_cap_keeps_full_percentiles():
     for i in range(10):
         recorder.record_request(float(i), float(i) + 50.0, False, 0)
     export = recorder.export()
-    assert len(export["samples"]) == 3
+    assert export["samples"]["n"] == 3
+    assert decode_samples(export["samples"]) == [
+        [0.0, 50.0, False, 0], [1.0, 50.0, False, 0], [2.0, 50.0, False, 0],
+    ]
     assert export["samples_total"] == 10
     assert export["latency"]["count"] == 10  # percentiles see every request
 
@@ -366,24 +380,28 @@ def test_sweep_writes_trace_with_metrics(tmp_path):
     trace = read_trace(sweep.trace_path)
     assert trace["header"]["sweep_id"] == sweep.metrics.sweep_id
     assert len(trace["jobs"]) == sweep.total_jobs
+    assert trace["header"]["schema"] == 2
     for row in trace["jobs"]:
         assert row["from_cache"] is False
         assert row["latency"]["count"] > 0
-        assert row["samples"]
+        assert row["samples"]["layout"] == SAMPLES_LAYOUT
+        assert len(decode_samples(row["samples"])) == row["samples_total"]
 
 
 def test_cached_rerun_carries_telemetry_forward(tmp_path):
     store = ResultStore(tmp_path)
-    run_sweep(_tiny_spec(), store=store, telemetry=True)
+    first = run_sweep(_tiny_spec(), store=store, telemetry=True)
+    rendered = render_trace(read_trace(first.trace_path), limit=10**6)
     replay = run_sweep(_tiny_spec(), store=ResultStore(tmp_path))
     assert replay.cache_hits == replay.total_jobs
     assert replay.metrics.telemetry is False
     trace = read_trace(replay.trace_path)
-    # The refreshed trace keeps the previously observed latencies even
-    # though this run simulated nothing.
+    # The refreshed trace keeps the previously observed latencies and
+    # samples even though this run simulated nothing.
     for row in trace["jobs"]:
         assert row["from_cache"] is True
         assert row["latency"]["count"] > 0
+    assert render_trace(trace, limit=10**6) == rendered
 
 
 def test_storeless_sweep_still_aggregates_metrics():
@@ -515,6 +533,357 @@ def test_resolve_trace_path_selectors(tmp_path):
         resolve_trace_path(tmp_path, "deadbeef")
     with pytest.raises(FileNotFoundError):
         resolve_trace_path(tmp_path / "empty", None)
+
+
+# ----------------------------------------------------------------------
+# Packed samples: the codec, exact rendering, damaged rows, carry-forward
+# ----------------------------------------------------------------------
+#: Floats a column must carry bit-exactly: signed zeros, subnormals,
+#: the float64 extremes and integers past 2**52.
+_SPECIAL_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+    2.0 ** 52, 2.0 ** 52 + 1.0, 2.0 ** 53 + 2.0, 2.0 ** 70 + 2.0 ** 20,
+    1.7976931348623157e308, -1.7976931348623157e308,
+]
+_TIMES = st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats())
+_REQUESTS = st.lists(
+    st.tuples(
+        _TIMES, _TIMES, st.one_of(st.booleans(), st.integers(0, 3)),
+        st.one_of(st.none(), st.integers(0, 32767)),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(requests=_REQUESTS, max_samples=st.integers(0, 50))
+@example(requests=[], max_samples=0)
+@example(requests=[(1.0, 2.0, True, 0)] * 4, max_samples=0)
+@example(requests=[(0.0, -0.0, True, None)], max_samples=1)
+@example(requests=[(2.0 ** 60, 5e-324, 1, 3)] * 3, max_samples=3)
+@example(requests=[(-0.0, 0.0, False, None)] * 5, max_samples=3)
+def test_packed_samples_decode_to_the_schema1_rows(requests, max_samples):
+    """Decoding the packed field gives, ``repr`` for ``repr``, the rows
+    the list-per-request recorder exported: ``[arrive, done - arrive,
+    bool(is_write), core]`` for the first ``max_samples`` requests."""
+    recorder = Telemetry(max_samples=max_samples)
+    for arrive, done, is_write, core in requests:
+        recorder.record_request(arrive, done, is_write, core)
+    want = [
+        [arrive, done - arrive, bool(is_write), core]
+        for arrive, done, is_write, core in requests[:max_samples]
+    ]
+    export = json.loads(json.dumps(recorder.export()))
+    assert export["samples"]["n"] == len(want)
+    assert export["samples_total"] == len(requests)
+    assert repr(decode_samples(export["samples"])) == repr(want)
+    # The decoder returns schema-1 rows as they are.
+    assert decode_samples(want) is want
+
+
+#: sha256 over ``render_trace`` at limits 20 and 1e6 of the traced
+#: sweeps in :func:`_render_pin_traces`, recorded under the golden
+#: environment on the list-per-request recorder, before the samples
+#: were packed.
+RENDER_TRACE_PIN = (
+    "f3a19164093e2ced2d022c9f98841b76fecb9866efa11fd9563a8e0c85eb267d"
+)
+
+
+def _render_pin_traces(tmp_path, monkeypatch):
+    """A traced epoch sweep at the default sample cap, then a traced
+    event sweep capped at 64 samples per job (so the footer reports
+    the stored-vs-total truncation)."""
+    cells = (
+        ("epoch", ["541.leela", "429.mcf"], None),
+        ("event", ["541.leela"], "64"),
+    )
+    for engine, workloads, cap in cells:
+        if cap is None:
+            monkeypatch.delenv("REPRO_TELEMETRY_MAX_SAMPLES", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_TELEMETRY_MAX_SAMPLES", cap)
+        spec = SweepSpec.build(
+            workloads, ["qprac", "moat"], n_entries=400, engine=engine,
+        )
+        sweep = run_sweep(
+            spec, store=ResultStore(tmp_path / engine), telemetry=True,
+        )
+        yield read_trace(sweep.trace_path)
+
+
+@needs_golden_env
+def test_render_trace_matches_pin(tmp_path, monkeypatch):
+    digest = hashlib.sha256()
+    for trace in _render_pin_traces(tmp_path, monkeypatch):
+        for limit in (20, 1_000_000):
+            digest.update(render_trace(trace, limit=limit).encode())
+    assert digest.hexdigest() == RENDER_TRACE_PIN
+
+
+def _intact_trace() -> dict:
+    """A small well-formed trace: two jobs with packed samples, two
+    with schema-1 rows, a core of ``None`` and capped samples."""
+    jobs = []
+    for index in range(4):
+        recorder = Telemetry(max_samples=6)
+        for i in range(8 + index):
+            recorder.record_request(
+                100.0 * i, 100.0 * i + 40.0 + 7.5 * index * i, i % 3 == 0,
+                None if index == 3 else i % 2,
+            )
+        recorder.record_blackout(0.0, 350.0, "abo")
+        export = recorder.export()
+        if index % 2:
+            export["samples"] = decode_samples(export["samples"])
+        jobs.append({
+            "type": "job", "index": index, "label": f"w{index}/qprac",
+            "engine": "epoch", "from_cache": bool(index % 2),
+            "key": f"k{index}", **export,
+        })
+    metrics = SweepMetrics(
+        sweep_id="ab" * 32, backend="serial", total_jobs=4, executed=2,
+        cache_hits=2, elapsed_s=1.0, exec_elapsed_s=0.5, exec_rate=4.0,
+        telemetry=True,
+    )
+    header = {"type": "sweep", "schema": 2, "sweep_id": metrics.sweep_id,
+              "metrics": metrics.to_dict()}
+    return {"header": header, "jobs": jobs}
+
+
+def _without_latency(trace: dict, indexes) -> dict:
+    trace = copy.deepcopy(trace)
+    for index in indexes:
+        trace["jobs"][index].pop("latency", None)
+    return trace
+
+
+@pytest.mark.parametrize("samples", [[[1.0, 2.0]], "xx", [None], {"a": 1}])
+def test_render_trace_reports_undecodable_samples(samples):
+    trace = _intact_trace()
+    intact = copy.deepcopy(trace["jobs"][1:])
+    trace["jobs"][0]["samples"] = samples
+    assert render_trace(trace) == "\n\n".join(
+        ["w0/qprac: samples unreadable"]
+        + [render_trace({"jobs": [job]}) for job in intact]
+    )
+
+
+def test_render_trace_falls_back_to_stored_count_for_a_bad_total():
+    job = _intact_trace()["jobs"][0]
+    job["samples_total"] = "x"
+    assert render_trace({"jobs": [job]}, limit=4).endswith(
+        "\n(4 of 6 requests shown; 6 stored in the trace)"
+    )
+
+
+@pytest.mark.parametrize(
+    "latency", [[1, 2], "x", {"p50_ns": "x"}, {"blackouts": [1]}],
+)
+def test_render_stats_dashes_an_unusable_latency_block(latency):
+    trace = _intact_trace()
+    trace["jobs"][2]["latency"] = latency
+    rendered = render_stats(trace)
+    assert rendered == render_stats(_without_latency(trace, [2]))
+    row = next(line for line in rendered.splitlines()
+               if line.lstrip().startswith("w2/qprac"))
+    assert row.split()[3:] == ["-"] * 7
+
+
+_NON_NUMBERS = st.one_of(
+    st.text(max_size=4), st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+#: Truthy JSON values that are no sample field of either layout.
+_JUNK_SAMPLES = st.one_of(
+    st.text(min_size=1, max_size=6), st.just(True),
+    st.integers().filter(bool), st.floats(allow_nan=False).filter(bool),
+    st.dictionaries(st.text(max_size=6), st.integers(), min_size=1,
+                    max_size=3),
+    st.lists(st.one_of(st.none(), st.integers(), st.text(max_size=3)),
+             min_size=1, max_size=3),
+)
+
+
+def _damage_packed(data, field: dict) -> None:
+    kind = data.draw(st.sampled_from(
+        ["layout", "n", "truncate", "extend", "garbage", "missing"]
+    ))
+    if kind == "layout":
+        field["layout"] = data.draw(st.one_of(
+            st.text(max_size=12).filter(lambda t: t != SAMPLES_LAYOUT),
+            st.integers(), st.none(),
+        ))
+        return
+    if kind == "n":
+        field["n"] = data.draw(st.one_of(
+            st.integers().filter(bool).map(lambda d: field["n"] + d),
+            st.floats(), st.text(max_size=3), st.none(), st.just(True),
+        ))
+        return
+    name = data.draw(st.sampled_from(["arrive", "latency", "is_write",
+                                      "core"]))
+    raw = base64.b64decode(field[name])
+    if kind == "truncate":
+        cut = data.draw(st.integers(1, len(raw)))
+        field[name] = base64.b64encode(raw[:-cut]).decode("ascii")
+    elif kind == "extend":
+        extra = data.draw(st.binary(min_size=1, max_size=9))
+        field[name] = base64.b64encode(raw + extra).decode("ascii")
+    elif kind == "garbage":
+        field[name] = "!" + field[name]
+    else:
+        del field[name]
+
+
+def _damage_rows(data, rows: list) -> None:
+    kind = data.draw(st.sampled_from(["arity", "row", "value"]))
+    at = data.draw(st.integers(0, len(rows) - 1))
+    if kind == "arity":
+        size = data.draw(st.sampled_from([0, 1, 2, 3, 5, 6]))
+        rows[at] = (rows[at] + [0, 0])[:size]
+    elif kind == "row":
+        rows[at] = data.draw(st.one_of(
+            st.none(), st.integers(), st.text(max_size=3),
+            st.dictionaries(st.text(max_size=2), st.integers(),
+                            max_size=2),
+        ))
+    else:
+        rows[at][data.draw(st.integers(0, 1))] = data.draw(
+            st.one_of(_NON_NUMBERS, st.none())
+        )
+
+
+def _damage_latency(data, latency: dict):
+    kind = data.draw(st.sampled_from(
+        ["junk", "percentile", "blackouts", "blackout"]
+    ))
+    if kind == "junk":
+        return data.draw(st.one_of(
+            st.text(min_size=1, max_size=4), st.just(True),
+            st.integers().filter(bool),
+            st.lists(st.integers(), min_size=1, max_size=2),
+        ))
+    if kind == "percentile":
+        key = data.draw(st.sampled_from(["p50_ns", "p95_ns", "p99_ns",
+                                         "max_ns"]))
+        latency[key] = data.draw(_NON_NUMBERS)
+    elif kind == "blackouts":
+        latency["blackouts"] = data.draw(st.one_of(
+            st.text(min_size=1, max_size=3), st.just([1]),
+            st.integers().filter(bool),
+        ))
+    else:
+        latency["blackouts"]["abo"] = data.draw(st.one_of(
+            st.none(), st.integers(), st.text(max_size=3),
+            st.fixed_dictionaries({"count": _NON_NUMBERS}),
+        ))
+    return latency
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_renderers_survive_damaged_rows(data):
+    """Damaged ``samples`` (either layout) render as ``<label>: samples
+    unreadable`` and damaged latency blocks as a missing one, while
+    every intact job renders exactly as it did alone."""
+    intact = _intact_trace()
+    trace = copy.deepcopy(intact)
+    unreadable, unusable = set(), set()
+    for index, job in enumerate(trace["jobs"]):
+        if data.draw(st.booleans(), label=f"damage samples {index}"):
+            unreadable.add(index)
+            if data.draw(st.booleans(), label="junk"):
+                job["samples"] = data.draw(_JUNK_SAMPLES)
+            elif isinstance(job["samples"], dict):
+                _damage_packed(data, job["samples"])
+            else:
+                _damage_rows(data, job["samples"])
+        if data.draw(st.booleans(), label=f"damage latency {index}"):
+            unusable.add(index)
+            job["latency"] = _damage_latency(data, job["latency"])
+    limit = data.draw(st.integers(1, 8), label="limit")
+    assert render_trace(trace, limit=limit) == "\n\n".join(
+        f"{job['label']}: samples unreadable" if index in unreadable
+        else render_trace({"jobs": [job]}, limit=limit)
+        for index, job in enumerate(intact["jobs"])
+    )
+    assert render_stats(trace) == render_stats(
+        _without_latency(intact, unusable)
+    )
+
+
+def test_previous_trace_is_read_only_when_a_job_is_cached(
+    tmp_path, monkeypatch
+):
+    """After a simulator edit every cache key changes, so a re-run has
+    nothing to carry forward and must not parse the old trace."""
+    import repro.exp.runner as runner_module
+    import repro.exp.spec as spec_module
+
+    first = run_sweep(_tiny_spec(), store=ResultStore(tmp_path),
+                      telemetry=True)
+    calls = []
+    real = runner_module.read_trace
+
+    def spy(path):
+        calls.append(path)
+        return real(path)
+
+    monkeypatch.setattr(runner_module, "read_trace", spy)
+    monkeypatch.setattr(spec_module, "code_version_salt", lambda: "edited")
+    cold = run_sweep(_tiny_spec(), store=ResultStore(tmp_path),
+                     telemetry=True)
+    assert cold.executed == cold.total_jobs
+    assert cold.trace_path == first.trace_path
+    assert calls == []
+    cached = run_sweep(_tiny_spec(), store=ResultStore(tmp_path))
+    assert cached.cache_hits == cached.total_jobs
+    assert calls == [Path(cached.trace_path)]
+
+
+def test_schema1_trace_renders_identically_after_cached_refresh(tmp_path):
+    """A schema-1 trace (samples inline as row lists) refreshed by a
+    re-run that serves some jobs from the cache: the carried rows keep
+    their lists, the re-run job writes a packed field, and the mixed
+    file renders exactly as the schema-1 one did."""
+    spec = SweepSpec.build(["541.leela"], ["qprac", "moat"], n_entries=400)
+    sweep = run_sweep(spec, store=ResultStore(tmp_path), telemetry=True)
+    path = Path(sweep.trace_path)
+    trace = read_trace(path)
+    lines = [dict(trace["header"], schema=1)] + [
+        dict(job, samples=decode_samples(job["samples"]))
+        for job in trace["jobs"]
+    ]
+    path.write_text("".join(
+        json.dumps(line, sort_keys=True) + "\n" for line in lines
+    ))
+    rendered = render_trace(read_trace(path), limit=10**6)
+    # Drop the last job's cache row, so the refresh re-runs it.
+    rerun_key = trace["jobs"][-1]["key"]
+    results = tmp_path / "results.jsonl"
+    results.write_text("".join(
+        line + "\n" for line in results.read_text().splitlines()
+        if json.loads(line)["key"] != rerun_key
+    ))
+    refreshed = run_sweep(spec, store=ResultStore(tmp_path), telemetry=True)
+    assert (refreshed.cache_hits, refreshed.executed) == (2, 1)
+    mixed = read_trace(path)
+    assert mixed["header"]["schema"] == 2
+    assert [type(job["samples"]) for job in mixed["jobs"]] == [
+        list, list, dict,
+    ]
+    assert render_trace(mixed, limit=10**6) == rendered
+
+
+def test_read_trace_skips_lines_that_are_not_objects(tmp_path):
+    path = tmp_path / "sweep-x.jsonl"
+    path.write_text(
+        '{"type": "sweep", "schema": 2, "sweep_id": "x", "metrics": {}}\n'
+        '[1, 2]\n"job"\n{"type": "job", "index": 0, "label": "a"}\n'
+    )
+    trace = read_trace(path)
+    assert [job["label"] for job in trace["jobs"]] == ["a"]
 
 
 # ----------------------------------------------------------------------
