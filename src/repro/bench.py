@@ -269,7 +269,7 @@ def _measure_cell_task(task: dict) -> dict:
 
     Module-level and dict-in/dict-out so any registered
     :class:`~repro.exp.backend.SweepBackend` — including the
-    ``subprocess-ssh`` worker — can run bench cells.  Wall time is
+    ``remote-fleet`` worker — can run bench cells.  Wall time is
     measured *inside* the worker, so a parallel bench still reports
     genuine per-cell wall clocks (noisier under contention; ``serial``
     remains the reference for regression gating).
@@ -328,8 +328,8 @@ def run_bench(
 
     ``backend`` dispatches cells through the sweep-backend registry
     (``serial`` — the default and the timing reference — runs in
-    process; ``pool``/``local-queue``/``subprocess-ssh`` parallelise the
-    full run at some per-cell precision cost).  ``engine`` selects the
+    process; ``pool`` and ``remote-fleet`` parallelise the full run at
+    some per-cell precision cost).  ``engine`` selects the
     simulation engine for every cell; when it is not the ``event``
     reference, the reference cell is additionally measured under
     ``event`` so the trajectory point records an honest same-host

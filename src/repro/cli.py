@@ -796,11 +796,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="simulate everything; do not read or write the cache")
     p.add_argument("--backend", default="auto",
                    help="execution backend (see `repro backends`): serial, "
-                   "pool, local-queue, subprocess-ssh, remote-fleet; "
-                   "default auto = serial for --jobs 1, pool otherwise")
+                   "pool, remote-fleet; default auto = serial for "
+                   "--jobs 1, pool otherwise")
     p.add_argument("--hosts", nargs="+", default=None, metavar="HOST",
-                   help="host list for --backend subprocess-ssh / "
-                   "remote-fleet ('local' spawns a plain subprocess)")
+                   help="host list for --backend remote-fleet ('local' "
+                   "spawns a plain subprocess)")
     p.add_argument("--faults", default=None, metavar="PLAN",
                    help="chaos-injection plan for --backend remote-fleet, "
                    "e.g. 'kill-worker;drop-host:host=local,times=2' "
@@ -882,11 +882,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "worker",
-        help="execute a serialized job batch (fleet/ssh backends)",
+        help="execute a serialized job batch (remote-fleet backend)",
         description="Run every task in a pickled jobs file and stream "
         "{'index', 'payload'} / {'index', 'error'} JSONL rows to --out, "
-        "flushing per task.  Spawned by the subprocess-ssh and "
-        "remote-fleet backends; also usable by external schedulers.  "
+        "flushing per task.  Spawned by the remote-fleet backend; "
+        "also usable by external schedulers.  "
         "--probe prints host capabilities (python, code salt, cpus) as "
         "JSON and exits.",
     )
@@ -979,7 +979,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for parallel backends")
     p.add_argument("--hosts", nargs="+", default=None, metavar="HOST",
-                   help="host list for the fleet/ssh backends")
+                   help="host list for the remote-fleet backend")
     p.add_argument("--faults", default=None, metavar="PLAN",
                    help="chaos-injection plan (remote-fleet backend only)")
     p.add_argument("--trace", action="store_true",
@@ -1049,7 +1049,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for parallel backends")
     p.add_argument("--hosts", nargs="+", default=None, metavar="HOST",
-                   help="host list for --backend subprocess-ssh")
+                   help="host list for --backend remote-fleet")
     p.add_argument("--engine", default="event",
                    help="simulation engine for every cell (see `repro "
                    "engines`); non-event runs also measure the event "
@@ -1082,7 +1082,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Print the per-host supervision table (status, jobs, "
         "dispatches, failures, quarantines) and fleet-wide counters "
         "(retries, migrations, fallback, fired faults) recorded by a "
-        "remote-fleet or subprocess-ssh sweep.",
+        "remote-fleet sweep.",
     )
     p.add_argument("action", choices=("status",))
     p.add_argument("selector", nargs="?", default=None,

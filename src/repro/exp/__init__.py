@@ -24,9 +24,9 @@ configuration and code-version salt, so re-running any grid — mixed
 defenses included — is a cache replay, byte-identical at any ``jobs``
 count.
 
-Execution is pluggable: ``run_sweep(..., backend="local-queue")`` (or
-``pool``, ``serial``, ``subprocess-ssh`` with ``hosts=[...]``) routes
-the uncached remainder through the backend registry in
+Execution is pluggable: ``run_sweep(..., backend="pool")`` (or
+``serial``, or ``remote-fleet`` with ``hosts=[...]``) routes the
+uncached remainder through the backend registry in
 :mod:`repro.exp.backend`; every backend aggregates byte-identically.
 """
 

@@ -11,7 +11,7 @@ callback.  The caller persists and reassembles; the backend only decides
 Backends are resolved by name through a registry that mirrors
 ``@register_defense``: anything registered here is addressable from
 ``run_sweep(..., backend="name")``, ``run_attack_jobs``, ``run_bench``
-and the CLI (``repro sweep --backend local-queue --jobs 4``).
+and the CLI (``repro sweep --backend pool --jobs 4``).
 
 Shipped backends:
 
@@ -20,27 +20,17 @@ Shipped backends:
     implementation every other backend must match byte for byte.
 ``pool``
     ``ProcessPoolExecutor`` with chunked dispatch — the original
-    ``run_sweep(jobs=N)`` path, extracted.
-``local-queue``
-    A work-stealing multiprocessing queue: workers pull tasks from a
-    shared queue (fast workers naturally take more), send per-worker
-    heartbeats, and the parent retries tasks whose worker died and
-    streams every finished payload to ``emit`` immediately — so a sweep
-    killed mid-run resumes from the
-    :class:`~repro.exp.cache.ResultStore`.
-``subprocess-ssh``
-    Shells out ``python -m repro worker --jobs-file ...`` once per host
-    in a host list (``"local"`` spawns without ssh), exercising the
-    full serialization boundary — job pickling, result JSONL, process
-    isolation — that a real cluster backend needs.  Remote hosts are
-    assumed to share the filesystem (NFS-style) and have the package
-    importable.  Each worker runs under a deadline and a bounded retry
-    budget; typed error rows fail fast and missing rows are retried.
+    ``run_sweep(jobs=N)`` path, extracted.  Finished chunks reach
+    ``emit`` (and the store) as they complete, so a sweep killed
+    mid-run resumes from the :class:`~repro.exp.cache.ResultStore`;
+    its workers exit with the sweep process.
 ``remote-fleet``
     The supervised fleet tier (:mod:`repro.fleet.coordinator`,
-    registered lazily): capability probing, heartbeat leases, retry
-    with migration, host quarantine, chaos injection, and graceful
-    fallback to ``pool`` when every host is gone.
+    registered lazily): ``python -m repro worker`` per host in a host
+    list (``"local"`` spawns without ssh), capability probing,
+    heartbeat leases, retry with migration, host quarantine, chaos
+    injection, and graceful fallback to ``pool`` when every host is
+    gone.
 
 The equivalence contract: every backend calls the same ``run_one`` on
 the same task objects and returns the same canonical dict payloads, and
@@ -65,21 +55,12 @@ from __future__ import annotations
 
 import math
 import os
-import queue
-import subprocess
-import sys
-import tempfile
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from pathlib import Path
 from typing import Callable, Sequence
 
 from repro.errors import ReproError
-from repro.fleet.policy import (
-    DEFAULT_LEASE_POLICY,
-    DEFAULT_RETRY_POLICY,
-    RetryPolicy,
-)
 
 #: One pending unit of work: (position in the sweep, picklable task).
 Task = tuple[int, object]
@@ -89,12 +70,6 @@ EmitFn = Callable[[int, dict], None]
 
 #: Module-level (hence picklable) task executor, e.g. ``execute_job``.
 RunOneFn = Callable[[object], dict]
-
-#: Test-only fault hook: when this environment variable names a path and
-#: the file does not exist yet, the next ``local-queue`` worker to claim
-#: a task creates the file and dies via ``os._exit`` — simulating a
-#: worker killed mid-task exactly once.  Never set outside tests.
-FAULT_KILL_ONCE_ENV = "REPRO_FAULT_WORKER_KILL_ONCE"
 
 
 class SweepBackend:
@@ -143,9 +118,10 @@ def _ensure_plugin_backends() -> None:
 
     ``remote-fleet`` lives in :mod:`repro.fleet.coordinator`, which
     imports *this* module for :class:`SweepBackend` — so it cannot be
-    imported at the top of this file.  Importing it here, on first
-    lookup, keeps the graph acyclic while every resolver still sees
-    the full registry.
+    imported at the top of this file.  Importing it here, on a lookup
+    the loaded registry misses, keeps the graph acyclic (and
+    ``repro.exp`` free of ``repro.fleet``) while every resolver still
+    sees the full registry.
     """
     import repro.fleet.coordinator  # noqa: F401  (registers remote-fleet)
 
@@ -165,6 +141,26 @@ def backend_summaries() -> list[tuple[str, str]]:
     ]
 
 
+def backend_class(name: str) -> type[SweepBackend]:
+    """The backend class registered as ``name``.
+
+    Looks in the already-loaded registry first and imports the plugin
+    backends only on a miss, so naming ``serial`` or ``pool`` never
+    loads the fleet coordinator.  Raises :class:`ReproError` naming the
+    registered backends when ``name`` is unknown.
+    """
+    cls = _BACKENDS.get(name)
+    if cls is None:
+        _ensure_plugin_backends()
+        cls = _BACKENDS.get(name)
+    if cls is None:
+        known = ", ".join(registered_backends())
+        raise ReproError(
+            f"unknown sweep backend {name!r}; registered backends: {known}"
+        )
+    return cls
+
+
 def resolve_backend(
     backend: str | SweepBackend,
     jobs: int = 1,
@@ -179,14 +175,7 @@ def resolve_backend(
         return backend
     if backend == "auto":
         backend = "serial" if jobs <= 1 else "pool"
-    _ensure_plugin_backends()
-    cls = _BACKENDS.get(backend)
-    if cls is None:
-        known = ", ".join(registered_backends())
-        raise ReproError(
-            f"unknown sweep backend {backend!r}; registered backends: {known}"
-        )
-    return cls(jobs=jobs, hosts=hosts)
+    return backend_class(backend)(jobs=jobs, hosts=hosts)
 
 
 # ----------------------------------------------------------------------
@@ -218,8 +207,34 @@ class SerialBackend(SweepBackend):
 # pool
 # ----------------------------------------------------------------------
 def _execute_task_batch(run_one: RunOneFn, objs: list) -> list[dict]:
-    """Worker entry point shared by ``pool`` and ``repro worker``."""
+    """``pool`` worker entry point: run one chunk of tasks in order."""
     return [run_one(obj) for obj in objs]
+
+
+#: How often a ``pool`` worker checks that its parent is still alive.
+_PARENT_POLL_S = 0.1
+
+
+def _exit_with_parent() -> None:
+    """``pool`` worker initializer: exit once the parent process is gone.
+
+    A sweep killed hard (SIGKILL) never shuts its pool down, and a
+    worker blocked on the executor's call queue would otherwise live on
+    as an orphan, holding every pipe it inherited from the sweep — so
+    whoever waits on those pipes (a ``multiprocessing`` join, a shell
+    pipeline) waits forever.  A daemon thread polls ``os.getppid()``
+    against the parent seen at start-up: the sweep process under the
+    ``fork`` and ``spawn`` start methods, the fork server (which exits
+    with the sweep) under ``forkserver``.
+    """
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(_PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
 
 
 @register_backend("pool")
@@ -229,7 +244,9 @@ class PoolBackend(SweepBackend):
     Chunking amortises pickling without starving workers (~4 chunks per
     worker); chunks are consumed as they complete, not in submission
     order, so every finished result reaches ``emit`` — and the store —
-    immediately.
+    immediately.  A task that raises fails the sweep at once: chunks not
+    yet handed to a worker are cancelled instead of run.  Workers exit
+    with the sweep process, even when it is killed.
     """
 
     def __init__(
@@ -253,7 +270,10 @@ class PoolBackend(SweepBackend):
             list(tasks[start:start + chunksize])
             for start in range(0, len(tasks), chunksize)
         ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        pool = ProcessPoolExecutor(
+            max_workers=workers, initializer=_exit_with_parent
+        )
+        try:
             futures = {
                 pool.submit(
                     _execute_task_batch, run_one, [obj for _, obj in chunk]
@@ -265,6 +285,12 @@ class PoolBackend(SweepBackend):
                     futures[future], future.result()
                 ):
                     emit(index, payload)
+        except BaseException:
+            # Fail fast: waiting for every queued chunk would only
+            # compute results the failed sweep never reports.
+            pool.shutdown(wait=False, cancel_futures=True)
+            raise
+        pool.shutdown()
         self.metrics = {
             "workers": workers,
             "tasks": len(tasks),
@@ -272,472 +298,3 @@ class PoolBackend(SweepBackend):
             "chunk_size": chunksize,
             "wall_s": time.perf_counter() - started,
         }
-
-
-# ----------------------------------------------------------------------
-# local-queue
-# ----------------------------------------------------------------------
-def _queue_worker(
-    slot: int,
-    generation: int,
-    run_one: RunOneFn,
-    task_queue,
-    result_queue,
-    beats,
-    heartbeat_s: float,
-    fault_path: str | None,
-) -> None:
-    """Worker loop: steal tasks until the shared queue runs dry.
-
-    Messages to the parent are ``(kind, slot, generation, data)``; the
-    generation lets the parent ignore stragglers from a worker it
-    already replaced.  Heartbeats go through a lock-free shared array
-    (not the queue) so a parent can spot a livelocked worker even when
-    the message path is wedged.
-    """
-    import threading
-
-    stop = threading.Event()
-
-    def beat() -> None:
-        while not stop.wait(heartbeat_s):
-            beats[slot] = time.time()
-
-    threading.Thread(target=beat, daemon=True).start()
-    try:
-        while True:
-            try:
-                item = task_queue.get(timeout=0.1)
-            except queue.Empty:
-                break
-            index, obj = item
-            result_queue.put(("claim", slot, generation, index))
-            if fault_path and not os.path.exists(fault_path):
-                Path(fault_path).touch()
-                os._exit(17)  # test hook: die hard, mid-task, exactly once
-            try:
-                payload = run_one(obj)
-            except Exception as exc:  # deterministic failure: don't retry
-                result_queue.put(
-                    ("error", slot, generation, (index, repr(exc)))
-                )
-                break
-            result_queue.put(("result", slot, generation, (index, payload)))
-    finally:
-        stop.set()
-        result_queue.put(("exit", slot, generation, None))
-
-
-@register_backend("local-queue")
-class LocalQueueBackend(SweepBackend):
-    """Work-stealing multiprocessing queue with worker supervision.
-
-    Workers pull from one shared task queue, so load balances itself —
-    a slow task occupies one worker while the others drain the rest.
-    The parent supervises: per-worker heartbeats (via a shared array)
-    expose livelocked workers, a worker that dies mid-task gets its
-    claimed task re-enqueued (up to ``max_retries`` deaths per task) and
-    a replacement spawned, and every finished payload is emitted — and
-    therefore flushed to the result store — the moment it arrives, so a
-    killed sweep resumes from cache.
-    """
-
-    def __init__(
-        self,
-        jobs: int = 1,
-        hosts: Sequence[str] | None = None,
-        heartbeat_s: float | None = None,
-        stall_timeout_s: float | None = DEFAULT_LEASE_POLICY.lease_timeout_s,
-        max_retries: int | None = None,
-    ) -> None:
-        del hosts
-        if jobs < 1:
-            raise ReproError(
-                f"local-queue backend needs jobs >= 1, got {jobs}"
-            )
-        self.jobs = jobs
-        # Supervision knobs default to the fleet-wide shared policies
-        # (repro.fleet.policy) so every supervised backend agrees on
-        # what "alive" and "give up" mean.
-        self.heartbeat_s = (
-            DEFAULT_LEASE_POLICY.heartbeat_s
-            if heartbeat_s is None else heartbeat_s
-        )
-        self.stall_timeout_s = stall_timeout_s
-        self.max_retries = (
-            DEFAULT_RETRY_POLICY.max_retries
-            if max_retries is None else max_retries
-        )
-
-    def execute(
-        self, tasks: Sequence[Task], run_one: RunOneFn, emit: EmitFn
-    ) -> None:
-        if not tasks:
-            self.metrics = {"workers": 0, "tasks": 0, "wall_s": 0.0}
-            return
-        import multiprocessing
-
-        started = time.perf_counter()
-        ctx = multiprocessing.get_context()
-        workers = min(self.jobs, len(tasks))
-        by_index = {index: obj for index, obj in tasks}
-        fault_path = os.environ.get(FAULT_KILL_ONCE_ENV) or None
-
-        task_queue = ctx.Queue()
-        result_queue = ctx.Queue()
-        for item in tasks:
-            task_queue.put(item)
-        beats = ctx.Array("d", workers, lock=False)
-
-        generations = [0] * workers
-        claims: dict[int, int] = {}     # slot -> claimed task index
-        exited: set[tuple[int, int]] = set()
-        retries: dict[int, int] = {}
-        procs: dict[int, object] = {}
-        done: set[int] = set()
-        # Supervision observability, aggregated into self.metrics.
-        tasks_per_worker: dict[int, int] = {}
-        worker_deaths = 0
-        respawns = 0
-        lost_claim_recoveries = 0
-        max_heartbeat_gap_s = 0.0
-
-        def spawn(slot: int) -> None:
-            generations[slot] += 1
-            beats[slot] = time.time()
-            proc = ctx.Process(
-                target=_queue_worker,
-                args=(
-                    slot, generations[slot], run_one, task_queue,
-                    result_queue, beats, self.heartbeat_s, fault_path,
-                ),
-                daemon=True,
-            )
-            proc.start()
-            procs[slot] = proc
-
-        def handle_crash(slot: int) -> None:
-            """Re-enqueue the dead worker's claim and replace it."""
-            nonlocal worker_deaths, respawns
-            worker_deaths += 1
-            index = claims.pop(slot, None)
-            procs.pop(slot)
-            if index is not None and index not in done:
-                count = retries.get(index, 0) + 1
-                retries[index] = count
-                if count > self.max_retries:
-                    raise ReproError(
-                        f"sweep task {index} lost {count} workers in a row "
-                        "(crash loop?); giving up"
-                    )
-                task_queue.put((index, by_index[index]))
-            if len(done) < len(tasks):
-                respawns += 1
-                spawn(slot)
-
-        for slot in range(workers):
-            spawn(slot)
-
-        try:
-            while len(done) < len(tasks):
-                try:
-                    kind, slot, gen, data = result_queue.get(timeout=0.1)
-                except queue.Empty:
-                    pass
-                else:
-                    if gen != generations[slot]:
-                        continue  # straggler from a replaced worker
-                    if kind == "claim":
-                        claims[slot] = data
-                    elif kind == "result":
-                        index, payload = data
-                        claims.pop(slot, None)
-                        if index not in done:
-                            done.add(index)
-                            tasks_per_worker[slot] = (
-                                tasks_per_worker.get(slot, 0) + 1
-                            )
-                            emit(index, payload)
-                    elif kind == "error":
-                        index, message = data
-                        raise ReproError(
-                            f"sweep task {index} failed in worker: {message}"
-                        )
-                    elif kind == "exit":
-                        exited.add((slot, gen))
-                        claims.pop(slot, None)
-                    continue
-                now = time.time()
-                for slot, proc in list(procs.items()):
-                    alive = proc.is_alive()
-                    gap = now - beats[slot]
-                    if alive and gap > max_heartbeat_gap_s:
-                        max_heartbeat_gap_s = gap
-                    if (
-                        alive
-                        and self.stall_timeout_s
-                        and gap > self.stall_timeout_s
-                    ):
-                        proc.terminate()   # livelocked: no heartbeat
-                        proc.join(5.0)
-                        alive = proc.is_alive()
-                    if alive:
-                        continue
-                    proc.join()
-                    if (slot, generations[slot]) in exited:
-                        procs.pop(slot)    # clean exit: queue ran dry
-                    else:
-                        handle_crash(slot)
-                if not procs and len(done) < len(tasks):
-                    # Every worker exited yet work remains (a crash so
-                    # abrupt even its claim message was lost): re-enqueue
-                    # whatever is missing — duplicate results are dropped
-                    # above — and restart one worker to finish up.  The
-                    # re-enqueue still counts against each task's retry
-                    # budget, or a task that kills workers before its
-                    # claim ever flushes would respawn them forever.
-                    for index, obj in tasks:
-                        if index not in done:
-                            count = retries.get(index, 0) + 1
-                            retries[index] = count
-                            if count > self.max_retries:
-                                raise ReproError(
-                                    f"sweep task {index} lost {count} "
-                                    "workers in a row (crash loop?); "
-                                    "giving up"
-                                )
-                            task_queue.put((index, obj))
-                            lost_claim_recoveries += 1
-                    respawns += 1
-                    spawn(0)
-        finally:
-            for proc in procs.values():
-                proc.join(timeout=2.0)
-                if proc.is_alive():
-                    proc.terminate()
-            for q in (task_queue, result_queue):
-                q.close()
-                q.cancel_join_thread()
-            self.metrics = {
-                "workers": workers,
-                "tasks": len(tasks),
-                "tasks_per_worker": {
-                    str(slot): tasks_per_worker[slot]
-                    for slot in sorted(tasks_per_worker)
-                },
-                "worker_deaths": worker_deaths,
-                "respawns": respawns,
-                "retries": sum(retries.values()),
-                "lost_claim_recoveries": lost_claim_recoveries,
-                "max_heartbeat_gap_s": max_heartbeat_gap_s,
-                "wall_s": time.perf_counter() - started,
-            }
-
-
-# ----------------------------------------------------------------------
-# subprocess-ssh
-# ----------------------------------------------------------------------
-@register_backend("subprocess-ssh")
-class SubprocessSSHBackend(SweepBackend):
-    """Fan tasks out over a host list via ``python -m repro worker``.
-
-    Each host gets one contiguous slice of the tasks, serialized to a
-    jobs file (pickle); the worker subprocess streams ``{"index",
-    "payload"}`` JSONL rows to an output file which the parent reads
-    back and emits.  Host ``"local"`` spawns the worker directly (the
-    zero-setup path and the one the tests exercise); any other host name
-    is wrapped in ``ssh <host> ...`` and assumes a shared filesystem and
-    an importable ``repro`` package on the far side — exactly the
-    contract a real cluster scheduler shim would need, which is the
-    point: the serialization boundary is identical either way.
-
-    Supervision is deliberately minimal next to ``remote-fleet`` (no
-    heartbeats, no migration — a host's remainder retries on the same
-    host), but failure still has structure: each worker invocation runs
-    under a deadline scaled to its batch, a typed error row in the
-    stream fails the sweep immediately with the host, job index and
-    traceback attached (deterministic failures never retry), and a
-    worker that dies mid-stream keeps its parsed prefix while only the
-    missing tasks are retried, bounded by the shared
-    :class:`~repro.fleet.policy.RetryPolicy`.
-    """
-
-    def __init__(
-        self,
-        jobs: int = 1,
-        hosts: Sequence[str] | None = None,
-        remote_python: str = "python3",
-        retry: RetryPolicy | None = None,
-        deadline_s: float | None = DEFAULT_LEASE_POLICY.job_deadline_s,
-    ) -> None:
-        del jobs
-        if not hosts:
-            raise ReproError(
-                "the subprocess-ssh backend needs --hosts (use 'local' "
-                "for a local subprocess)"
-            )
-        self.hosts = tuple(hosts)
-        self.remote_python = remote_python
-        self.retry = retry or DEFAULT_RETRY_POLICY
-        #: Per-*task* wall-clock allowance; a worker invocation gets
-        #: ``deadline_s * len(batch)`` before it is killed and retried.
-        self.deadline_s = deadline_s
-
-    def _command(self, host: str, jobs_file: Path, out_file: Path) -> list[str]:
-        worker_args = [
-            "-m", "repro", "worker",
-            "--jobs-file", str(jobs_file),
-            "--out", str(out_file),
-            # Progress would land in a stderr PIPE nobody drains until
-            # communicate(); on big batches the pipe fills and stalls
-            # the worker, so keep it off.
-            "--quiet",
-        ]
-        if host == "local":
-            return [sys.executable, *worker_args]
-        return ["ssh", host, self.remote_python, *worker_args]
-
-    def execute(
-        self, tasks: Sequence[Task], run_one: RunOneFn, emit: EmitFn
-    ) -> None:
-        from repro.exp.worker import read_worker_rows, write_jobs_file
-
-        if not tasks:
-            self.metrics = {"hosts": {}, "tasks": 0, "wall_s": 0.0}
-            return
-        started = time.perf_counter()
-        hosts = self.hosts[: len(tasks)]
-        env = dict(os.environ)
-        package_parent = str(Path(__file__).resolve().parents[2])
-        existing = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = (
-            f"{package_parent}{os.pathsep}{existing}"
-            if existing else package_parent
-        )
-        expected = {index for index, _obj in tasks}
-        seen: set[int] = set()
-        # Per-slot state; slot ids stay unique when a host repeats
-        # ("local", "local") so metrics and errors name one worker.
-        addr_counts: dict[str, int] = {}
-        slots = []
-        for host, piece in zip(hosts, _balanced_slices(list(tasks), len(hosts))):
-            n = addr_counts.get(host, 0)
-            addr_counts[host] = n + 1
-            slots.append({
-                "host": host,
-                "hid": host if n == 0 else f"{host}@{n}",
-                "piece": list(piece),
-                "size": len(piece),
-                "failures": 0,
-                "retried": 0,
-            })
-        retries_total = 0
-        with tempfile.TemporaryDirectory(prefix="repro-ssh-") as tmp:
-            tmpdir = Path(tmp)
-            generation = 0
-            while any(slot["piece"] for slot in slots):
-                generation += 1
-                launched = []
-                for which, slot in enumerate(slots):
-                    if not slot["piece"]:
-                        continue
-                    jobs_file = tmpdir / f"jobs-{which}-g{generation}.pkl"
-                    out_file = tmpdir / f"out-{which}-g{generation}.jsonl"
-                    write_jobs_file(jobs_file, run_one, slot["piece"])
-                    proc = subprocess.Popen(
-                        self._command(slot["host"], jobs_file, out_file),
-                        stdout=subprocess.PIPE,
-                        stderr=subprocess.PIPE,
-                        env=env,
-                    )
-                    launched.append((slot, out_file, proc))
-                for slot, out_file, proc in launched:
-                    deadline = (
-                        self.deadline_s * len(slot["piece"])
-                        if self.deadline_s else None
-                    )
-                    timed_out = False
-                    try:
-                        _stdout, stderr = proc.communicate(timeout=deadline)
-                    except subprocess.TimeoutExpired:
-                        proc.kill()
-                        _stdout, stderr = proc.communicate()
-                        timed_out = True
-                    tail = stderr.decode(errors="replace").strip()[-2000:]
-                    for row in read_worker_rows(out_file):
-                        if "error" in row:
-                            # Typed row: the job itself raised.  It
-                            # would raise identically on any host, so
-                            # fail now instead of burning retries.
-                            error = row["error"]
-                            raise ReproError(
-                                f"sweep task {row['index']} failed "
-                                f"deterministically on host "
-                                f"{slot['hid']}: {error.get('type')}: "
-                                f"{error.get('message')}\n"
-                                f"{error.get('traceback', '')}"
-                            )
-                        index = row["index"]
-                        if index in expected and index not in seen:
-                            seen.add(index)
-                            emit(index, row["payload"])
-                    missing = [
-                        t for t in slot["piece"] if t[0] not in seen
-                    ]
-                    if not missing:
-                        # Everything parsed — even if the worker died
-                        # after its last row, nothing needs retrying.
-                        slot["piece"] = []
-                        slot["done_after_s"] = time.perf_counter() - started
-                        continue
-                    slot["failures"] += 1
-                    reason = (
-                        f"deadline ({deadline:.0f}s) expired" if timed_out
-                        else f"exited with status {proc.returncode}"
-                        if proc.returncode != 0
-                        else "returned no rows for remaining task(s)"
-                    )
-                    if slot["failures"] > self.retry.max_retries:
-                        indexes = [index for index, _obj in missing]
-                        raise ReproError(
-                            f"worker on host {slot['hid']!r} "
-                            f"{reason} with task(s) {indexes} "
-                            f"unfinished after {slot['failures']} "
-                            f"attempt(s); stderr tail: {tail}"
-                        )
-                    slot["piece"] = missing
-                    slot["retried"] += len(missing)
-                    retries_total += len(missing)
-                    time.sleep(self.retry.backoff_s(
-                        slot["failures"],
-                        key=f"{slot['hid']}:{missing[0][0]}",
-                    ))
-        self.metrics = {
-            "hosts": {
-                slot["hid"]: {
-                    "tasks": slot["size"],
-                    "failures": slot["failures"],
-                    "retried_tasks": slot["retried"],
-                    # Wall time until this worker finished, from
-                    # backend start (workers run concurrently; the
-                    # drain loop joins them in launch order).
-                    "done_after_s": slot.get("done_after_s"),
-                }
-                for slot in slots
-            },
-            "tasks": len(tasks),
-            "retries": retries_total,
-            "wall_s": time.perf_counter() - started,
-        }
-
-
-def _balanced_slices(tasks: list[Task], parts: int) -> list[list[Task]]:
-    """Split into ``parts`` contiguous slices, sizes differing by <= 1."""
-    base, extra = divmod(len(tasks), parts)
-    slices = []
-    start = 0
-    for which in range(parts):
-        size = base + (1 if which < extra else 0)
-        slices.append(tasks[start:start + size])
-        start += size
-    return slices

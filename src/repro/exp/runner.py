@@ -4,8 +4,8 @@
 :class:`~repro.exp.spec.SweepSpec`, satisfies whatever it can from the
 :class:`~repro.exp.cache.ResultStore`, hands the uncached remainder to a
 :class:`~repro.exp.backend.SweepBackend` resolved by name (``serial``,
-``pool``, ``local-queue``, ``subprocess-ssh``, or anything registered
-via :func:`~repro.exp.backend.register_backend`), and returns a
+``pool``, ``remote-fleet``, or anything registered via
+:func:`~repro.exp.backend.register_backend`), and returns a
 :class:`SweepResult` whose outcomes are always in spec-expansion order.
 
 Determinism: every backend returns results through the same dict
@@ -196,7 +196,7 @@ def run_sweep(
         historical behaviour: in-process for ``jobs=1`` (or when at most
         one job is pending), ``pool`` otherwise.
     hosts:
-        Host list for the ``subprocess-ssh`` backend (``"local"`` spawns
+        Host list for the ``remote-fleet`` backend (``"local"`` spawns
         a plain subprocess); ignored by the others.
     telemetry:
         Record per-request latency telemetry in every executed job

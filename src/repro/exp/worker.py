@@ -1,11 +1,10 @@
 """The out-of-process sweep worker (``python -m repro worker``).
 
-This is the far side of the serialization boundary the
-``subprocess-ssh`` and ``remote-fleet`` backends exercise: a jobs file
-(pickle) carries the task list plus a reference to the module-level
-executor that runs one task, and the worker streams JSONL rows to its
-output file, flushing after every task so a killed worker leaves a
-readable prefix behind.
+This is the far side of the serialization boundary the ``remote-fleet``
+backend exercises: a jobs file (pickle) carries the task list plus a
+reference to the module-level executor that runs one task, and the
+worker streams JSONL rows to its output file, flushing after every task
+so a killed worker leaves a readable prefix behind.
 
 Row types:
 
@@ -32,8 +31,7 @@ and the executor (:func:`repro.exp.runner.execute_job`,
 function so pickling it records only its qualified name.
 
 Chaos: when :data:`~repro.fleet.faults.WORKER_FAULT_ENV` carries a
-directive (injected per dispatch by the fleet coordinator, or set
-directly with a once-marker for coordinator-less backends), the worker
+directive (injected per dispatch by the fleet coordinator), the worker
 misbehaves on purpose — dies mid-batch, truncates or corrupts a result
 row, or withholds heartbeats.  See :mod:`repro.fleet.faults`.
 """
@@ -182,8 +180,6 @@ def run_worker(
     """
     if fault is None:
         fault = WorkerFault.from_env()
-    if fault is not None and not fault.claim():
-        fault = None
     run_one, tasks = load_jobs_file(jobs_file)
     stop_heartbeat = (
         _start_heartbeat(heartbeat_path, heartbeat_s, fault)

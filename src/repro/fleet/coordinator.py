@@ -645,13 +645,13 @@ class RemoteFleetBackend(SweepBackend):
     """Supervised multi-host fleet: probing, leases, retry/migration,
     quarantine, and graceful fallback to the local ``pool``.
 
-    ``hosts`` uses the ``subprocess-ssh`` grammar (``"local"`` spawns
-    plain subprocesses; anything else goes through ssh and assumes a
-    shared filesystem); ``jobs`` caps concurrent workers *per host*
-    (the effective count is ``min(jobs, probed CPU count)``).  Chaos is
-    injected through a :class:`~repro.fleet.faults.FleetFaultPlan`
-    (``fault_plan=`` or the ``REPRO_FLEET_FAULTS`` environment
-    variable).
+    ``hosts`` uses the :mod:`repro.fleet.transport` grammar
+    (``"local"`` spawns plain subprocesses; anything else goes through
+    ssh and assumes a shared filesystem); ``jobs`` caps concurrent
+    workers *per host* (the effective count is ``min(jobs, probed CPU
+    count)``).  Chaos is injected through a
+    :class:`~repro.fleet.faults.FleetFaultPlan` (``fault_plan=`` or the
+    ``REPRO_FLEET_FAULTS`` environment variable).
     """
 
     def __init__(

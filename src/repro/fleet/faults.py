@@ -36,10 +36,7 @@ Fault kinds
 Worker-side faults (everything but ``drop-host``) travel to the worker
 process as a JSON directive in :data:`WORKER_FAULT_ENV`; the
 coordinator decides *whether* a fault fires (consuming its budget
-in-process), the worker only obeys.  For backends without a
-coordinator (``subprocess-ssh``), a directive set directly in the
-environment may carry a ``marker`` path: the first worker to claim the
-marker file fires the fault exactly once, machine-wide.
+in-process), the worker only obeys.
 
 Plans are also settable from the environment
 (:data:`FLEET_FAULTS_ENV`) in a compact spec grammar, one fault per
@@ -205,9 +202,6 @@ class WorkerFault:
     after_jobs: int = 0
     delay_s: float | None = None
     hold_s: float = 0.0
-    #: Optional cross-process once-marker: the fault fires only in the
-    #: worker that wins creating this file (subprocess-ssh chaos path).
-    marker: str | None = None
 
     @classmethod
     def from_env(cls) -> "WorkerFault | None":
@@ -227,17 +221,3 @@ class WorkerFault:
             )
         known = {f for f in cls.__dataclass_fields__}
         return cls(**{k: v for k, v in payload.items() if k in known})
-
-    def claim(self) -> bool:
-        """True when this directive should fire in this process.
-
-        Without a marker the coordinator already spent the budget, so
-        the answer is always yes; with a marker, exactly one process
-        machine-wide wins the atomic create."""
-        if self.marker is None:
-            return True
-        try:
-            with open(self.marker, "x"):
-                return True
-        except FileExistsError:
-            return False

@@ -1,14 +1,10 @@
-"""Shared retry/backoff and heartbeat-lease policy for fault-tolerant
-execution tiers.
+"""Retry/backoff and heartbeat-lease policy for the fleet tier.
 
-Every supervised backend needs the same three decisions: *how often* a
-worker proves it is alive (:class:`LeasePolicy`), *how many times* a
-lost task may be re-dispatched, and *how long* to wait before each
-re-dispatch (:class:`RetryPolicy`).  Before this module existed each
-backend hard-coded its own constants; now ``local-queue``
-(:class:`~repro.exp.backend.LocalQueueBackend`), ``subprocess-ssh`` and
-the ``remote-fleet`` coordinator all read the same defaults, so retry
-semantics are defined exactly once.
+The ``remote-fleet`` coordinator makes three decisions about a worker:
+*how often* it proves it is alive (:class:`LeasePolicy`), *how many
+times* a lost task may be re-dispatched, and *how long* to wait before
+each re-dispatch (:class:`RetryPolicy`).  The defaults below are the one
+place those semantics are defined; tests pass tighter instances.
 
 Backoff is deterministic by construction: the delay before attempt *n*
 is ``backoff_base_s * 2**(n-1)`` (capped), plus a jitter slice derived
@@ -126,7 +122,5 @@ class LeasePolicy:
 #: The one place the platform's retry semantics are defined.
 DEFAULT_RETRY_POLICY = RetryPolicy()
 
-#: The one place the platform's heartbeat/lease constants are defined
-#: (``local-queue`` has used 0.5s beats and a 300s stall timeout since
-#: it was introduced; these are those numbers, now shared).
+#: The one place the platform's heartbeat/lease constants are defined.
 DEFAULT_LEASE_POLICY = LeasePolicy()

@@ -2,12 +2,11 @@
 
 A transport only builds command lines — process supervision stays in
 the coordinator, so every transport gets heartbeats, leases, retries
-and quarantine for free.  The address grammar matches the
-``subprocess-ssh`` backend: ``"local"`` spawns the worker directly in
-this interpreter's environment (the zero-setup path and the one the
-tests exercise); anything else is wrapped in ``ssh <addr> ...`` and
-assumes a shared filesystem plus an importable ``repro`` package on
-the far side.
+and quarantine for free.  The address grammar: ``"local"`` spawns the
+worker directly in this interpreter's environment (the zero-setup path
+and the one the tests exercise); anything else is wrapped in ``ssh
+<addr> ...`` and assumes a shared filesystem plus an importable
+``repro`` package on the far side.
 
 The injected-failure seam lives here too: :meth:`Transport.launch`
 raises :class:`TransportDown` when the coordinator's fault plan drops

@@ -2,9 +2,10 @@
 
 A sweep run aggregates its operational counters — jobs executed vs
 cached, backend wall time and throughput, per-backend internals
-(worker utilization, heartbeat gaps, retries, lost-claim recoveries),
-store flush/compaction latencies — into one :class:`SweepMetrics`
-block attached to the :class:`~repro.exp.runner.SweepResult`.
+(``pool`` workers and chunks; ``remote-fleet`` per-host jobs, retries,
+migrations and quarantines), store flush/compaction latencies — into
+one :class:`SweepMetrics` block attached to the
+:class:`~repro.exp.runner.SweepResult`.
 
 When the sweep has a cache, the same block plus the per-job telemetry
 (latency summaries and capped request samples) is written as a JSONL
@@ -59,7 +60,7 @@ class SweepMetrics:
     exec_rate: float
     #: Whether sim-level telemetry was enabled for the executed jobs.
     telemetry: bool = False
-    #: Backend-specific counters (workers, retries, heartbeat gaps...).
+    #: Backend-specific counters (workers, chunks, per-host retries...).
     backend_metrics: dict = field(default_factory=dict)
     #: Store health taken after the sweep, with this sweep's counters
     #: (:meth:`~repro.exp.cache.ResultStore.sweep_health`); ``None`` for
@@ -105,10 +106,10 @@ def fleet_backend_metrics(metrics: "dict | SweepMetrics") -> dict | None:
     """The fleet-shaped slice of a sweep's backend metrics, or ``None``.
 
     A backend is fleet-shaped when it reports a per-host dict of dicts
-    under ``"hosts"`` (``remote-fleet`` and ``subprocess-ssh`` do) —
-    the shape ``repro fleet status`` and the stats fleet section
-    render.  Free-form scalar backend metrics stay untouched in the
-    generic ``backend.*`` rows.
+    under ``"hosts"`` (``remote-fleet`` does) — the shape ``repro
+    fleet status`` and the stats fleet section render.  Free-form
+    scalar backend metrics stay untouched in the generic
+    ``backend.*`` rows.
     """
     if isinstance(metrics, SweepMetrics):
         metrics = metrics.to_dict()

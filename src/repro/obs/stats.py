@@ -74,12 +74,8 @@ FLEET_HOST_COLUMNS = [
 
 
 def _fleet_host_rows(fleet: dict) -> list[list[object]]:
-    """Per-host rows from fleet-shaped backend metrics.
-
-    Tolerant of both shapes: ``remote-fleet`` hosts carry
-    status/slots/dispatches, ``subprocess-ssh`` ones only
-    tasks/failures — absent fields render as ``-``.
-    """
+    """Per-host rows from fleet-shaped backend metrics; absent fields
+    render as ``-``."""
     rows = []
     hosts = fleet.get("hosts") or {}
     for hid in sorted(hosts):
@@ -92,7 +88,7 @@ def _fleet_host_rows(fleet: dict) -> list[list[object]]:
             hid,
             entry.get("status", "-"),
             entry.get("slots", "-"),
-            entry.get("jobs", entry.get("tasks", "-")),
+            entry.get("jobs", "-"),
             entry.get("dispatches", "-"),
             entry.get("failures", "-"),
             entry.get("quarantines", "-"),
@@ -132,7 +128,7 @@ def render_fleet_status(trace: dict, path: str | Path | None = None) -> str:
         return (
             f"{title}\nbackend {metrics.get('backend', '?')!r} reported "
             "no per-host fleet metrics (run the sweep with --backend "
-            "remote-fleet or subprocess-ssh)"
+            "remote-fleet)"
         )
     return "\n\n".join([
         render_table(title, FLEET_HOST_COLUMNS, _fleet_host_rows(fleet)),

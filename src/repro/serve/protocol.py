@@ -145,6 +145,10 @@ class SweepRequest:
             raise ReproError(f"jobs must be >= 1, got {self.jobs}")
         if self.n_mit not in (1, 2, 4):
             raise ReproError(f"n_mit must be 1, 2 or 4, got {self.n_mit}")
+        if self.backend != "auto":
+            from repro.exp.backend import backend_class
+
+            backend_class(self.backend)  # unknown name -> 400, not queued
         if self.faults is not None:
             if self.backend != "remote-fleet":
                 raise ReproError(

@@ -2,10 +2,12 @@
 
 The contract under test: every backend runs the same canonical
 ``run_one`` on the same task objects and the caller reassembles
-payloads positionally — so ``serial``, ``pool``, ``local-queue`` and
-``subprocess-ssh`` aggregate **byte-identically**, a killed sweep
-resumes from the :class:`~repro.exp.cache.ResultStore` to the same
-digest, and a worker death mid-task is retried instead of lost.
+payloads positionally — so ``serial`` and ``pool`` aggregate
+**byte-identically**, a killed ``pool`` sweep takes its workers down
+with it and resumes from the :class:`~repro.exp.cache.ResultStore` to
+the same digest, and a raising task fails the sweep without running
+the chunks queued behind it.  ``remote-fleet`` and its chaos matrix
+live in ``tests/test_fleet.py``.
 """
 
 from __future__ import annotations
@@ -29,13 +31,7 @@ from repro.exp import (
     resolve_backend,
     run_sweep,
 )
-from repro.exp.backend import (
-    FAULT_KILL_ONCE_ENV,
-    LocalQueueBackend,
-    SerialBackend,
-    SweepBackend,
-    _balanced_slices,
-)
+from repro.exp.backend import PoolBackend, SerialBackend, SweepBackend
 from repro.exp.runner import execute_job
 from repro.exp.serialize import canonical_json, result_to_dict
 from repro.exp.worker import (
@@ -67,9 +63,7 @@ def serial_aggregate() -> str:
 
 class TestRegistry:
     def test_shipped_backends_are_registered(self):
-        assert set(registered_backends()) >= {
-            "serial", "pool", "local-queue", "subprocess-ssh",
-        }
+        assert registered_backends() == ("pool", "remote-fleet", "serial")
 
     def test_unknown_backend_is_a_clear_error(self):
         with pytest.raises(ReproError, match="unknown sweep backend"):
@@ -106,15 +100,34 @@ class TestRegistry:
 
             del _BACKENDS["test-inline"]
 
-    def test_subprocess_ssh_requires_hosts(self):
-        with pytest.raises(ReproError, match="--hosts"):
-            resolve_backend("subprocess-ssh")
-
-    def test_balanced_slices_cover_everything_contiguously(self):
-        tasks = [(i, f"t{i}") for i in range(7)]
-        slices = _balanced_slices(tasks, 3)
-        assert [len(s) for s in slices] == [3, 2, 2]
-        assert [t for s in slices for t in s] == tasks
+    def test_exp_reaches_the_fleet_only_through_remote_fleet(self):
+        """Importing ``repro.exp``, and resolving or validating
+        ``serial`` / ``pool``, loads no ``repro.fleet`` module; only a
+        lookup that misses the loaded registry imports the coordinator
+        (which registers ``remote-fleet``)."""
+        code = "\n".join([
+            "import sys",
+            "import repro.exp",
+            "from repro.exp import registered_backends, resolve_backend",
+            "from repro.serve import SweepRequest",
+            "def fleet():",
+            "    return sorted(m for m in sys.modules",
+            "                  if m.startswith('repro.fleet'))",
+            "print(fleet())",
+            "resolve_backend('serial')",
+            "resolve_backend('pool', jobs=2)",
+            "SweepRequest.from_payload({'workloads': ['429.mcf']})",
+            "print(fleet())",
+            "registered_backends()",
+            "print('repro.fleet.coordinator' in fleet())",
+        ])
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split("\n")[:3] == ["[]", "[]", "True"]
 
 
 class TestEquivalence:
@@ -122,7 +135,6 @@ class TestEquivalence:
 
     @pytest.mark.parametrize("backend,jobs", [
         ("pool", 4),
-        ("local-queue", 4),
     ])
     def test_parallel_backend_matches_serial_byte_identical(
         self, backend, jobs, serial_aggregate
@@ -130,15 +142,6 @@ class TestEquivalence:
         sweep = run_sweep(mixed_spec(), jobs=jobs, backend=backend)
         assert sweep.backend == backend
         assert sweep.executed == sweep.total_jobs == 3
-        assert aggregate_bytes(sweep) == serial_aggregate
-
-    def test_subprocess_ssh_matches_serial_byte_identical(
-        self, serial_aggregate
-    ):
-        sweep = run_sweep(
-            mixed_spec(), backend="subprocess-ssh", hosts=["local", "local"]
-        )
-        assert sweep.backend == "subprocess-ssh"
         assert aggregate_bytes(sweep) == serial_aggregate
 
     def test_backends_fill_the_cache_identically(
@@ -151,14 +154,14 @@ class TestEquivalence:
             )
 
         stores = {}
-        for backend, jobs in (("serial", 1), ("local-queue", 3)):
+        for backend, jobs in (("serial", 1), ("pool", 3)):
             store = ResultStore(tmp_path / backend)
             run_sweep(mixed_spec(), jobs=jobs, backend=backend, store=store)
             stores[backend] = store
-        assert rows(stores["serial"]) == rows(stores["local-queue"])
+        assert rows(stores["serial"]) == rows(stores["pool"])
         # And a replay from either cache reproduces the serial bytes.
         replay = run_sweep(
-            mixed_spec(), store=ResultStore(tmp_path / "local-queue")
+            mixed_spec(), store=ResultStore(tmp_path / "pool")
         )
         assert replay.cache_hits == replay.total_jobs
         assert aggregate_bytes(replay) == serial_aggregate
@@ -177,47 +180,46 @@ class TestEquivalence:
         ]
 
 
-class TestLocalQueueSupervision:
-    def test_worker_death_mid_task_is_retried(
-        self, tmp_path, monkeypatch, serial_aggregate
-    ):
-        """A worker hard-killed mid-task (fault hook: ``os._exit`` after
-        claiming) must not lose the task: the parent re-enqueues it and
-        the sweep completes byte-identically."""
-        fault = tmp_path / "die-once"
-        monkeypatch.setenv(FAULT_KILL_ONCE_ENV, str(fault))
-        sweep = run_sweep(mixed_spec(), jobs=2, backend="local-queue")
-        assert fault.exists()  # the hook fired: one worker really died
-        assert sweep.executed == 3
-        assert aggregate_bytes(sweep) == serial_aggregate
-
-    def test_crash_loop_gives_up_with_a_clear_error(self, tmp_path):
-        """A task that kills every worker that touches it must fail the
-        sweep after max_retries, not spin forever."""
-
-        def emit(index, payload):  # pragma: no cover - must not be reached
-            raise AssertionError("no task should complete")
-
-        backend = LocalQueueBackend(jobs=1, max_retries=1)
-        with pytest.raises(ReproError, match="lost 2 workers"):
-            backend.execute([(0, None)], _always_die, emit)
-
+class TestPoolSupervision:
     def test_worker_exception_propagates_not_retries(self):
-        backend = LocalQueueBackend(jobs=1)
-        with pytest.raises(ReproError, match="boom"):
-            backend.execute(
+        with pytest.raises(ValueError, match="boom"):
+            PoolBackend(jobs=1).execute(
                 [(0, None)], _always_raise, lambda i, p: None
             )
+
+    def test_failing_task_cancels_the_chunks_queued_behind_it(
+        self, tmp_path
+    ):
+        """A raising task fails the sweep at once: chunks no worker has
+        taken yet are cancelled, so once the pool has wound down fewer
+        tasks have started than were submitted (each task touches a
+        marker as it starts)."""
+        # 16 tasks on 2 workers run as 8 chunks of 2.  The raising task
+        # ends the first chunk, so no task is skipped merely because an
+        # earlier one in its chunk raised.
+        tasks = [(i, (str(tmp_path), i, i == 1)) for i in range(16)]
+        with pytest.raises(ValueError, match="task 1 failed"):
+            PoolBackend(jobs=2).execute(
+                tasks, _mark_then_work, lambda i, p: None
+            )
+        deadline = time.monotonic() + 60
+        while multiprocessing.active_children():
+            assert time.monotonic() < deadline, "pool workers never exited"
+            time.sleep(0.05)
+        started = len(list(tmp_path.iterdir()))
+        assert 2 <= started < len(tasks)
 
     def test_killed_sweep_resumes_from_store_to_same_digest(
         self, tmp_path, serial_aggregate
     ):
-        """The acceptance criterion: SIGKILL a local-queue sweep mid-run,
-        then resume — the store holds whatever finished, the resumed
-        sweep replays it and simulates the rest, same digest."""
+        """SIGKILL a ``pool`` sweep mid-run: its workers exit with it
+        (so joining the killed process returns at once instead of
+        waiting on pipes the orphans hold), the store keeps whatever
+        finished, and the resumed sweep replays it and simulates the
+        rest, to the same digest."""
         cache_dir = tmp_path / "cache"
         proc = multiprocessing.Process(
-            target=_run_local_queue_sweep, args=(str(cache_dir),)
+            target=_run_pool_sweep, args=(str(cache_dir),)
         )
         proc.start()
         store_file = cache_dir / "results.jsonl"
@@ -231,7 +233,10 @@ class TestLocalQueueSupervision:
             proc.kill()
             pytest.fail("sweep never flushed a row to the store")
         proc.kill()
+        killed = time.monotonic()
         proc.join(timeout=30)
+        # Orphaned workers would hold the sentinel pipe open for 30s.
+        assert time.monotonic() - killed < 5.0
         flushed = len(ResultStore(cache_dir))
         assert flushed >= 1
         resumed = run_sweep(
@@ -242,19 +247,23 @@ class TestLocalQueueSupervision:
         assert aggregate_bytes(resumed) == serial_aggregate
 
 
-def _run_local_queue_sweep(cache_dir: str) -> None:
+def _run_pool_sweep(cache_dir: str) -> None:
     run_sweep(
-        mixed_spec(), jobs=2, backend="local-queue",
-        store=ResultStore(cache_dir),
+        mixed_spec(), jobs=2, backend="pool", store=ResultStore(cache_dir),
     )
-
-
-def _always_die(obj) -> dict:
-    os._exit(13)
 
 
 def _always_raise(obj) -> dict:
     raise ValueError("boom")
+
+
+def _mark_then_work(obj) -> dict:
+    marker_dir, index, fail = obj
+    Path(marker_dir, str(index)).touch()
+    if fail:
+        raise ValueError(f"task {index} failed")
+    time.sleep(0.2)
+    return {"index": index}
 
 
 class TestWorkerSerializationBoundary:

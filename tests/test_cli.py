@@ -91,10 +91,10 @@ class TestParser:
 
     def test_sweep_backend_options(self):
         args = build_parser().parse_args(
-            ["sweep", "429.mcf", "--backend", "local-queue", "--jobs", "4",
+            ["sweep", "429.mcf", "--backend", "remote-fleet", "--jobs", "4",
              "--hosts", "local", "local", "--print-digest"]
         )
-        assert args.backend == "local-queue"
+        assert args.backend == "remote-fleet"
         assert args.hosts == ["local", "local"]
         assert args.print_digest
 
@@ -212,19 +212,25 @@ class TestCommands:
     def test_backends_listing(self, capsys):
         assert main(["backends"]) == 0
         out = capsys.readouterr().out
-        for name in ("serial", "pool", "local-queue", "subprocess-ssh"):
+        for name in ("serial", "pool", "remote-fleet"):
             assert name in out
+        for name in ("local-queue", "subprocess-ssh"):
+            assert name not in out
 
     def test_sweep_unknown_backend_is_an_error(self, capsys, tmp_path):
-        assert main(
-            ["sweep", "541.leela", "--defenses", "qprac", "--entries", "300",
-             "--backend", "nonsense", "--no-cache", "--quiet"]
-        ) == 1
-        assert "unknown sweep backend" in capsys.readouterr().err
+        for name in ("nonsense", "local-queue", "subprocess-ssh"):
+            assert main(
+                ["sweep", "541.leela", "--defenses", "qprac", "--entries",
+                 "300", "--backend", name, "--no-cache", "--quiet"]
+            ) == 1
+            assert (
+                f"unknown sweep backend {name!r}; registered backends: "
+                "pool, remote-fleet, serial"
+            ) in capsys.readouterr().err
 
     def test_sweep_print_digest_is_backend_stable(self, capsys, tmp_path):
         digests = []
-        for backend, jobs in (("serial", "1"), ("local-queue", "2")):
+        for backend, jobs in (("serial", "1"), ("pool", "2")):
             assert main(
                 ["sweep", "541.leela", "--defenses", "qprac", "--entries",
                  "300", "--backend", backend, "--jobs", jobs,

@@ -5,9 +5,9 @@ The contract under test: a ``remote-fleet`` sweep aggregates
 fault (worker killed mid-batch, torn/corrupt result rows, dead
 heartbeat channels, livelocked jobs, dropped hosts) — while the
 supervision that makes that true (retries, migrations, quarantines,
-pool fallback) stays visible in the backend metrics.  Plus the shared
-retry/lease policies, the chaos grammar, the worker's typed failure
-rows, and the hardened ``subprocess-ssh`` retry path.
+pool fallback) stays visible in the backend metrics.  Plus the
+retry/lease policies, the chaos grammar and the worker's typed failure
+rows.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import pytest
 
 from repro.errors import ReproError
 from repro.exp import ResultStore, SweepSpec, registered_backends, run_sweep
-from repro.exp.backend import LocalQueueBackend, SubprocessSSHBackend
 from repro.exp.serialize import canonical_json, code_version_salt, result_to_dict
 from repro.exp.worker import (
     JOBS_FILE_VERSION,
@@ -32,8 +31,6 @@ from repro.exp.worker import (
     write_jobs_file,
 )
 from repro.fleet import (
-    DEFAULT_LEASE_POLICY,
-    DEFAULT_RETRY_POLICY,
     WORKER_FAULT_ENV,
     FleetFault,
     FleetFaultPlan,
@@ -140,15 +137,6 @@ class TestPolicies:
         with pytest.raises(ReproError, match="lease_timeout_s"):
             LeasePolicy(heartbeat_s=1.0, lease_timeout_s=0.5)
 
-    def test_local_queue_reads_the_shared_defaults(self):
-        backend = LocalQueueBackend()
-        assert backend.heartbeat_s == DEFAULT_LEASE_POLICY.heartbeat_s
-        assert backend.stall_timeout_s == DEFAULT_LEASE_POLICY.lease_timeout_s
-        assert backend.max_retries == DEFAULT_RETRY_POLICY.max_retries
-        # Explicit values still win (the pre-extraction API).
-        tuned = LocalQueueBackend(heartbeat_s=0.1, max_retries=7)
-        assert tuned.heartbeat_s == 0.1
-        assert tuned.max_retries == 7
 
 
 class TestFaultPlan:
@@ -182,12 +170,6 @@ class TestFaultPlan:
         plan = FleetFaultPlan.parse("drop-host:host=h2")
         assert plan.fire(("drop-host",), "h1") is None
         assert plan.fire(("drop-host",), "h2") is not None
-
-    def test_worker_fault_once_marker(self, tmp_path):
-        marker = tmp_path / "once"
-        fault = WorkerFault(kind="kill-worker", marker=str(marker))
-        assert fault.claim()
-        assert not fault.claim()  # second claimant loses the atomic create
 
     def test_directive_roundtrip(self, monkeypatch):
         fault = FleetFault(kind="heartbeat", delay_s=None)
@@ -397,73 +379,6 @@ class TestChaosMatrix:
         )
         with pytest.raises(ReproError, match="lost 2 workers in a row"):
             backend.execute([(0, "a")], _echo, _drop)
-
-
-class TestSubprocessSSHSupervision:
-    def test_worker_death_mid_stream_salvages_and_retries(self):
-        """The worker dies after flushing one row: the parsed prefix is
-        kept, only the missing tasks are re-dispatched."""
-        plan = FleetFaultPlan.parse("kill-worker:after_jobs=1")
-        seen: dict[int, dict] = {}
-        backend = SubprocessSSHBackend(
-            hosts=["local"], retry=FAST_RETRY
-        )
-        # Drive the worker-side fault directly (no coordinator): a
-        # once-marker makes exactly one worker die machine-wide.
-        import os
-
-        fault = plan.faults[0]
-        tasks = [(0, "a"), (1, "b"), (2, "c")]
-        marker = None
-        try:
-            import tempfile
-
-            marker = tempfile.mktemp(prefix="repro-fault-")
-            os.environ[WORKER_FAULT_ENV] = json.dumps({
-                "kind": fault.kind,
-                "after_jobs": fault.after_jobs,
-                "marker": marker,
-            })
-            backend.execute(
-                tasks, _echo, lambda i, p: seen.__setitem__(i, p)
-            )
-        finally:
-            os.environ.pop(WORKER_FAULT_ENV, None)
-            if marker and os.path.exists(marker):
-                os.unlink(marker)
-        assert seen == {i: {"value": v} for i, v in tasks}
-        metrics = backend.metrics
-        assert metrics["retries"] == 2  # tasks 1 and 2 re-dispatched
-        assert metrics["hosts"]["local"]["failures"] == 1
-
-    def test_always_dying_worker_exhausts_retries_with_context(self):
-        import os
-
-        backend = SubprocessSSHBackend(
-            hosts=["local"],
-            retry=RetryPolicy(
-                max_retries=1, backoff_base_s=0.01, backoff_cap_s=0.02
-            ),
-        )
-        os.environ[WORKER_FAULT_ENV] = json.dumps({"kind": "kill-worker"})
-        try:
-            with pytest.raises(
-                ReproError,
-                match=r"worker on host 'local' exited with status 23 "
-                r"with task\(s\) \[0\] unfinished after 2 attempt",
-            ):
-                backend.execute([(0, "a")], _echo, _drop)
-        finally:
-            os.environ.pop(WORKER_FAULT_ENV, None)
-
-    def test_typed_error_row_fails_fast_with_host_and_index(self):
-        backend = SubprocessSSHBackend(hosts=["local"], retry=FAST_RETRY)
-        with pytest.raises(
-            ReproError,
-            match=r"task 0 failed deterministically on host local.*"
-            r"ValueError",
-        ):
-            backend.execute([(0, "x")], _poison, _drop)
 
 
 class TestObservability:

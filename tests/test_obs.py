@@ -422,20 +422,19 @@ def test_final_progress_line_reports_exec_rate(tmp_path):
     assert match.group(1) == f"{sweep.exec_rate:.2f}"
 
 
-def test_local_queue_backend_metrics(tmp_path):
+def test_pool_backend_metrics(tmp_path):
     spec = SweepSpec.build(
         ["541.leela", "mb-adpcm"], ["qprac"], n_entries=400,
     )
     sweep = run_sweep(
-        spec, jobs=2, store=ResultStore(tmp_path), backend="local-queue",
+        spec, jobs=2, store=ResultStore(tmp_path), backend="pool",
         telemetry=True,
     )
     metrics = sweep.metrics.backend_metrics
     assert metrics["workers"] == 2
-    assert sum(metrics["tasks_per_worker"].values()) == sweep.executed
-    assert metrics["worker_deaths"] == 0
-    assert metrics["lost_claim_recoveries"] == 0
-    assert metrics["max_heartbeat_gap_s"] >= 0.0
+    assert metrics["tasks"] == sweep.executed == 4
+    assert metrics["chunks"] == 4 and metrics["chunk_size"] == 1
+    assert metrics["wall_s"] > 0.0
     # Telemetry crossed the process boundary: workers recorded samples.
     trace = read_trace(sweep.trace_path)
     assert all(row["latency"]["count"] > 0 for row in trace["jobs"])

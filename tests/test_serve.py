@@ -214,6 +214,25 @@ class TestService:
         assert "no.such" in snapshot["error"] or snapshot["error"]
         assert service.metrics.rejected == 1
 
+    def test_unknown_backend_is_400_not_queued(self, service):
+        """An unregistered backend name is refused at the wire (400,
+        counted as rejected) instead of queuing a sweep that can only
+        fail in its worker."""
+        names = ("local-queue-typo", "local-queue", "subprocess-ssh")
+        for count, name in enumerate(names, start=1):
+            snapshot, code = service.submit(dict(GRID, backend=name))
+            assert code == 400
+            assert snapshot["error"] == (
+                f"unknown sweep backend {name!r}; registered backends: "
+                "pool, remote-fleet, serial"
+            )
+            assert service.metrics.rejected == count
+        assert service.metrics.failed == 0
+        assert service.status(sweep_id_for(build_spec(
+            GRID["workloads"], defenses=GRID["defenses"],
+            entries=GRID["entries"],
+        ))) is None
+
     def test_queue_limit_is_429(self, tmp_path):
         svc = SweepService(cache_dir=tmp_path / "cache", queue_limit=1)
         svc.submit(GRID)  # workers not started: stays queued
