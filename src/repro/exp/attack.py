@@ -29,7 +29,6 @@ from repro.exp.serialize import (
     SCHEMA_VERSION,
     canonical_json,
     code_version_salt,
-    config_fingerprint,
 )
 from repro.params import MitigationVariant, SystemConfig, default_config
 from repro.sim.bandwidth import BandwidthResult, run_bandwidth_attack
@@ -85,7 +84,7 @@ class AttackJob:
             "schema": SCHEMA_VERSION,
             "code": code_version_salt(),
             "defense": self.defense.to_dict(),
-            "config": config_fingerprint(self.config),
+            "config": self.config,
             "measure_ns": self.measure_ns,
             "warmup_ns": self.warmup_ns,
             "pool_rows_per_bank": self.pool_rows_per_bank,

@@ -428,7 +428,26 @@ class ResultStore:
         service answering ``info()``/``health()`` — would otherwise
         under-count records written by its workers and drift its
         auto-compaction decisions.
+
+        The data file is stat'ed *before* the lock is taken: when its
+        size and inode both match this instance's last sync, nothing
+        changed and 0 is returned without locking.  That is safe
+        because the file only ever grows by appends, and compaction
+        replaces it (``os.replace``), which swaps the inode even when
+        the rewrite lands on the same byte count.  A stat taken while
+        another writer holds the lock sees the file either before that
+        writer's change (the same answer the locked path would give had
+        it run first) or after it (and takes the lock).  Anything else,
+        a missing file included, takes the locked path.
         """
+        try:
+            stat = self.path.stat()
+        except FileNotFoundError:
+            pass
+        else:
+            if (stat.st_size == self._synced_bytes
+                    and stat.st_ino == self._synced_ino):
+                return 0
         with _store_lock(self.directory):
             return self._absorb_new_rows()
 
@@ -436,7 +455,9 @@ class ResultStore:
         """Bring a long-lived instance to where a fresh open would be:
         :meth:`reconcile`, then apply the auto-compaction policy again
         (when this instance has it enabled).  Returns the records
-        absorbed.  Costs a stat under the lock when nothing changed.
+        absorbed.  Costs one stat, and no lock, when the file is
+        unchanged since this instance last synced (see
+        :meth:`reconcile` for why that is safe).
         """
         absorbed = self.reconcile()
         if self._auto_compact:

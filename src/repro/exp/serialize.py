@@ -14,10 +14,22 @@ The experiment orchestrator needs two guarantees this module provides:
   ``json`` encodes floats via ``repr``, which round-trips IEEE doubles
   exactly, so :func:`result_from_dict(result_to_dict(r))
   <result_from_dict>` reproduces every metric bit-for-bit.
+
+Both encoders walk each value once.  A fully cached sweep still keys
+every job and digests every result, so :func:`_plain` answers exact
+JSON leaves (``int``, ``float``, ``str``, ``bool``, ``None``) before
+anything else and reads each dataclass's field names from a per-class
+table instead of calling :func:`dataclasses.fields` on every node, and
+:func:`result_to_dict` reads :class:`SystemResult`'s field list instead
+of deep-copying the whole result through :func:`dataclasses.asdict`.
+There is deliberately no memo keyed by *value*: ``1 == 1.0 == True``
+and ``0.0 == -0.0`` compare and hash alike but encode differently, so
+such a memo could hand one job another job's key.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import json
@@ -27,8 +39,6 @@ from pathlib import Path
 
 from repro.core.defense import MitigationReason
 from repro.cpu.system import SystemResult
-from repro.params import SystemConfig
-from repro.workloads.synthetic import WorkloadSpec
 
 #: Bump when the cached payload layout changes; old rows become misses.
 #: v2: jobs are keyed by their serialized DefenseSpec (name + params)
@@ -58,35 +68,59 @@ def environment_fingerprint() -> dict:
     }
 
 
+#: Types :func:`_plain` returns as they are, matched exactly: their
+#: subclasses, such as ``IntEnum``, str-mixin enums or numpy scalars,
+#: take the ordinary branches.
+_JSON_LEAVES = frozenset({int, float, str, bool, type(None)})
+
+
+@lru_cache(maxsize=None)
+def _field_names(kind: type) -> tuple[str, ...] | None:
+    """Dataclass field names of ``kind``'s instances (``ClassVar`` and
+    ``InitVar`` pseudo-fields excluded, as :func:`dataclasses.fields`
+    does), or ``None`` when they are not dataclass instances.  Cached
+    per class: a class's fields are fixed once it is defined."""
+    # Instances of a metaclass are classes, and a dataclass *class* is
+    # never encoded field by field.
+    if dataclasses.is_dataclass(kind) and not issubclass(kind, type):
+        return tuple(f.name for f in dataclasses.fields(kind))
+    return None
+
+
 def _plain(value: object) -> object:
-    """Recursively convert dataclasses/enums/tuples to JSON-able types."""
+    """Recursively convert dataclasses/enums/tuples to JSON-able types.
+
+    Children that are exact JSON leaves are kept in place rather than
+    passed through another call: most of a configuration's nodes are.
+    """
+    kind = type(value)
+    if kind in _JSON_LEAVES:
+        return value
     if isinstance(value, Enum):
         return value.value
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {
-            f.name: _plain(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-        }
+    names = _field_names(kind)
+    if names is not None:
+        plain = {}
+        for name in names:
+            field_value = getattr(value, name)
+            plain[name] = (
+                field_value if type(field_value) in _JSON_LEAVES
+                else _plain(field_value)
+            )
+        return plain
     if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
+        return {
+            str(k): v if type(v) in _JSON_LEAVES else _plain(v)
+            for k, v in value.items()
+        }
     if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
+        return [v if type(v) in _JSON_LEAVES else _plain(v) for v in value]
     return value
 
 
 def canonical_json(obj: object) -> str:
     """Deterministic JSON: sorted keys, no whitespace, enums by value."""
     return json.dumps(_plain(obj), sort_keys=True, separators=(",", ":"))
-
-
-def config_fingerprint(config: SystemConfig) -> dict:
-    """Full configuration as plain data (every field feeds the cache key)."""
-    return _plain(config)  # type: ignore[return-value]
-
-
-def workload_fingerprint(spec: WorkloadSpec) -> dict:
-    """Workload parameters as plain data (traces derive from these + seed)."""
-    return _plain(spec)  # type: ignore[return-value]
 
 
 #: Subtrees / top-level modules of the ``repro`` package that a
@@ -124,16 +158,32 @@ def code_version_salt() -> str:
     return digest.hexdigest()
 
 
+#: :class:`SystemResult` fields in declaration order, minus
+#: ``latency``: telemetry is an observation of the run, not part of it,
+#: and keeping it out of the canonical payload keeps digests and cached
+#: rows byte-identical whether or not a run was observed.
+_RESULT_FIELDS = tuple(
+    f.name for f in dataclasses.fields(SystemResult) if f.name != "latency"
+)
+
+
 def result_to_dict(result: SystemResult) -> dict:
-    """Serialize a :class:`SystemResult` to a JSON-able dict."""
-    payload = dataclasses.asdict(result)
-    payload["mitigations"] = {
-        reason.value: count for reason, count in result.mitigations.items()
-    }
-    # Telemetry is an observation of the run, not part of it: keeping it
-    # out of the canonical payload keeps digests and cached rows
-    # byte-identical whether or not a run was observed.
-    payload.pop("latency", None)
+    """Serialize a :class:`SystemResult` to a JSON-able dict.
+
+    Keys come in field order, with ``mitigations`` by reason value and
+    no ``latency``.  Values that are not exact JSON leaves are
+    deep-copied, which is what :func:`dataclasses.asdict` does for a
+    field holding no dataclass (these hold a list or tuple of floats),
+    so the payload never aliases the result's lists.
+    """
+    payload = {}
+    for name in _RESULT_FIELDS:
+        value = getattr(result, name)
+        if name == "mitigations":
+            value = {reason.value: count for reason, count in value.items()}
+        elif type(value) not in _JSON_LEAVES:
+            value = copy.deepcopy(value)
+        payload[name] = value
     return payload
 
 

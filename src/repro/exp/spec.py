@@ -35,9 +35,7 @@ from repro.exp.serialize import (
     SCHEMA_VERSION,
     canonical_json,
     code_version_salt,
-    config_fingerprint,
     environment_fingerprint,
-    workload_fingerprint,
 )
 from repro.workloads.suites import workload as lookup_workload
 from repro.workloads.synthetic import WorkloadSpec
@@ -113,14 +111,17 @@ class Job:
         independent of the registries' contents or registration order,
         so registering new defenses or engines never perturbs existing
         keys, and rows produced by different engines can never collide.
+        The workload and the configuration enter as themselves:
+        :func:`~repro.exp.serialize.canonical_json` encodes every field
+        of both in its one walk.
         """
         identity = {
             "schema": SCHEMA_VERSION,
             "code": code_version_salt(),
             "env": environment_fingerprint(),
-            "workload": workload_fingerprint(self.workload),
+            "workload": self.workload,
             "defense": self.defense.to_dict(),
-            "config": config_fingerprint(self.config),
+            "config": self.config,
             "n_entries": self.n_entries,
             "seed": self.seed,
             "engine": self.engine.to_dict(),

@@ -128,16 +128,32 @@ def _parse_clause(clause: str) -> FleetFault:
             if key == "host":
                 kwargs["host"] = value
             elif key in ("after_jobs", "times"):
-                kwargs[key] = int(value)
+                kwargs[key] = _number(int, key, value, clause)
             elif key == "delay":
-                kwargs["delay_s"] = None if value == "never" else float(value)
+                kwargs["delay_s"] = (
+                    None if value == "never"
+                    else _number(float, key, value, clause)
+                )
             elif key == "hold":
-                kwargs["hold_s"] = float(value)
+                kwargs["hold_s"] = _number(float, key, value, clause)
             else:
                 raise ReproError(
                     f"unknown fault parameter {key!r} in {clause!r}"
                 )
     return FleetFault(kind=kind.strip(), **kwargs)
+
+
+def _number(kind: type, key: str, value: str, clause: str):
+    """``kind(value)``, or a :class:`ReproError` naming the clause and
+    the key (a bare ``ValueError`` would escape as a traceback)."""
+    try:
+        return kind(value)
+    except ValueError:
+        expected = "an integer" if kind is int else "a number"
+        raise ReproError(
+            f"bad fault parameter {key}={value!r} in {clause!r} "
+            f"(expected {expected})"
+        ) from None
 
 
 @dataclass

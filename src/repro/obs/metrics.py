@@ -112,8 +112,9 @@ def fleet_backend_metrics(metrics: "dict | SweepMetrics") -> dict | None:
     ``backend.*`` rows.
     """
     if isinstance(metrics, SweepMetrics):
-        metrics = metrics.to_dict()
-    backend = metrics.get("backend_metrics") or {}
+        backend = metrics.backend_metrics or {}
+    else:
+        backend = metrics.get("backend_metrics") or {}
     hosts = backend.get("hosts")
     if not isinstance(hosts, dict) or not hosts:
         return None

@@ -86,7 +86,9 @@ class _Handler(BaseHTTPRequestHandler):
             return None
         try:
             return json.loads(self.rfile.read(length) or b"{}")
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers malformed JSON and bytes that are not
+            # UTF-8; RecursionError is nesting too deep to decode.
             self._send_json(400, {"error": f"invalid JSON body: {exc}"})
             return None
 

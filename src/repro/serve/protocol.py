@@ -68,7 +68,9 @@ def build_spec(
 class SweepRequest:
     """One parsed submission: grid fields plus run options.
 
-    Frozen so a record can hold it safely across worker threads.
+    Frozen so a record can hold it safely across worker threads.  Its
+    spec is built once (:meth:`spec`), so validation, the service's
+    dedup and job count, and the worker that runs it share one object.
     """
 
     workloads: tuple[str, ...] = ()
@@ -118,6 +120,12 @@ class SweepRequest:
                 raise ReproError(f"{key!r} must be an integer")
             return value
 
+        def _bool(key) -> bool:
+            value = payload.get(key, False)
+            if not isinstance(value, bool):
+                raise ReproError(f"{key!r} must be true or false")
+            return value
+
         request = cls(
             workloads=_strings("workloads") or (),
             defenses=_strings("defenses"),
@@ -130,7 +138,7 @@ class SweepRequest:
             backend=str(payload.get("backend", "serial")),
             jobs=_int("jobs", 1),
             hosts=_strings("hosts"),
-            trace=bool(payload.get("trace", False)),
+            trace=_bool("trace"),
             faults=(
                 None if payload.get("faults") is None
                 else str(payload["faults"])
@@ -161,17 +169,22 @@ class SweepRequest:
         self.spec()  # workloads/defenses/attacks/engine resolve or raise
 
     def spec(self):
-        """The sweep this request names (identity lives here)."""
-        return build_spec(
-            self.workloads,
-            defenses=self.defenses,
-            attacks=self.attacks,
-            entries=self.entries,
-            nbo=self.nbo,
-            n_mit=self.n_mit,
-            seed=self.seed,
-            engine=self.engine,
-        )
+        """The sweep this request names (identity lives here), built on
+        the first call and returned as the same object after it."""
+        spec = self.__dict__.get("_spec")
+        if spec is None:
+            spec = build_spec(
+                self.workloads,
+                defenses=self.defenses,
+                attacks=self.attacks,
+                entries=self.entries,
+                nbo=self.nbo,
+                n_mit=self.n_mit,
+                seed=self.seed,
+                engine=self.engine,
+            )
+            object.__setattr__(self, "_spec", spec)  # frozen: not a field
+        return spec
 
     def to_payload(self) -> dict:
         """JSON-able round-trip form (echoed back in status payloads)."""

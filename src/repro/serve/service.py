@@ -26,13 +26,15 @@ Dedup and replay semantics:
 Store safety: each worker thread keeps one long-lived
 :class:`~repro.exp.ResultStore`, opened on its first sweep (start-up
 parses nothing) and brought up to date before every later sweep by
-:meth:`~repro.exp.ResultStore.refresh`.  The refresh absorbs rows other
-writers appended, under the store's sidecar flock, reloads after
-another process compacted the file, and applies the auto-compaction
-policy a fresh open would.  Worker threads never share an in-memory
-index, and appends from any number of writers stay safe and visible.
-A cached replay therefore costs O(jobs in the request), not O(rows in
-the store).
+:meth:`~repro.exp.ResultStore.refresh`.  The refresh stats the data
+file and, only when its size or inode moved since the last sync, takes
+the store's sidecar flock to absorb rows other writers appended or to
+reload after another process compacted the file; then it applies the
+auto-compaction policy a fresh open would.  Worker threads never share
+an in-memory index, and appends from any number of writers stay safe
+and visible.  A cached replay therefore costs O(jobs in the request),
+not O(rows in the store), and on an unchanged file it takes no lock:
+keying each job, one dict lookup per key, and digesting the results.
 """
 
 from __future__ import annotations
@@ -211,7 +213,7 @@ class SweepService:
                 return {"error": "service is draining"}, 503
         try:
             request = SweepRequest.from_payload(payload)
-            spec = request.spec()
+            spec = request.spec()  # the one validation built
             total = len(spec.expand())
         except ReproError as exc:
             with self._cond:
@@ -385,7 +387,7 @@ class SweepService:
         from repro.exp import run_sweep, sweep_digest
 
         request = record.request
-        spec = request.spec()
+        spec = request.spec()  # the one submit() validated and counted
         store = self._worker_store()
 
         def on_event(event: dict) -> None:

@@ -433,6 +433,83 @@ class TestLongLivedStore:
         assert store.health()["compaction"]["count"] == 1
 
 
+def _spy_on_store_lock(monkeypatch) -> list:
+    """Count ``_store_lock`` acquisitions; returns the live tally."""
+    import repro.exp.cache as cache
+
+    taken = []
+    real = cache._store_lock
+
+    def counting(directory):
+        taken.append(directory)
+        return real(directory)
+
+    monkeypatch.setattr(cache, "_store_lock", counting)
+    return taken
+
+
+class TestLockFreeSync:
+    """reconcile() stats before it locks: unchanged files cost no lock."""
+
+    def test_cached_replay_takes_no_lock(self, tmp_path, monkeypatch):
+        from repro.exp import SweepSpec, run_sweep
+
+        spec = SweepSpec.build(
+            ["541.leela"], ["qprac"], n_entries=300, engine="epoch"
+        )
+        store = ResultStore(tmp_path)
+        first = run_sweep(spec, store=store)
+        assert first.executed == 2
+        taken = _spy_on_store_lock(monkeypatch)
+        assert store.refresh() == 0
+        replay = run_sweep(spec, store=store)
+        assert replay.cache_hits == replay.total_jobs == 2
+        assert replay.metrics.store["live_keys"] == 2
+        assert taken == []  # the parent took the lock twice here
+        store.put("k-new", {"v": 1})
+        assert len(taken) == 1  # appends always lock
+
+    def test_appends_by_another_writer_take_the_locked_path(
+        self, tmp_path, monkeypatch
+    ):
+        store = ResultStore(tmp_path)
+        store.put("k1", {"v": 1})
+        ResultStore(tmp_path).put("k2", {"v": 2})
+        taken = _spy_on_store_lock(monkeypatch)
+        assert store.reconcile() == 1
+        assert store.get("k2") == {"v": 2}
+        assert len(taken) == 1
+        assert store.reconcile() == 0
+        assert len(taken) == 1
+
+    def test_equal_size_replacement_is_reloaded(self, tmp_path):
+        """A rewrite landing on the same byte count swaps the inode, and
+        the inode is what the unlocked check compares."""
+        import os
+
+        store = ResultStore(tmp_path)
+        store.put("k1", {"v": 1})
+        size = store.path.stat().st_size
+        tmp = tmp_path / "results.jsonl.tmp"
+        tmp.write_text(json.dumps({"key": "k2", "payload": {"v": 2}},
+                                  sort_keys=True) + "\n")
+        assert tmp.stat().st_size == size
+        os.replace(tmp, store.path)
+        store.reconcile()
+        assert store.get("k2") == {"v": 2}
+        assert "k1" not in store
+
+    def test_missing_file_takes_the_locked_path(self, tmp_path, monkeypatch):
+        store = ResultStore(tmp_path)
+        store.put("k1", {"v": 1})
+        store.path.unlink()
+        taken = _spy_on_store_lock(monkeypatch)
+        assert store.reconcile() == 0
+        assert len(taken) == 1
+        store.put("k2", {"v": 2})
+        assert ResultStore(tmp_path).get("k2") == {"v": 2}
+
+
 class TestSpoolGc:
     @staticmethod
     def _make_spool(root, name, age_s, mtime_now):

@@ -158,6 +158,32 @@ class TestFaultPlan:
         with pytest.raises(ReproError, match="unknown fault parameter"):
             FleetFaultPlan.parse("kill-worker:wat=1")
 
+    @pytest.mark.parametrize("plan", [
+        "kill-worker:after_jobs=x", "kill-worker:after_jobs=1.5",
+        "kill-worker:after_jobs=", "kill-worker:times=two",
+        "heartbeat:delay=soon", "heartbeat:hold=long",
+    ])
+    def test_non_numeric_values_raise_repro_error(self, plan):
+        key = plan.split(":")[1].split("=")[0]
+        with pytest.raises(ReproError) as exc:
+            FleetFaultPlan.parse(f"drop-host;{plan}")
+        assert f"bad fault parameter {key}=" in str(exc.value)
+        assert f"in {plan!r}" in str(exc.value)  # names the clause
+
+    def test_cli_rejects_a_bad_value_without_a_traceback(self, capsys):
+        from repro.cli import main
+
+        plan = "kill-worker:after_jobs=x"
+        assert main([
+            "sweep", "541.leela", "--defenses", "qprac", "--entries", "300",
+            "--backend", "remote-fleet", "--hosts", "local", "--no-cache",
+            "--faults", plan,
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"bad fault parameter after_jobs='x' in {plan!r}" in err
+        assert "Traceback" not in err
+
     def test_budgets_are_consumed(self):
         plan = FleetFaultPlan.parse("kill-worker:times=2")
         kinds = ("kill-worker",)

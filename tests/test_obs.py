@@ -298,6 +298,80 @@ def test_golden_hashes_hold_with_telemetry_enabled(defense):
     assert result.latency is not None
 
 
+#: sha256 of ``canonical_json(result_to_dict(r))`` for every registered
+#: defense on both engines (429.mcf, 600 entries, seed 0), pinned before
+#: ``result_to_dict`` stopped going through ``dataclasses.asdict``.
+PINNED_RESULT_DIGESTS = {
+    ("baseline", "event"):
+        "48a1dc00c8ab53bf76e9156b8360526ed512a5d85e0d4391bc9d0691ac06dacc",
+    ("qprac", "event"):
+        "05c00d27aa376c981a01b40b624999beedd66196e70c350ec6853f310b28a8f1",
+    ("qprac-noop", "event"):
+        "3c1bba9e74d22495c7dfa920d90632d205aca394674a7468a5cc9ddcff765ffa",
+    ("qprac+proactive", "event"):
+        "cf6fc2e053eab886d5ca8acaa9ae464087af7fcc9313abe1580e7f78ac2aa61a",
+    ("qprac+proactive-ea", "event"):
+        "0675afb74e7272a0b1fae79e52cf354e7d3f63a04be634df7c403f22c1b6489b",
+    ("qprac-ideal", "event"):
+        "6e041b2fe6a5d56059e97bc1292322fefa29c73f453af2ce02d20a7e70c0fd78",
+    ("moat", "event"):
+        "4685452abc027babf3a73bb044a319aa29d52ce94d6f882ced156a0f1070b4f3",
+    ("panopticon", "event"):
+        "f66b0ee078c63570f64facb99997432be462319598414e2df7f8fb74ad6f0c91",
+    ("pride:t_rh=256", "event"):
+        "85611eefe686fae107ce478332902577c78c4771ad41ada5215610bc1112d415",
+    ("mithril:t_rh=256", "event"):
+        "363d508c438b895bd4fc80b2af8e4290e42462191f3cefd81053949f27983a25",
+    ("uprac", "event"):
+        "959e4a688d499f0af5c54d1e0d35b8864631cad17e5b7e67507f3866b301304a",
+    ("baseline", "epoch"):
+        "d2e8a91fb5e0230ade818c385e95e3d27b63784e4f8979e4cccc43591a2c2680",
+    ("qprac", "epoch"):
+        "0f015aa0df94abf779aa5047a420f7e76aaa5719d37291f777c23913ce2f6c22",
+    ("qprac-noop", "epoch"):
+        "a6e0713d08d0a30174d61cf57eafc244833e2508f6a5a52cfbab42565bb0e253",
+    ("qprac+proactive", "epoch"):
+        "0ef1681fbb2ffbfb973b2ef3460adb80a6a3fc9c97d5eb792f7b25fbdbb4f8da",
+    ("qprac+proactive-ea", "epoch"):
+        "ec6df729c9c97355f70aae5a3e6aa5f5b9b4bf4f7490aee2a2f9b4db33c80cad",
+    ("qprac-ideal", "epoch"):
+        "b3f4a6189fc7b1a548da2274bee181af93d96e1ed91daf1a474c5bdee4864086",
+    ("moat", "epoch"):
+        "07dcece73a1f9b718ff66cd482c6b350a46d3c3561c85d958e76bb76c1598a23",
+    ("panopticon", "epoch"):
+        "4ae8ffce6937ac08165fe4f396cb0c933bfd708131b28078510ad477cb4cdc35",
+    ("pride:t_rh=256", "epoch"):
+        "898f33e0faa9dcfc77abe215246b91c0587e3bcdc8ef7d83894b0e386aea7b9d",
+    ("mithril:t_rh=256", "epoch"):
+        "cfa02118f0cd717998987bfff82a2638714edae947726199db466b5c439b4f64",
+    ("uprac", "epoch"):
+        "b21650a4df6b64a8ed06932f602d5f34cae791540c0cb8e2d2c38ea23c3f5a63",
+}
+
+
+def test_result_digest_pins_cover_every_registered_defense():
+    from repro.defenses import registered_defenses
+
+    pinned = {name.split(":")[0] for name, _engine in PINNED_RESULT_DIGESTS}
+    assert pinned == {entry.name for entry in registered_defenses()}
+
+
+@needs_golden_env
+@pytest.mark.parametrize("telemetry", [False, True], ids=["off", "on"])
+@pytest.mark.parametrize(
+    "defense,engine", sorted(PINNED_RESULT_DIGESTS), ids=lambda v: str(v)
+)
+def test_result_digests_are_pinned(defense, engine, telemetry):
+    """The serialized result, latency summary populated or not, hashes
+    to the digest pinned for its defense and engine."""
+    result = simulate_workload(
+        "429.mcf", defense=defense, n_entries=600, seed=0, engine=engine,
+        telemetry=Telemetry() if telemetry else None,
+    )
+    assert (result.latency is not None) is telemetry
+    assert result_digest(result) == PINNED_RESULT_DIGESTS[(defense, engine)]
+
+
 # ----------------------------------------------------------------------
 # Event vs epoch: same requests, equivalent latency distributions
 # ----------------------------------------------------------------------
@@ -420,6 +494,33 @@ def test_final_progress_line_reports_exec_rate(tmp_path):
     match = re.search(r"\(([\d.]+) jobs/s\)", lines[-1])
     assert match is not None
     assert match.group(1) == f"{sweep.exec_rate:.2f}"
+
+
+def test_fleet_backend_metrics_reads_the_field_not_a_copy(monkeypatch):
+    """The fleet slice of a SweepMetrics comes from ``backend_metrics``
+    itself; the dict form (a trace header) gives the same answer."""
+    from repro.obs.metrics import fleet_backend_metrics
+
+    hosts = {"local": {"status": "ok", "dispatches": 2}}
+    metrics = SweepMetrics(
+        sweep_id="cd" * 32, backend="remote-fleet", total_jobs=2,
+        executed=2, cache_hits=0, elapsed_s=1.0, exec_elapsed_s=1.0,
+        exec_rate=2.0, backend_metrics={"hosts": hosts, "migrations": 0},
+        store={"live_keys": 2},
+    )
+    as_dict = metrics.to_dict()
+
+    def no_copy(self):
+        raise AssertionError("the whole block was copied")
+
+    monkeypatch.setattr(SweepMetrics, "to_dict", no_copy)
+    assert fleet_backend_metrics(metrics) == {"hosts": hosts, "migrations": 0}
+    assert fleet_backend_metrics(as_dict) == fleet_backend_metrics(metrics)
+    plain = SweepMetrics(
+        sweep_id="ef" * 32, backend="serial", total_jobs=1, executed=1,
+        cache_hits=0, elapsed_s=1.0, exec_elapsed_s=1.0, exec_rate=1.0,
+    )
+    assert fleet_backend_metrics(plain) is None
 
 
 def test_pool_backend_metrics(tmp_path):

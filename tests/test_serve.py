@@ -152,6 +152,18 @@ class TestProtocol:
         again = SweepRequest.from_payload(request.to_payload())
         assert again == request
 
+    @pytest.mark.parametrize("value", ["false", "no", "true", 1, 0, None, []])
+    def test_trace_must_be_a_json_boolean(self, value):
+        with pytest.raises(ReproError, match="'trace' must be true or false"):
+            SweepRequest.from_payload(dict(GRID, trace=value))
+
+    def test_trace_booleans_and_absence(self):
+        assert SweepRequest.from_payload(GRID).trace is False
+        assert SweepRequest.from_payload(dict(GRID, trace=True)).trace is True
+        assert SweepRequest.from_payload(
+            dict(GRID, trace=False)
+        ).trace is False
+
 
 class TestService:
     def test_submit_runs_and_matches_serial_digest(self, service, tmp_path):
@@ -213,6 +225,36 @@ class TestService:
         assert code == 400
         assert "no.such" in snapshot["error"] or snapshot["error"]
         assert service.metrics.rejected == 1
+
+    def test_bad_fault_value_is_400_and_counted(self, service):
+        snapshot, code = service.submit(dict(
+            GRID, backend="remote-fleet", faults="kill-worker:after_jobs=x"
+        ))
+        assert code == 400
+        assert "bad fault parameter after_jobs='x'" in snapshot["error"]
+        assert service.metrics.submissions == 1
+        assert service.metrics.rejected == 1
+
+    def test_one_spec_from_submit_to_worker(self, tmp_path, monkeypatch):
+        """Validation, dedup, the job count and the worker's run all
+        use the spec built once for the request."""
+        import repro.serve.protocol as protocol
+
+        built = []
+        real = protocol.build_spec
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(protocol, "build_spec", counting)
+        svc = SweepService(cache_dir=tmp_path / "cache", workers=1).start()
+        try:
+            final = run_to_end(svc, GRID)
+        finally:
+            svc.stop(timeout=30.0)
+        assert final["state"] == "done"
+        assert len(built) == 1
 
     def test_unknown_backend_is_400_not_queued(self, service):
         """An unregistered backend name is refused at the wire (400,
@@ -607,6 +649,34 @@ class TestHTTP:
         with pytest.raises(urllib.error.HTTPError) as exc:
             urllib.request.urlopen(request, timeout=10)
         assert exc.value.code == 400
+
+    @pytest.mark.parametrize("body", [
+        b"\x80abc",  # not UTF-8: a UnicodeDecodeError
+        b"[" * 100_000,  # under the size cap, too deep to decode
+    ], ids=["non-utf8", "deep-nesting"])
+    def test_undecodable_body_400_and_service_lives(self, http_service, body):
+        _svc, base = http_service
+        request = urllib.request.Request(
+            f"{base}/sweeps", data=body,
+            headers={"Content-Type": "application/json"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as exc:
+            urllib.request.urlopen(request, timeout=10)
+        assert exc.value.code == 400
+        assert "invalid JSON body" in json.loads(exc.value.read())["error"]
+        assert client.healthz(base)["status"] == "ok"
+
+    def test_bad_fault_value_over_http_400(self, http_service):
+        svc, base = http_service
+        with pytest.raises(ServiceError) as exc:
+            client.submit(base, dict(
+                GRID, backend="remote-fleet",
+                faults="kill-worker:after_jobs=x",
+            ))
+        assert exc.value.status == 400
+        assert "after_jobs" in exc.value.payload["error"]
+        assert svc.metrics.rejected == 1
+        assert client.healthz(base)["status"] == "ok"
 
     def test_unknown_endpoint_404(self, http_service):
         _svc, base = http_service
