@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import time
 
-from repro.defenses import resolve_defense
-from repro.params import default_config
-from repro.sim.runner import build_system
+from repro.sim.runner import build_system, defense_and_config
 
 WORKLOAD = "429.mcf"
 DEFENSE = "qprac"
@@ -21,18 +19,12 @@ REPEATS = 3
 
 
 def main() -> None:
-    spec = resolve_defense(DEFENSE)
-    config = default_config()
-    if spec.variant is not None:
-        config = config.with_variant(spec.variant)
+    spec, config = defense_and_config(DEFENSE)
     best = float("inf")
     events = 0
     for _ in range(REPEATS):
         started = time.perf_counter()
-        system = build_system(
-            WORKLOAD, config, defense_factory=spec.factory(),
-            n_entries=N_ENTRIES,
-        )
+        system = build_system(WORKLOAD, config, spec, n_entries=N_ENTRIES)
         system.run(variant_name=spec.label)
         elapsed = time.perf_counter() - started
         events = system.events.events_processed

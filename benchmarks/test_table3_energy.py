@@ -33,7 +33,7 @@ def test_table3_energy_overhead(benchmark, config):
                 values = []
                 for name in names:
                     run = simulate_workload(
-                        name, config=cfg, variant=variant,
+                        name, config=cfg, defense=variant,
                         n_entries=entries, engine=bench_engine(),
                     )
                     values.append(mitigation_energy_pct(run, cfg))

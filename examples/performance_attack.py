@@ -19,12 +19,7 @@ from __future__ import annotations
 
 from repro.analysis.report import render_series
 from repro.params import MitigationVariant, RfmScope, default_config
-from repro.sim import (
-    analytical_bandwidth_reduction,
-    baseline_factory,
-    qprac_factory,
-    run_bandwidth_attack,
-)
+from repro.sim import analytical_bandwidth_reduction, run_bandwidth_attack
 
 NBO_VALUES = (16, 32, 64, 128)
 
@@ -61,7 +56,7 @@ def analytical() -> None:
 def simulated() -> None:
     config = default_config()
     base = run_bandwidth_attack(
-        config, defense_factory=baseline_factory(),
+        config, defense="baseline",
         measure_ns=120_000, warmup_ns=40_000, pool_rows_per_bank=8,
     )
     print(f"Undefended rank under attack: {base.acts:,d} ACTs / "
@@ -72,9 +67,8 @@ def simulated() -> None:
             (MitigationVariant.QPRAC, "QPRAC"),
             (MitigationVariant.QPRAC_PROACTIVE, "QPRAC+Proactive"),
         ):
-            cfg = config.with_prac(n_bo=n_bo).with_variant(variant)
             run = run_bandwidth_attack(
-                cfg, defense_factory=qprac_factory(variant),
+                config.with_prac(n_bo=n_bo), defense=variant,
                 measure_ns=120_000, warmup_ns=40_000, pool_rows_per_bank=8,
             )
             series[label].append(

@@ -15,7 +15,7 @@ from __future__ import annotations
 from repro.core import PriorityServiceQueue, QPRACBank
 from repro.params import MitigationVariant, PRACParams
 from repro.security import secure_trh
-from repro.sim import simulate_baseline, simulate_workload
+from repro.sim import simulate_workload
 
 
 def demo_psq() -> None:
@@ -74,13 +74,14 @@ def demo_full_system() -> None:
     print("4. Full-system simulation: 429.mcf on 4 cores")
     print("=" * 64)
     entries = 5000
-    baseline = simulate_baseline("429.mcf", n_entries=entries)
+    baseline = simulate_workload("429.mcf", defense="baseline",
+                                 n_entries=entries)
     for variant in (
         MitigationVariant.QPRAC_NOOP,
         MitigationVariant.QPRAC,
         MitigationVariant.QPRAC_PROACTIVE_EA,
     ):
-        run = simulate_workload("429.mcf", variant=variant, n_entries=entries)
+        run = simulate_workload("429.mcf", defense=variant, n_entries=entries)
         print(f"  {variant.value:22s} slowdown {run.slowdown_pct_vs(baseline):6.2f}%"
               f"   alerts/tREFI {run.alerts_per_trefi:6.3f}")
     print("  (paper: NoOp 12.4%, QPRAC 0.8%, proactive variants ~0%)")

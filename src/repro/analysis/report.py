@@ -81,18 +81,3 @@ def print_series(
 ) -> None:
     print()
     print(render_series(title, x_label, series))
-
-
-def write_csv(
-    path: str,
-    headers: Sequence[str],
-    rows: Sequence[Sequence[object]],
-) -> None:
-    """Write rows as CSV (benchmarks export machine-readable copies)."""
-    import csv
-
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(list(headers))
-        for row in rows:
-            writer.writerow(list(row))

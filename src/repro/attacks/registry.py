@@ -1,13 +1,11 @@
 """The attack-pattern registry: named, serializable, pluggable adversaries.
 
-Attack traffic was the last hard-coded dimension of the evaluation:
-defenses, sweep backends and simulation engines are all spec-addressable
-registries, but adversarial patterns lived as fixed generator functions.
-This module makes attacks the fourth registry: an :class:`AttackSpec` is
-a plain ``(name, params)`` value in the shared ``name[:k=v,...]`` grammar
-of :mod:`repro.specs` — hashable, picklable, byte-stably serializable —
-resolved through a process-wide :class:`AttackRegistry` to a registered
-pattern generator.
+Attack patterns are the third spec registry, next to defenses and
+simulation engines: an :class:`AttackSpec` is a plain ``(name, params)``
+value (the shared :class:`~repro.specs.Spec`, in the ``name[:k=v,...]``
+grammar of :mod:`repro.specs`) — hashable, picklable, byte-stably
+serializable — resolved through a process-wide :class:`AttackRegistry`
+to a registered pattern generator.
 
 A registered pattern provides one (or both) of two products:
 
@@ -53,11 +51,11 @@ from repro.dram.address import AddressMapper, flat_bank_coords
 from repro.errors import ConfigError, ReproError
 from repro.params import DRAMOrganization
 from repro.specs import (
+    RegisteredEntry,
+    Registry,
+    Spec,
     SpecParam,
-    check_params,
     introspect_params,
-    parse_name_params,
-    render_value as _render_value,
 )
 from repro.workloads.synthetic import WorkloadSpec
 
@@ -74,100 +72,18 @@ AttackGenerator = Callable[..., "Trace"]
 #: filled in, so one parameter table serves both products.
 AttackRows = Callable[..., "list[int]"]
 
-
-@dataclass(frozen=True)
-class AttackSpec:
-    """A serializable description of one attack pattern: name + params.
-
-    Params are stored as a sorted tuple of ``(key, value)`` pairs so two
-    specs naming the same pattern always compare (and hash, and
-    serialize) identically regardless of construction order.
-    """
-
-    name: str
-    params: tuple[tuple[str, object], ...] = ()
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ConfigError("attack pattern name must be non-empty")
-        object.__setattr__(
-            self, "params", tuple(sorted(dict(self.params).items()))
-        )
-
-    # -- construction --------------------------------------------------
-    @classmethod
-    def of(cls, name: str, **params: object) -> "AttackSpec":
-        """Convenience constructor: ``AttackSpec.of("decoy", decoys=4)``."""
-        return cls(name=name, params=tuple(params.items()))
-
-    @classmethod
-    def from_string(cls, text: str) -> "AttackSpec":
-        """Parse the CLI syntax ``name`` or ``name:key=value,key=value``.
-
-        Values are coerced (int/float/bool/None) by the shared grammar
-        in :mod:`repro.specs` — identical for every registry.
-        """
-        name, params = parse_name_params(text, "attack pattern")
-        return cls.of(name, **params)
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, object]) -> "AttackSpec":
-        """Inverse of :meth:`to_dict`."""
-        name = payload.get("name")
-        params = payload.get("params", {})
-        if not isinstance(name, str) or not isinstance(params, Mapping):
-            raise ConfigError(f"malformed attack payload: {payload!r}")
-        return cls.of(name, **dict(params))
-
-    # -- identity ------------------------------------------------------
-    @property
-    def params_dict(self) -> dict[str, object]:
-        return dict(self.params)
-
-    @property
-    def label(self) -> str:
-        """Canonical human/cache label: ``name[:k=v,...]`` (sorted keys)."""
-        if not self.params:
-            return self.name
-        rendered = ",".join(
-            f"{k}={_render_value(v)}" for k, v in self.params
-        )
-        return f"{self.name}:{rendered}"
-
-    def to_string(self) -> str:
-        """CLI-syntax form; round-trips for every value the syntax can
-        express (build exotic specs with :meth:`of` instead)."""
-        return self.label
-
-    def to_dict(self) -> dict:
-        """JSON-able form; feeds cache keys, so registry-independent."""
-        return {"name": self.name, "params": self.params_dict}
-
-    # -- resolution ----------------------------------------------------
-    def validate(self, registry: "AttackRegistry | None" = None) -> None:
-        """Check name and params against the registry; raise otherwise."""
-        (registry or REGISTRY).entry(self.name).check_params(self.params_dict)
-
-
 #: One keyword parameter a registered generator accepts — the shared
 #: :class:`~repro.specs.SpecParam` table every registry uses.
 AttackParam = SpecParam
 
 
 @dataclass(frozen=True)
-class RegisteredAttack:
-    """Registry entry: the generator plus its introspected param table."""
+class RegisteredAttack(RegisteredEntry):
+    """Registry entry: the generator (``target``) plus its param table."""
 
-    name: str
-    generator: AttackGenerator
-    summary: str = ""
-    params: tuple[AttackParam, ...] = field(default=())
     #: Per-bank aggressor-row pool for the closed-loop bandwidth
     #: attacker, or ``None`` when the pattern is trace-only.
     rows: AttackRows | None = None
-
-    def check_params(self, params: Mapping[str, object]) -> None:
-        check_params("attack pattern", self.name, self.params, params)
 
     def full_params(self, params: Mapping[str, object]) -> dict[str, object]:
         """``params`` with the generator's declared defaults filled in."""
@@ -176,74 +92,26 @@ class RegisteredAttack:
         return filled
 
 
-def _introspect_params(generator: AttackGenerator) -> tuple[AttackParam, ...]:
-    """Param table from a generator's signature, skipping the three
-    positional inputs ``(org, n_entries, seed)``."""
-    return introspect_params(
-        generator, skip=3, kind="attack generator", owner=repr(generator)
-    )
+class AttackRegistry(Registry):
+    """Name → :class:`RegisteredAttack` map with duplicate rejection.
 
+    ``register(name, summary, rows=None)`` decorates a generator, called
+    as ``generator(org, n_entries, seed, **params)``; its keyword
+    parameters (introspected from the signature) become the spec's
+    valid params.  ``rows`` optionally supplies the pattern's
+    bandwidth-attack schedule.
+    """
 
-class AttackRegistry:
-    """Name → :class:`RegisteredAttack` map with duplicate rejection."""
+    kind = "attack pattern"
+    plural = "patterns"
+    entry_type = RegisteredAttack
 
-    def __init__(self) -> None:
-        self._entries: dict[str, RegisteredAttack] = {}
-
-    def register(
-        self,
-        name: str,
-        summary: str = "",
-        rows: AttackRows | None = None,
-    ) -> Callable[[AttackGenerator], AttackGenerator]:
-        """Decorator registering ``generator`` under ``name``.
-
-        The generator is called as ``generator(org, n_entries, seed,
-        **params)``; its keyword parameters (introspected from the
-        signature) become the spec's valid params.  ``rows`` optionally
-        supplies the pattern's bandwidth-attack schedule.
-        """
-        if not name:
-            raise ConfigError("attack pattern name must be non-empty")
-
-        def decorator(generator: AttackGenerator) -> AttackGenerator:
-            if name in self._entries:
-                raise ConfigError(
-                    f"attack pattern {name!r} is already registered "
-                    f"(by {self._entries[name].generator!r})"
-                )
-            self._entries[name] = RegisteredAttack(
-                name=name,
-                generator=generator,
-                summary=summary,
-                params=_introspect_params(generator),
-                rows=rows,
-            )
-            return generator
-
-        return decorator
-
-    def entry(self, name: str) -> RegisteredAttack:
-        try:
-            return self._entries[name]
-        except KeyError:
-            known = ", ".join(self.names()) or "(none)"
-            raise ReproError(
-                f"unknown attack pattern {name!r}; registered patterns: "
-                f"{known}"
-            ) from None
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(sorted(self._entries))
-
-    def entries(self) -> tuple[RegisteredAttack, ...]:
-        return tuple(self._entries[name] for name in self.names())
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
+    def _params(self, name: str, generator: AttackGenerator):
+        """Param table from a generator's signature, skipping the three
+        positional inputs ``(org, n_entries, seed)``."""
+        return introspect_params(
+            generator, skip=3, kind="attack generator", owner=repr(generator)
+        )
 
 
 #: The process-wide registry every un-scoped resolution consults.
@@ -251,6 +119,13 @@ REGISTRY = AttackRegistry()
 
 #: Module-level decorator bound to the global registry (the public API).
 register_attack = REGISTRY.register
+
+
+class AttackSpec(Spec):
+    """A serializable description of one attack pattern: name + params
+    (the shared :class:`~repro.specs.Spec`)."""
+
+    registry = REGISTRY
 
 
 def registered_attacks() -> tuple[RegisteredAttack, ...]:
@@ -266,17 +141,7 @@ def resolve_attack(
 
     Accepts a spec or a string in the ``name[:k=v,...]`` CLI syntax.
     """
-    if isinstance(attack, AttackSpec):
-        spec = attack
-    elif isinstance(attack, str):
-        spec = AttackSpec.from_string(attack)
-    else:
-        raise ConfigError(
-            f"cannot resolve {attack!r} to an attack pattern; pass an "
-            "AttackSpec or a 'name:key=value' string"
-        )
-    spec.validate(registry)
-    return spec
+    return AttackSpec.resolve(attack, registry)
 
 
 def build_attack_trace(
@@ -292,7 +157,7 @@ def build_attack_trace(
         raise ConfigError(f"n_entries must be >= 1, got {n_entries}")
     entry = (registry or REGISTRY).entry(spec.name)
     org = org or DRAMOrganization()
-    return entry.generator(org, n_entries, seed, **spec.params_dict)
+    return entry.target(org, n_entries, seed, **spec.params_dict)
 
 
 def attack_rows(

@@ -4,8 +4,7 @@ Usage::
 
     python -m repro security          # Figures 6-8, 13: analytical bounds
     python -m repro panopticon        # Figures 2, 3, 23: Panopticon attacks
-    python -m repro perf 429.mcf ...  # Figure 14/15-style variant sweep
-    python -m repro sweep 429.mcf ... # orchestrated sweep: --jobs/--backend
+    python -m repro sweep 429.mcf ... # Figure 14/15-style defense sweep
     python -m repro attacks           # list the registered attack patterns
     python -m repro hunt              # worst-pattern search per defense
     python -m repro defenses          # list the registered defenses
@@ -43,18 +42,18 @@ from repro.analysis.report import render_series, render_table
 from repro.errors import ReproError
 
 
-def _comparison_rows(comparison, labels) -> list[list[object]]:
-    """Shared workload x defense table body (perf and sweep commands)."""
-    rows = []
-    for name in comparison.workloads:
-        for label in labels:
-            run = comparison.results[label][name]
-            rows.append([
-                name, label,
-                round(comparison.slowdown_pct(label, name), 2),
-                round(run.alerts_per_trefi, 3),
-            ])
-    return rows
+def _print_registry(title: str, entries, extra=None) -> int:
+    """List registry entries: name, parameters, the optional ``extra``
+    ``(header, cell function)`` column, summary."""
+    headers = ["name", "parameters"] + ([extra[0]] if extra else [])
+    rows = [
+        [entry.name, ", ".join(p.human for p in entry.params) or "-"]
+        + ([extra[1](entry)] if extra else [])
+        + [entry.summary]
+        for entry in entries
+    ]
+    print(render_table(title, headers + ["summary"], rows))
+    return 0
 
 
 def _cmd_security(args: argparse.Namespace) -> int:
@@ -76,22 +75,12 @@ def _cmd_security(args: argparse.Namespace) -> int:
 def _cmd_attacks(args: argparse.Namespace) -> int:
     from repro.attacks import registered_attacks
 
-    rows = [
-        [
-            entry.name,
-            ", ".join(p.human for p in entry.params) or "-",
-            "yes" if entry.rows is not None else "",
-            entry.summary,
-        ]
-        for entry in registered_attacks()
-    ]
-    print(render_table(
+    return _print_registry(
         "Registered attack patterns (select with --attacks "
         "name:key=value,...)",
-        ["name", "parameters", "bandwidth", "summary"],
-        rows,
-    ))
-    return 0
+        registered_attacks(),
+        ("bandwidth", lambda entry: "yes" if entry.rows is not None else ""),
+    )
 
 
 def _cmd_panopticon(args: argparse.Namespace) -> int:
@@ -117,26 +106,6 @@ def _cmd_panopticon(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_perf(args: argparse.Namespace) -> int:
-    from repro.params import MitigationVariant, default_config
-    from repro.sim import run_variant_comparison
-
-    config = default_config().with_prac(n_bo=args.nbo_value, n_mit=args.n_mit,
-                                        abo_delay=None)
-    variants = tuple(MitigationVariant)
-    comparison = run_variant_comparison(
-        list(args.workloads), variants=variants, config=config,
-        n_entries=args.entries, engine=args.engine,
-    )
-    print(render_table(
-        f"Variant sweep (N_BO={args.nbo_value}, PRAC-{args.n_mit}, "
-        f"{args.entries} accesses/core, engine={args.engine})",
-        ["workload", "variant", "slowdown %", "alerts/tREFI"],
-        _comparison_rows(comparison, [v.value for v in variants]),
-    ))
-    return 0
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.exp import ResultStore, run_sweep, stderr_progress
     from repro.serve.protocol import build_spec
@@ -153,7 +122,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         seed=args.seed,
         engine=args.engine,
     )
-    defenses = spec.defenses
     store = None if args.no_cache else ResultStore(args.cache_dir)
     progress = None if args.quiet else stderr_progress
     if args.faults is not None:
@@ -175,7 +143,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         f"{args.entries} accesses/core, jobs={args.jobs}, "
         f"backend={sweep.backend}, engine={spec.engine.label})",
         ["workload", "defense", "slowdown %", "alerts/tREFI"],
-        _comparison_rows(comparison, [d.label for d in defenses]),
+        [
+            [name, defense.label,
+             round(comparison.slowdown_pct(defense.label, name), 2),
+             round(comparison.results[defense.label][name]
+                   .alerts_per_trefi, 3)]
+            for name in comparison.workloads
+            for defense in spec.defenses
+        ],
     ))
     cache_note = "cache disabled" if store is None else f"cache {store.path}"
     rate = (
@@ -287,40 +262,20 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 def _cmd_engines(args: argparse.Namespace) -> int:
     from repro.sim.engines import registered_engines
 
-    rows = [
-        [
-            entry.name,
-            ", ".join(p.human for p in entry.params) or "-",
-            entry.summary,
-        ]
-        for entry in registered_engines()
-    ]
-    print(render_table(
+    return _print_registry(
         "Registered simulation engines (select with --engine "
         "name:key=value,...)",
-        ["name", "parameters", "summary"],
-        rows,
-    ))
-    return 0
+        registered_engines(),
+    )
 
 
 def _cmd_defenses(args: argparse.Namespace) -> int:
     from repro.defenses import registered_defenses
 
-    rows = [
-        [
-            entry.name,
-            ", ".join(p.human for p in entry.params) or "-",
-            entry.summary,
-        ]
-        for entry in registered_defenses()
-    ]
-    print(render_table(
+    return _print_registry(
         "Registered defenses (select with --defenses name:key=value,...)",
-        ["name", "parameters", "summary"],
-        rows,
-    ))
-    return 0
+        registered_defenses(),
+    )
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
@@ -636,8 +591,9 @@ def stderr_progress_line(line: str) -> None:
     print(line, file=sys.stderr)
 
 
-def _resolve_trace(args) -> "tuple[object, object] | None":
-    """Shared stats/trace front half: selector -> (path, parsed trace)."""
+def _print_trace(args: argparse.Namespace, render) -> int:
+    """Shared stats/fleet/trace body: selector -> parsed trace ->
+    ``render(trace, path)``."""
     from repro.exp import ResultStore
     from repro.obs import read_trace, resolve_trace_path
 
@@ -646,41 +602,29 @@ def _resolve_trace(args) -> "tuple[object, object] | None":
         path = resolve_trace_path(store.directory, args.selector)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return None
-    return path, read_trace(path)
+        return 1
+    print(render(read_trace(path), path))
+    return 0
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     from repro.obs.stats import render_stats
 
-    resolved = _resolve_trace(args)
-    if resolved is None:
-        return 1
-    path, trace = resolved
-    print(render_stats(trace, path))
-    return 0
+    return _print_trace(args, render_stats)
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
     from repro.obs.stats import render_fleet_status
 
-    resolved = _resolve_trace(args)
-    if resolved is None:
-        return 1
-    path, trace = resolved
-    print(render_fleet_status(trace, path))
-    return 0
+    return _print_trace(args, render_fleet_status)
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs.stats import render_trace
 
-    resolved = _resolve_trace(args)
-    if resolved is None:
-        return 1
-    path, trace = resolved
-    print(render_trace(trace, job=args.job, limit=args.limit, path=path))
-    return 0
+    return _print_trace(args, lambda trace, path: render_trace(
+        trace, job=args.job, limit=args.limit, path=path
+    ))
 
 
 def _cmd_bandwidth(args: argparse.Namespace) -> int:
@@ -733,6 +677,80 @@ def _cmd_workloads(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_cache_dir(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--cache-dir", default=None,
+                        help="result cache directory (default: "
+                        "$REPRO_CACHE_DIR or ~/.cache/qprac-repro)")
+
+
+def _add_selector(parser: argparse.ArgumentParser) -> None:
+    """The sweep-trace selector of `stats`, `fleet` and `trace`."""
+    parser.add_argument("selector", nargs="?", default=None,
+                        help="trace file path, sweep-id prefix, or 'latest' "
+                        "(default: the most recent trace)")
+    _add_cache_dir(parser)
+
+
+def _add_workloads(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("workloads", nargs="*",
+                        help="workload names; may be empty when --attacks "
+                        "supplies the grid")
+
+
+def _add_grid_options(
+    parser: argparse.ArgumentParser,
+    entries: int = 5000,
+    defense_flags: tuple[str, ...] = ("--defenses", "--variants"),
+) -> None:
+    """The grid options of `sweep`, `submit` and `hunt`: defenses,
+    attack patterns, trace length, PRAC point, seed and engine.  The
+    default defenses and patterns are the command's (see its
+    description)."""
+    parser.add_argument(*defense_flags, nargs="+", default=None,
+                        dest="defenses", metavar="DEFENSE",
+                        help="registered defenses, e.g. qprac "
+                        "moat:proactive_every_n_refs=4 mithril:t_rh=256 "
+                        "(see `repro defenses`)")
+    parser.add_argument("--attacks", nargs="+", default=None,
+                        metavar="PATTERN",
+                        help="registered attack patterns, e.g. "
+                        "decoy:reads_per_trefi=4 hammer:banks=4 "
+                        "(see `repro attacks`)")
+    parser.add_argument("--entries", type=int, default=entries,
+                        help=f"accesses per core (default {entries})")
+    parser.add_argument("--nbo-value", type=int, default=32)
+    parser.add_argument("--n-mit", type=int, default=1, choices=(1, 2, 4))
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--engine", default="event",
+                        help="simulation engine for every job (see `repro "
+                        "engines`); cached rows are engine-keyed, so event "
+                        "and epoch sweeps never mix")
+
+
+def _add_run_options(parser: argparse.ArgumentParser, backend: str) -> None:
+    """The execution options of `sweep` and `submit`."""
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="worker processes (default 1 = in-process)")
+    parser.add_argument("--backend", default=backend,
+                        help="execution backend (see `repro backends`): "
+                        f"serial, pool, remote-fleet (default {backend})")
+    parser.add_argument("--hosts", nargs="+", default=None, metavar="HOST",
+                        help="host list for --backend remote-fleet "
+                        "('local' spawns a plain subprocess)")
+    parser.add_argument("--faults", default=None, metavar="PLAN",
+                        help="chaos-injection plan for --backend "
+                        "remote-fleet, e.g. 'kill-worker;drop-host:"
+                        "host=local,times=2' (see repro.fleet.faults; "
+                        "equivalent to setting $REPRO_FLEET_FAULTS)")
+    parser.add_argument("--trace", action="store_true",
+                        help="record per-request latency telemetry in "
+                        "every executed job (results stay byte-identical); "
+                        "read it back with `repro stats` / `repro trace`")
+    parser.add_argument("--print-digest", action="store_true",
+                        help="print the sha256 of the aggregate payloads "
+                        "(backend-equivalence checks)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -753,70 +771,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("panopticon", help="Panopticon attacks (Figs 2/3/23)")
     p.set_defaults(func=_cmd_panopticon)
 
-    p = sub.add_parser("perf", help="variant sweep on workloads (Figs 14/15)")
-    p.add_argument("workloads", nargs="+")
-    p.add_argument("--entries", type=int, default=5000)
-    p.add_argument("--nbo-value", type=int, default=32)
-    p.add_argument("--n-mit", type=int, default=1, choices=(1, 2, 4))
-    p.add_argument("--engine", default="event",
-                   help="simulation engine (see `repro engines`): event "
-                   "(reference) or epoch[:trefi_chunk=N]")
-    p.set_defaults(func=_cmd_perf)
-
     p = sub.add_parser(
         "sweep",
-        help="parallel, cached workload x variant sweep",
-        description="Run a workload x variant sweep through the "
+        help="parallel, cached workload x defense sweep",
+        description="Run a workload x defense sweep through the "
         "experiment orchestrator: parallel with --jobs, resumable via "
-        "the content-addressed result cache.",
+        "the content-addressed result cache (--no-cache simulates "
+        "everything).  Attack patterns sweep like workloads; the "
+        "defenses default to the paper's five QPRAC variants.",
     )
-    p.add_argument("workloads", nargs="*",
-                   help="workload names; may be empty when --attacks "
-                   "supplies the grid")
-    p.add_argument("--defenses", "--variants", nargs="+", default=None,
-                   dest="defenses", metavar="DEFENSE",
-                   help="registered defenses, e.g. qprac "
-                   "moat:proactive_every_n_refs=4 mithril:t_rh=256 "
-                   "(default: the paper's five QPRAC variants; "
-                   "see `repro defenses`)")
-    p.add_argument("--attacks", nargs="+", default=None, metavar="PATTERN",
-                   help="registered attack patterns swept like workloads, "
-                   "e.g. decoy:reads_per_trefi=4 hammer:banks=4 "
-                   "(see `repro attacks`)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes (default 1 = in-process)")
-    p.add_argument("--entries", type=int, default=5000)
-    p.add_argument("--nbo-value", type=int, default=32)
-    p.add_argument("--n-mit", type=int, default=1, choices=(1, 2, 4))
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cache-dir", default=None,
-                   help="result cache directory (default: "
-                   "$REPRO_CACHE_DIR or ~/.cache/qprac-repro)")
+    _add_workloads(p)
+    _add_grid_options(p)
+    _add_run_options(p, backend="auto")
+    _add_cache_dir(p)
     p.add_argument("--no-cache", action="store_true",
                    help="simulate everything; do not read or write the cache")
-    p.add_argument("--backend", default="auto",
-                   help="execution backend (see `repro backends`): serial, "
-                   "pool, remote-fleet; default auto = serial for "
-                   "--jobs 1, pool otherwise")
-    p.add_argument("--hosts", nargs="+", default=None, metavar="HOST",
-                   help="host list for --backend remote-fleet ('local' "
-                   "spawns a plain subprocess)")
-    p.add_argument("--faults", default=None, metavar="PLAN",
-                   help="chaos-injection plan for --backend remote-fleet, "
-                   "e.g. 'kill-worker;drop-host:host=local,times=2' "
-                   "(see repro.fleet.faults; equivalent to setting "
-                   "$REPRO_FLEET_FAULTS)")
-    p.add_argument("--engine", default="event",
-                   help="simulation engine for every job (see `repro "
-                   "engines`); cached rows are engine-keyed, so event "
-                   "and epoch sweeps never mix")
-    p.add_argument("--print-digest", action="store_true",
-                   help="print the sha256 of the aggregate payloads "
-                   "(backend-equivalence checks)")
-    p.add_argument("--trace", action="store_true",
-                   help="record per-request latency telemetry in every "
-                   "executed job (results stay byte-identical); read it "
-                   "back with `repro stats` / `repro trace`")
     p.add_argument("--quiet", action="store_true",
                    help="suppress per-job progress on stderr")
     p.set_defaults(func=_cmd_sweep)
@@ -828,28 +797,15 @@ def build_parser() -> argparse.ArgumentParser:
         "(through the cached, parallel sweep orchestrator) and rank each "
         "defense's patterns by alerts/tREFI, slowdown and PSQ "
         "high-water.  The report is deterministic: re-runs cache-hit "
-        "and rank identically.",
+        "and rank identically.  Defaults: qprac against one operating "
+        "point per built-in pattern family.",
     )
-    p.add_argument("--defenses", nargs="+", default=None, metavar="DEFENSE",
-                   help="defenses to hunt against (default: qprac; "
-                   "see `repro defenses`)")
-    p.add_argument("--attacks", nargs="+", default=None, metavar="PATTERN",
-                   help="patterns to try (default: one operating point "
-                   "per built-in family; see `repro attacks`)")
-    p.add_argument("--entries", type=int, default=4000)
-    p.add_argument("--nbo-value", type=int, default=32)
-    p.add_argument("--n-mit", type=int, default=1, choices=(1, 2, 4))
-    p.add_argument("--seed", type=int, default=0)
+    _add_grid_options(p, entries=4000, defense_flags=("--defenses",))
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes (default 1 = in-process)")
     p.add_argument("--backend", default="auto",
                    help="execution backend (see `repro backends`)")
-    p.add_argument("--engine", default="event",
-                   help="simulation engine for every job (see `repro "
-                   "engines`)")
-    p.add_argument("--cache-dir", default=None,
-                   help="result cache directory (default: "
-                   "$REPRO_CACHE_DIR or ~/.cache/qprac-repro)")
+    _add_cache_dir(p)
     p.add_argument("--no-cache", action="store_true",
                    help="simulate everything; do not read or write the cache")
     p.add_argument("--out", default=None, metavar="FILE",
@@ -913,9 +869,7 @@ def build_parser() -> argparse.ArgumentParser:
         "file with only the live records.",
     )
     p.add_argument("action", choices=("info", "gc"))
-    p.add_argument("--cache-dir", default=None,
-                   help="result cache directory (default: "
-                   "$REPRO_CACHE_DIR or ~/.cache/qprac-repro)")
+    _add_cache_dir(p)
     p.add_argument("--spool-age", type=float, default=None, metavar="S",
                    help="gc: reclaim fleet spool dirs idle for more "
                    "than S seconds (default 3600; a live sweep's "
@@ -941,9 +895,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queue-limit", type=int, default=8,
                    help="max queued sweeps before submissions get 429 "
                    "(default 8)")
-    p.add_argument("--cache-dir", default=None,
-                   help="result cache directory (default: "
-                   "$REPRO_CACHE_DIR or ~/.cache/qprac-repro)")
+    _add_cache_dir(p)
     p.add_argument("--quiet", action="store_true",
                    help="suppress per-request access log on stderr")
     p.set_defaults(func=_cmd_serve)
@@ -956,42 +908,16 @@ def build_parser() -> argparse.ArgumentParser:
         "service builds the identical spec, so digests match a local "
         "serial run byte for byte.",
     )
-    p.add_argument("workloads", nargs="*",
-                   help="workload names; may be empty when --attacks "
-                   "supplies the grid")
+    _add_workloads(p)
+    _add_grid_options(p)
     p.add_argument("--url", default="http://127.0.0.1:8077",
                    help="service base URL (default http://127.0.0.1:8077)")
-    p.add_argument("--defenses", "--variants", nargs="+", default=None,
-                   dest="defenses", metavar="DEFENSE",
-                   help="registered defenses (default: the paper's five "
-                   "QPRAC variants)")
-    p.add_argument("--attacks", nargs="+", default=None, metavar="PATTERN",
-                   help="registered attack patterns swept like workloads")
-    p.add_argument("--entries", type=int, default=5000)
-    p.add_argument("--nbo-value", type=int, default=32)
-    p.add_argument("--n-mit", type=int, default=1, choices=(1, 2, 4))
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--engine", default="event",
-                   help="simulation engine for every job")
-    p.add_argument("--backend", default="serial",
-                   help="execution backend the service runs the sweep "
-                   "on (default serial)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for parallel backends")
-    p.add_argument("--hosts", nargs="+", default=None, metavar="HOST",
-                   help="host list for the remote-fleet backend")
-    p.add_argument("--faults", default=None, metavar="PLAN",
-                   help="chaos-injection plan (remote-fleet backend only)")
-    p.add_argument("--trace", action="store_true",
-                   help="record per-request latency telemetry")
+    _add_run_options(p, backend="serial")
     p.add_argument("--no-wait", action="store_true",
                    help="print the sweep id and return without waiting")
     p.add_argument("--timeout", type=float, default=None,
                    help="max seconds to wait for completion "
                    "(default: wait forever)")
-    p.add_argument("--print-digest", action="store_true",
-                   help="print the aggregate sha256 (same line format "
-                   "as `repro sweep --print-digest`)")
     p.set_defaults(func=_cmd_submit)
 
     p = sub.add_parser(
@@ -1068,12 +994,7 @@ def build_parser() -> argparse.ArgumentParser:
         "cache and print the sweep's operational metrics, store health, "
         "and per-job request-latency percentiles.",
     )
-    p.add_argument("selector", nargs="?", default=None,
-                   help="trace file path, sweep-id prefix, or 'latest' "
-                   "(default: the most recent trace)")
-    p.add_argument("--cache-dir", default=None,
-                   help="result cache directory (default: "
-                   "$REPRO_CACHE_DIR or ~/.cache/qprac-repro)")
+    _add_selector(p)
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser(
@@ -1085,12 +1006,7 @@ def build_parser() -> argparse.ArgumentParser:
         "remote-fleet sweep.",
     )
     p.add_argument("action", choices=("status",))
-    p.add_argument("selector", nargs="?", default=None,
-                   help="trace file path, sweep-id prefix, or 'latest' "
-                   "(default: the most recent trace)")
-    p.add_argument("--cache-dir", default=None,
-                   help="result cache directory (default: "
-                   "$REPRO_CACHE_DIR or ~/.cache/qprac-repro)")
+    _add_selector(p)
     p.set_defaults(func=_cmd_fleet)
 
     p = sub.add_parser(
@@ -1100,16 +1016,11 @@ def build_parser() -> argparse.ArgumentParser:
         "latency, op, core) recorded for each job of a telemetry-enabled "
         "sweep (`repro sweep --trace`).",
     )
-    p.add_argument("selector", nargs="?", default=None,
-                   help="trace file path, sweep-id prefix, or 'latest' "
-                   "(default: the most recent trace)")
+    _add_selector(p)
     p.add_argument("--job", default=None,
                    help="only jobs whose label contains this substring")
     p.add_argument("--limit", type=int, default=20,
                    help="samples shown per job (default 20)")
-    p.add_argument("--cache-dir", default=None,
-                   help="result cache directory (default: "
-                   "$REPRO_CACHE_DIR or ~/.cache/qprac-repro)")
     p.set_defaults(func=_cmd_trace)
 
     p = sub.add_parser("bandwidth", help="performance attack (Fig 19)")

@@ -342,12 +342,6 @@ class MemorySystem:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def _schedule_consider(self, bank: BankState, t: float) -> None:
-        if bank.consider_scheduled:
-            return
-        bank.consider_scheduled = True
-        self.events.schedule(t, bank.consider_handler)
-
     def _consider_bank(self, bank: BankState, now: float) -> None:
         """Per-bank wake-up: commit the next request once the bank is free.
 

@@ -41,10 +41,6 @@ class SetAssociativeCache:
         self.misses = 0
         self.writebacks = 0
 
-    def _locate(self, addr: int) -> tuple[int, int]:
-        line = addr >> self._offset_bits
-        return line & self._set_mask, line >> self._set_bits
-
     def access(self, addr: int, is_write: bool) -> tuple[bool, int | None]:
         """Access one address.
 

@@ -6,19 +6,11 @@ picklable, byte-stably serializable, and resolvable to a per-bank engine
 factory through a process-wide :class:`DefenseRegistry`.  The spec is the
 unit the experiment orchestrator sweeps, caches and labels by; the
 registry is the single place a defense's construction logic lives.
-
-Two properties are load-bearing:
-
-* **Registry-independent identity.**  A spec's serialized form (and hence
-  every cache key derived from it) depends only on its own ``name`` and
-  ``params`` — never on what else is registered or in which order.
-  Registering a new defense can never invalidate cached results of
-  existing ones.
-* **Fail-fast validation.**  Resolution (``spec.factory()`` or
-  :func:`resolve_defense`) checks the name against the registry and the
-  params against the builder's signature, so a sweep over a typo'd
-  defense dies before any simulation runs, with the registered
-  alternatives in the error message.
+Both are the shared :class:`~repro.specs.Spec` and
+:class:`~repro.specs.Registry`: a spec's cache identity depends only on
+its own name and params, and resolution (``spec.factory()`` or
+:func:`resolve_defense`) fails fast on a typo'd name or parameter,
+naming the registered alternatives.
 
 External code plugs in new designs with one decorator::
 
@@ -42,17 +34,16 @@ with "unknown defense".
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import TYPE_CHECKING, Callable
 
-from repro.errors import ConfigError, ReproError
+from repro.errors import ConfigError
 from repro.params import MitigationVariant, SystemConfig
 from repro.specs import (
+    RegisteredEntry,
+    Registry,
+    Spec,
     SpecParam,
-    check_params,
     introspect_params,
-    parse_name_params,
-    render_value as _render_value,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -64,81 +55,54 @@ DefenseBuilder = Callable[..., "BankDefense"]
 #: Canonical name of the paper's non-secure baseline defense.
 BASELINE_NAME = "baseline"
 
+#: One keyword parameter a registered builder accepts — the shared
+#: :class:`~repro.specs.SpecParam` (same table the engine registry
+#: uses, so listings and validation can never diverge).
+DefenseParam = SpecParam
 
-@dataclass(frozen=True)
-class DefenseSpec:
-    """A serializable description of one defense: name + parameters.
 
-    Params are stored as a sorted tuple of ``(key, value)`` pairs so two
-    specs naming the same configuration always compare (and hash, and
-    serialize) identically regardless of construction order.
+class RegisteredDefense(RegisteredEntry):
+    """Registry entry: the builder (``target``) plus its parameter table."""
+
+
+class DefenseRegistry(Registry):
+    """Name → :class:`RegisteredDefense` map with duplicate rejection.
+
+    ``register(name, summary)`` decorates a builder, called as
+    ``builder(bank_index, config, **params)`` once per bank; its keyword
+    parameters (introspected from the signature) become the spec's
+    valid params.
     """
 
-    name: str
-    params: tuple[tuple[str, object], ...] = ()
+    kind = "defense"
+    plural = "defenses"
+    entry_type = RegisteredDefense
 
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ConfigError("defense name must be non-empty")
-        object.__setattr__(
-            self, "params", tuple(sorted(dict(self.params).items()))
+    def _params(self, name: str, builder: DefenseBuilder):
+        """Parameter table from a builder's signature (skipping bank/config)."""
+        if len(inspect.signature(builder).parameters) < 2:
+            raise ConfigError(
+                "a defense builder must accept (bank_index, config) plus "
+                "keyword parameters"
+            )
+        return introspect_params(
+            builder, skip=2, kind="defense builder", owner=repr(builder)
         )
 
-    # -- construction --------------------------------------------------
-    @classmethod
-    def of(cls, name: str, **params: object) -> "DefenseSpec":
-        """Convenience constructor: ``DefenseSpec.of("moat", eth=8)``."""
-        return cls(name=name, params=tuple(params.items()))
 
-    @classmethod
-    def from_string(cls, text: str) -> "DefenseSpec":
-        """Parse the CLI syntax ``name`` or ``name:key=value,key=value``.
+#: The process-wide registry every un-scoped resolution consults.
+REGISTRY = DefenseRegistry()
 
-        Values are coerced (int/float/bool/None) by the shared grammar
-        in :mod:`repro.specs` — identical for defenses and engines.
-        """
-        name, params = parse_name_params(text, "defense")
-        return cls.of(name, **params)
+#: Module-level decorator bound to the global registry (the public API).
+register_defense = REGISTRY.register
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, object]) -> "DefenseSpec":
-        """Inverse of :meth:`to_dict`."""
-        name = payload.get("name")
-        params = payload.get("params", {})
-        if not isinstance(name, str) or not isinstance(params, Mapping):
-            raise ConfigError(f"malformed defense payload: {payload!r}")
-        return cls.of(name, **dict(params))
 
-    # -- identity ------------------------------------------------------
-    @property
-    def params_dict(self) -> dict[str, object]:
-        return dict(self.params)
+class DefenseSpec(Spec):
+    """A serializable description of one defense: name + parameters
+    (the shared :class:`~repro.specs.Spec`)."""
 
-    @property
-    def label(self) -> str:
-        """Canonical human/cache label: ``name[:k=v,...]`` (sorted keys).
+    registry = REGISTRY
 
-        String values that would parse back as a different type are
-        quoted (``mode='8'``), keeping the label loss-free.
-        """
-        if not self.params:
-            return self.name
-        rendered = ",".join(
-            f"{k}={_render_value(v)}" for k, v in self.params
-        )
-        return f"{self.name}:{rendered}"
-
-    def to_string(self) -> str:
-        """CLI-syntax form; ``from_string(to_string())`` round-trips for
-        every value the syntax can express — scalars, and strings without
-        commas or quotes (build exotic specs with :meth:`of` instead)."""
-        return self.label
-
-    def to_dict(self) -> dict:
-        """JSON-able form; feeds cache keys, so registry-independent."""
-        return {"name": self.name, "params": self.params_dict}
-
-    # -- shims ---------------------------------------------------------
     @property
     def variant(self) -> MitigationVariant | None:
         """The QPRAC policy this spec names, or None for other defenses."""
@@ -151,120 +115,20 @@ class DefenseSpec:
     def is_baseline(self) -> bool:
         return self.name == BASELINE_NAME
 
-    # -- resolution ----------------------------------------------------
-    def validate(self, registry: "DefenseRegistry | None" = None) -> None:
-        """Check name and params against the registry; raise otherwise."""
-        (registry or REGISTRY).entry(self.name).check_params(self.params_dict)
-
-    def factory(self, registry: "DefenseRegistry | None" = None):
+    def factory(self, registry: DefenseRegistry | None = None):
         """Resolve to a per-bank :data:`DefenseFactory` (validated).
 
         The returned callable carries this spec as a ``spec`` attribute so
-        downstream code (e.g. result labeling) can recover the name.
+        downstream code can recover the name.
         """
-        entry = (registry or REGISTRY).entry(self.name)
-        entry.check_params(self.params_dict)
+        builder = self.validate(registry).target
         params = self.params_dict
 
         def make(bank_index: int, config: SystemConfig):
-            return entry.builder(bank_index, config, **params)
+            return builder(bank_index, config, **params)
 
         make.spec = self  # type: ignore[attr-defined]
         return make
-
-
-#: One keyword parameter a registered builder accepts — the shared
-#: :class:`~repro.specs.SpecParam` (same table the engine registry
-#: uses, so listings and validation can never diverge).
-DefenseParam = SpecParam
-
-
-@dataclass(frozen=True)
-class RegisteredDefense:
-    """Registry entry: the builder plus its introspected parameter table."""
-
-    name: str
-    builder: DefenseBuilder
-    summary: str = ""
-    params: tuple[DefenseParam, ...] = field(default=())
-
-    def check_params(self, params: Mapping[str, object]) -> None:
-        check_params("defense", self.name, self.params, params)
-
-
-def _introspect_params(builder: DefenseBuilder) -> tuple[DefenseParam, ...]:
-    """Parameter table from a builder's signature (skipping bank/config)."""
-    if len(inspect.signature(builder).parameters) < 2:
-        raise ConfigError(
-            "a defense builder must accept (bank_index, config) plus "
-            "keyword parameters"
-        )
-    return introspect_params(
-        builder, skip=2, kind="defense builder", owner=repr(builder)
-    )
-
-
-class DefenseRegistry:
-    """Name → :class:`RegisteredDefense` map with duplicate rejection."""
-
-    def __init__(self) -> None:
-        self._entries: dict[str, RegisteredDefense] = {}
-
-    def register(
-        self, name: str, summary: str = ""
-    ) -> Callable[[DefenseBuilder], DefenseBuilder]:
-        """Decorator registering ``builder`` under ``name``.
-
-        The builder is called as ``builder(bank_index, config, **params)``
-        once per bank; its keyword parameters (introspected from the
-        signature) become the spec's valid params.
-        """
-        if not name:
-            raise ConfigError("defense name must be non-empty")
-
-        def decorator(builder: DefenseBuilder) -> DefenseBuilder:
-            if name in self._entries:
-                raise ConfigError(
-                    f"defense {name!r} is already registered "
-                    f"(by {self._entries[name].builder!r})"
-                )
-            self._entries[name] = RegisteredDefense(
-                name=name,
-                builder=builder,
-                summary=summary,
-                params=_introspect_params(builder),
-            )
-            return builder
-
-        return decorator
-
-    def entry(self, name: str) -> RegisteredDefense:
-        try:
-            return self._entries[name]
-        except KeyError:
-            known = ", ".join(self.names()) or "(none)"
-            raise ReproError(
-                f"unknown defense {name!r}; registered defenses: {known}"
-            ) from None
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(sorted(self._entries))
-
-    def entries(self) -> tuple[RegisteredDefense, ...]:
-        return tuple(self._entries[name] for name in self.names())
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-#: The process-wide registry every un-scoped resolution consults.
-REGISTRY = DefenseRegistry()
-
-#: Module-level decorator bound to the global registry (the public API).
-register_defense = REGISTRY.register
 
 
 def registered_defenses() -> tuple[RegisteredDefense, ...]:
@@ -278,20 +142,10 @@ def resolve_defense(
 ) -> DefenseSpec:
     """Normalize any defense designator to a validated :class:`DefenseSpec`.
 
-    Accepts a spec, a :class:`~repro.params.MitigationVariant` (the
-    compatibility shim: each variant resolves to its registered QPRAC
-    spec), or a string in the ``name[:k=v,...]`` CLI syntax.
+    Accepts a spec, a :class:`~repro.params.MitigationVariant` (each
+    variant resolves to its registered QPRAC spec), or a string in the
+    ``name[:k=v,...]`` CLI syntax.
     """
-    if isinstance(defense, DefenseSpec):
-        spec = defense
-    elif isinstance(defense, MitigationVariant):
-        spec = DefenseSpec(defense.value)
-    elif isinstance(defense, str):
-        spec = DefenseSpec.from_string(defense)
-    else:
-        raise ConfigError(
-            f"cannot resolve {defense!r} to a defense; pass a DefenseSpec, "
-            "a MitigationVariant, or a 'name:key=value' string"
-        )
-    spec.validate(registry)
-    return spec
+    if isinstance(defense, MitigationVariant):
+        defense = DefenseSpec(defense.value)
+    return DefenseSpec.resolve(defense, registry)

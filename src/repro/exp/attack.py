@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.attacks import AttackSpec, bandwidth_targets, resolve_attack
-from repro.defenses import DefenseSpec, resolve_defense
+from repro.defenses import DefenseSpec
 from repro.errors import ReproError
 from repro.exp.cache import ResultStore
 from repro.exp.serialize import (
@@ -30,9 +30,10 @@ from repro.exp.serialize import (
     canonical_json,
     code_version_salt,
 )
-from repro.params import MitigationVariant, SystemConfig, default_config
+from repro.params import MitigationVariant, SystemConfig
 from repro.sim.bandwidth import BandwidthResult, run_bandwidth_attack
 from repro.sim.engines import DEFAULT_ENGINE_SPEC, EngineSpec, resolve_engine
+from repro.sim.runner import defense_and_config
 
 ProgressFn = Callable[[str], None]
 
@@ -110,10 +111,7 @@ def attack_job(
     a typo dies before any simulation) whose row schedule replaces the
     classic strided pool.
     """
-    spec = resolve_defense(defense)
-    config = config or default_config()
-    if spec.variant is not None:
-        config = config.with_variant(spec.variant)
+    spec, config = defense_and_config(defense, config)
     return AttackJob(
         defense=spec,
         config=config,
@@ -138,7 +136,7 @@ def execute_attack_job(job: AttackJob) -> dict:
         )
     result = run_bandwidth_attack(
         job.config,
-        defense_factory=job.defense.factory(),
+        defense=job.defense,
         measure_ns=job.measure_ns,
         warmup_ns=job.warmup_ns,
         pool_rows_per_bank=job.pool_rows_per_bank,

@@ -85,12 +85,6 @@ def execute_job(job: Job) -> dict:
     return payload
 
 
-def execute_chunk(chunk: list[Job]) -> list[dict]:
-    """Run a batch of jobs, return their payloads (kept for callers that
-    predate the backend layer)."""
-    return [execute_job(job) for job in chunk]
-
-
 @dataclass
 class JobOutcome:
     """One finished job: where its result came from and what it was."""

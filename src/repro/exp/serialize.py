@@ -188,8 +188,14 @@ def result_to_dict(result: SystemResult) -> dict:
 
 
 def result_from_dict(payload: dict) -> SystemResult:
-    """Reconstruct a :class:`SystemResult` from :func:`result_to_dict`."""
+    """Reconstruct a :class:`SystemResult` from :func:`result_to_dict`.
+
+    The result gets its own ``core_ipcs`` list: the payload may be the
+    store index's entry, and a caller mutating the result must not
+    change what the store serves next.
+    """
     data = dict(payload)
+    data["core_ipcs"] = list(data["core_ipcs"])
     data["mitigations"] = {
         MitigationReason(name): count
         for name, count in data.get("mitigations", {}).items()

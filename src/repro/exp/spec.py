@@ -87,16 +87,6 @@ class Job:
     engine: EngineSpec = DEFAULT_ENGINE_SPEC
 
     @property
-    def variant(self) -> MitigationVariant | None:
-        """QPRAC compatibility shim: the policy this defense names, if any."""
-        return self.defense.variant
-
-    @property
-    def variant_name(self) -> str:
-        """Result/table label: the defense's canonical label."""
-        return self.defense.label
-
-    @property
     def label(self) -> str:
         return f"{self.workload.name}/{self.defense.label}"
 
@@ -166,10 +156,9 @@ class SweepSpec:
         Also run the non-secure baseline once per workload (required to
         aggregate slowdowns).
     seed:
-        Base seed.  Every expanded job carries its own explicit seed,
-        derived deterministically (currently the base seed itself — trace
-        generation further mixes in the workload name and core index, so
-        distinct jobs never share a trace stream).
+        Seed every expanded job carries explicitly.  Trace generation
+        mixes in the workload name and core index, so distinct jobs never
+        share a trace stream.
     engine:
         Simulation engine every job in the grid runs on — an
         :class:`~repro.sim.engines.EngineSpec`, a ``"name:k=v"`` string
@@ -247,15 +236,6 @@ class SweepSpec:
     def workload_names(self) -> tuple[str, ...]:
         return tuple(w.name for w in self.workloads)
 
-    @property
-    def defense_labels(self) -> tuple[str, ...]:
-        return tuple(d.label for d in self.defenses)
-
-    def job_seed(self, workload: WorkloadSpec, defense_label: str) -> int:
-        """Deterministic per-job seed (see class docstring)."""
-        del workload, defense_label
-        return self.seed
-
     def expand(self) -> list[Job]:
         """Materialise the grid, in stable (override, workload, defense)
         order with each workload's baseline first.
@@ -277,7 +257,7 @@ class SweepSpec:
                         overrides=(),
                         config=self.config,
                         n_entries=self.n_entries,
-                        seed=self.job_seed(workload, BASELINE),
+                        seed=self.seed,
                         engine=self.engine,
                     ))
                 for defense in self.defenses:
@@ -289,7 +269,7 @@ class SweepSpec:
                         overrides=overrides,
                         config=config,
                         n_entries=self.n_entries,
-                        seed=self.job_seed(workload, defense.label),
+                        seed=self.seed,
                         engine=self.engine,
                     ))
         return jobs

@@ -271,16 +271,3 @@ def read_worker_rows(path: str | Path) -> Iterator[dict]:
         row = parse_worker_row(line)
         if row is not None:
             yield row
-
-
-def read_results_file(path: str | Path) -> Iterator[tuple[int, dict]]:
-    """Yield ``(index, payload)`` result rows from a worker output file.
-
-    Damaged rows (a worker killed mid-write) and typed error rows are
-    skipped — the caller treats the missing indexes as failures or
-    cache misses, same as the :class:`~repro.exp.cache.ResultStore`
-    contract.
-    """
-    for row in read_worker_rows(path):
-        if "payload" in row:
-            yield row["index"], row["payload"]

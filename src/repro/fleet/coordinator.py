@@ -39,6 +39,7 @@ clean, and under every fault in :mod:`repro.fleet.faults`.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import math
 import os
@@ -262,7 +263,8 @@ class FleetCoordinator:
                     proc.communicate(), self.probe_timeout_s
                 )
             except asyncio.TimeoutError:
-                proc.kill()
+                with contextlib.suppress(ProcessLookupError):
+                    proc.kill()
                 await proc.wait()
                 raise TransportDown(
                     f"probe timed out after {self.probe_timeout_s}s"
@@ -491,7 +493,10 @@ class FleetCoordinator:
                     f"per-job deadline expired ({self.lease.job_deadline_s}s)"
                 )
             if killed_reason is not None or self._should_stop():
-                proc.kill()
+                # The worker may have exited before ``waiter`` resolved:
+                # its transport is closed, and kill() would raise.
+                with contextlib.suppress(ProcessLookupError):
+                    proc.kill()
                 break
             try:
                 await asyncio.wait_for(asyncio.shield(waiter), POLL_S)

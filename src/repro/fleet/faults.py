@@ -97,10 +97,6 @@ class FleetFault:
         if self.times < 1:
             raise ReproError(f"fault times must be >= 1, got {self.times}")
 
-    @property
-    def is_worker_fault(self) -> bool:
-        return self.kind in WORKER_FAULT_KINDS
-
     def directive(self, hold_s: float | None = None) -> str:
         """The JSON directive a worker process receives via
         :data:`WORKER_FAULT_ENV`."""

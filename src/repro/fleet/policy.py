@@ -18,7 +18,7 @@ injected fault" a meaningful assertion.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.errors import ReproError
 
@@ -79,9 +79,6 @@ class RetryPolicy:
         digest = hashlib.sha256(f"{key}:{attempt}".encode()).digest()
         unit = int.from_bytes(digest[:8], "big") / float(1 << 64)
         return delay * (1.0 + self.jitter_frac * unit)
-
-    def with_max_retries(self, max_retries: int) -> "RetryPolicy":
-        return replace(self, max_retries=max_retries)
 
 
 @dataclass(frozen=True)

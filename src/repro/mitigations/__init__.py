@@ -8,7 +8,6 @@
   frequent-item sketch (also used by the Table IV storage model).
 """
 
-from repro.controller.memctrl import DefenseFactory
 from repro.mitigations.misra_gries import MisraGries
 from repro.mitigations.mithril import (
     MITHRIL_ENTRIES_PER_BANK,
@@ -23,21 +22,6 @@ from repro.mitigations.pride import (
     pride_cadence_acts,
 )
 
-
-def pride_factory(t_rh: int) -> DefenseFactory:
-    """Per-bank PrIDE engines tuned for ``t_rh`` (registry-backed)."""
-    from repro.defenses import DefenseSpec
-
-    return DefenseSpec.of("pride", t_rh=t_rh).factory()
-
-
-def mithril_factory(t_rh: int) -> DefenseFactory:
-    """Per-bank Mithril engines tuned for ``t_rh`` (registry-backed)."""
-    from repro.defenses import DefenseSpec
-
-    return DefenseSpec.of("mithril", t_rh=t_rh).factory()
-
-
 __all__ = [
     "MisraGries",
     "MithrilBank",
@@ -48,6 +32,4 @@ __all__ = [
     "PRIDE_SAMPLE_PROBABILITY",
     "PRIDE_TRH_TO_INTERVAL_RATIO",
     "pride_cadence_acts",
-    "pride_factory",
-    "mithril_factory",
 ]

@@ -1,9 +1,15 @@
-"""Simulation façade: pluggable engines, defense factories, experiment runners."""
+"""Simulation façade: pluggable engines, one defense selector, runners.
+
+``simulate_workload``, ``build_system`` and ``run_bandwidth_attack``
+name their defense one way — ``defense=`` (a
+:class:`~repro.defenses.DefenseSpec`, a ``"name:key=value"`` string or
+a :class:`~repro.params.MitigationVariant`; ``None`` runs
+``config.variant``'s QPRAC policy).
+"""
 
 from repro.sim.bandwidth import (
     BandwidthResult,
     analytical_bandwidth_reduction,
-    bandwidth_reduction,
     run_bandwidth_attack,
 )
 from repro.engine import EventQueue
@@ -15,27 +21,17 @@ from repro.sim.engines import (
     registered_engines,
     resolve_engine,
 )
-from repro.sim.factory import (
-    baseline_factory,
-    factory_for_variant,
-    moat_factory,
-    panopticon_factory,
-    qprac_factory,
-)
 from repro.sim.runner import (
     DEFAULT_ENTRIES,
     EVALUATED_VARIANTS,
     VariantComparison,
     build_system,
-    run_variant_comparison,
-    simulate_baseline,
     simulate_workload,
 )
 
 __all__ = [
     "BandwidthResult",
     "analytical_bandwidth_reduction",
-    "bandwidth_reduction",
     "run_bandwidth_attack",
     "DEFAULT_ENGINE",
     "EngineSpec",
@@ -44,16 +40,9 @@ __all__ = [
     "register_engine",
     "registered_engines",
     "resolve_engine",
-    "baseline_factory",
-    "factory_for_variant",
-    "moat_factory",
-    "panopticon_factory",
-    "qprac_factory",
     "DEFAULT_ENTRIES",
     "EVALUATED_VARIANTS",
     "VariantComparison",
     "build_system",
-    "run_variant_comparison",
-    "simulate_baseline",
     "simulate_workload",
 ]

@@ -27,12 +27,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.controller.memctrl import DefenseFactory, MemorySystem
+from repro.controller.memctrl import MemorySystem
 from repro.dram.address import AddressMapper
 from repro.engine import EventQueue
 from repro.errors import ConfigError
 from repro.params import RfmScope, SystemConfig, default_config
-from repro.sim.factory import baseline_factory, qprac_factory
+from repro.sim.runner import Defense, defense_and_config
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ class BandwidthResult:
 
 def run_bandwidth_attack(
     config: SystemConfig | None = None,
-    defense_factory: DefenseFactory | None = None,
+    defense: Defense = None,
     measure_ns: float = 400_000.0,
     warmup_ns: float | None = None,
     pool_rows_per_bank: int = 24,
@@ -70,16 +70,18 @@ def run_bandwidth_attack(
     the measurement window (after ``warmup_ns``, which defaults to the
     time the pool needs to climb to N_BO plus margin).
 
+    ``defense`` names the defense as ``simulate_workload``'s does
+    (``None``: ``config.variant``'s QPRAC policy).
+
     ``targets`` optionally replaces the default strided pool with
     explicit per-bank address pools (e.g. from
     :func:`repro.attacks.bandwidth_targets`); ``pool_rows_per_bank`` and
     ``attack_ranks`` only shape the default pool and the warm-up
     estimate then.
     """
-    config = config or default_config()
-    factory = defense_factory or qprac_factory()
+    spec, config = defense_and_config(defense, config)
     events = EventQueue()
-    memory = MemorySystem(config, events, factory)
+    memory = MemorySystem(config, events, spec.factory())
     mapper = AddressMapper(config.org)
     org = config.org
     row_stride = 2 * config.prac.blast_radius + 2
@@ -200,23 +202,3 @@ def analytical_bandwidth_reduction(
         fraction = 1.0 / config.org.banks_per_rank
     blocked_ns = service_ns * fraction
     return blocked_ns / (climb_ns + service_ns)
-
-
-def bandwidth_reduction(
-    config: SystemConfig,
-    measure_ns: float = 400_000.0,
-    baseline: BandwidthResult | None = None,
-    pool_rows_per_bank: int = 24,
-) -> tuple[float, BandwidthResult, BandwidthResult]:
-    """Convenience wrapper: (reduction, defended_run, baseline_run)."""
-    if baseline is None:
-        baseline = run_bandwidth_attack(
-            config,
-            defense_factory=baseline_factory(),
-            measure_ns=measure_ns,
-            pool_rows_per_bank=pool_rows_per_bank,
-        )
-    defended = run_bandwidth_attack(
-        config, measure_ns=measure_ns, pool_rows_per_bank=pool_rows_per_bank
-    )
-    return defended.reduction_vs(baseline), defended, baseline

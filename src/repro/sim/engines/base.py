@@ -4,14 +4,15 @@ A *simulation engine* is one way of executing a workload × defense job:
 the ``event`` engine drives the nanosecond event loop (the reference —
 byte-identical to the pre-registry simulator), the ``epoch`` engine
 advances whole tREFI windows at a time (approximate timing, several
-times faster).  Engines are the third registry next to defenses
-(:mod:`repro.defenses`) and sweep backends (:mod:`repro.exp.backend`):
+times faster).  Engines are a spec registry next to defenses
+(:mod:`repro.defenses`) and attack patterns (:mod:`repro.attacks`):
 everything that can run a simulation is addressable by name, so every
 figure chooses its fidelity/throughput point with a string.
 
 An :class:`EngineSpec` is the serializable selection — ``"event"``,
-``"epoch"``, ``"epoch:trefi_chunk=4"`` — with the same grammar, the same
-registry-independent identity and the same fail-fast validation as
+``"epoch"``, ``"epoch:trefi_chunk=4"`` — built on the shared
+:class:`~repro.specs.Spec`, so it has the grammar, the
+registry-independent identity and the fail-fast validation of
 :class:`~repro.defenses.DefenseSpec`.  Specs join
 :class:`~repro.exp.spec.Job` cache keys, so cached rows produced by
 different engines can never collide.
@@ -31,16 +32,15 @@ External code plugs in new engines with one decorator::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import TYPE_CHECKING
 
-from repro.errors import ConfigError, ReproError
+from repro.errors import ConfigError
 from repro.specs import (
+    RegisteredEntry,
+    Registry,
+    Spec,
     SpecParam,
-    check_params,
     introspect_params,
-    parse_name_params,
-    render_value,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -96,182 +96,41 @@ class SimEngine:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class EngineSpec:
-    """A serializable description of one engine: name + parameters.
-
-    Same contract as :class:`~repro.defenses.DefenseSpec`: params are a
-    sorted ``(key, value)`` tuple, so equal configurations hash, compare
-    and serialize identically regardless of construction order, and the
-    serialized form (hence every cache key) is independent of what else
-    is registered.
-    """
-
-    name: str
-    params: tuple[tuple[str, object], ...] = ()
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ConfigError("engine name must be non-empty")
-        object.__setattr__(
-            self, "params", tuple(sorted(dict(self.params).items()))
-        )
-
-    # -- construction --------------------------------------------------
-    @classmethod
-    def of(cls, name: str, **params: object) -> "EngineSpec":
-        """Convenience constructor: ``EngineSpec.of("epoch", trefi_chunk=4)``."""
-        return cls(name=name, params=tuple(params.items()))
-
-    @classmethod
-    def from_string(cls, text: str) -> "EngineSpec":
-        """Parse the CLI syntax ``name`` or ``name:key=value,key=value``
-        (the shared :mod:`repro.specs` grammar — identical for defenses
-        and engines)."""
-        name, params = parse_name_params(text, "engine")
-        return cls.of(name, **params)
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, object]) -> "EngineSpec":
-        """Inverse of :meth:`to_dict`."""
-        name = payload.get("name")
-        params = payload.get("params", {})
-        if not isinstance(name, str) or not isinstance(params, Mapping):
-            raise ConfigError(f"malformed engine payload: {payload!r}")
-        return cls.of(name, **dict(params))
-
-    # -- identity ------------------------------------------------------
-    @property
-    def params_dict(self) -> dict[str, object]:
-        return dict(self.params)
-
-    @property
-    def label(self) -> str:
-        """Canonical human/cache label: ``name[:k=v,...]`` (sorted keys)."""
-        if not self.params:
-            return self.name
-        rendered = ",".join(
-            f"{k}={render_value(v)}" for k, v in self.params
-        )
-        return f"{self.name}:{rendered}"
-
-    def to_string(self) -> str:
-        return self.label
-
-    def to_dict(self) -> dict:
-        """JSON-able form; feeds cache keys, so registry-independent."""
-        return {"name": self.name, "params": self.params_dict}
-
-    @property
-    def is_reference(self) -> bool:
-        """True for the byte-identical reference engine (``event``)."""
-        return self.name == DEFAULT_ENGINE
-
-    # -- resolution ----------------------------------------------------
-    def validate(self, registry: "EngineRegistry | None" = None) -> None:
-        """Check name and params against the registry; raise otherwise."""
-        (registry or REGISTRY).entry(self.name).check_params(self.params_dict)
-
-    def build(self, registry: "EngineRegistry | None" = None) -> SimEngine:
-        """Resolve to a ready :class:`SimEngine` instance (validated)."""
-        entry = (registry or REGISTRY).entry(self.name)
-        entry.check_params(self.params_dict)
-        engine = entry.cls(**self.params_dict)
-        engine.spec = self  # type: ignore[attr-defined]
-        return engine
-
-
-#: The spec every un-specified simulation resolves to.
-DEFAULT_ENGINE_SPEC = EngineSpec(DEFAULT_ENGINE)
-
-
 #: One keyword parameter a registered engine's constructor accepts —
 #: the shared :class:`~repro.specs.SpecParam` (same table the defense
 #: registry uses, so listings and validation can never diverge).
 EngineParam = SpecParam
 
 
-@dataclass(frozen=True)
-class RegisteredEngine:
-    """Registry entry: the engine class plus its parameter table."""
-
-    name: str
-    cls: type[SimEngine]
-    summary: str = ""
-    params: tuple[EngineParam, ...] = field(default=())
-
-    def check_params(self, params: Mapping[str, object]) -> None:
-        check_params("engine", self.name, self.params, params)
+class RegisteredEngine(RegisteredEntry):
+    """Registry entry: the engine class (``target``) plus its parameter
+    table."""
 
 
-def _introspect_params(cls: type[SimEngine]) -> tuple[EngineParam, ...]:
-    """Parameter table from the engine constructor (skipping ``self``)."""
-    if cls.__init__ is object.__init__:
-        return ()  # parameterless engine: no constructor declared
-    return introspect_params(
-        cls.__init__, skip=1, kind="engine", owner=repr(cls)
-    )
+class EngineRegistry(Registry):
+    """Name → :class:`RegisteredEngine` map with duplicate rejection.
 
+    ``register(name, summary)`` decorates a :class:`SimEngine` subclass;
+    its constructor keyword parameters (introspected from ``__init__``)
+    become the spec's valid params.
+    """
 
-class EngineRegistry:
-    """Name → :class:`RegisteredEngine` map with duplicate rejection."""
+    kind = "engine"
+    plural = "engines"
+    entry_type = RegisteredEngine
 
-    def __init__(self) -> None:
-        self._entries: dict[str, RegisteredEngine] = {}
-
-    def register(
-        self, name: str, summary: str = ""
-    ) -> Callable[[type[SimEngine]], type[SimEngine]]:
-        """Class decorator registering a :class:`SimEngine` under ``name``.
-
-        Constructor keyword parameters (introspected from ``__init__``)
-        become the spec's valid params.
-        """
-        if not name:
-            raise ConfigError("engine name must be non-empty")
-
-        def decorator(cls: type[SimEngine]) -> type[SimEngine]:
-            if name in self._entries:
-                raise ConfigError(
-                    f"engine {name!r} is already registered "
-                    f"(by {self._entries[name].cls!r})"
-                )
-            if not (isinstance(cls, type) and issubclass(cls, SimEngine)):
-                raise ConfigError(
-                    f"@register_engine({name!r}) needs a SimEngine "
-                    f"subclass, got {cls!r}"
-                )
-            cls.name = name
-            self._entries[name] = RegisteredEngine(
-                name=name,
-                cls=cls,
-                summary=summary,
-                params=_introspect_params(cls),
+    def _params(self, name: str, cls: type[SimEngine]):
+        if not (isinstance(cls, type) and issubclass(cls, SimEngine)):
+            raise ConfigError(
+                f"@register_engine({name!r}) needs a SimEngine "
+                f"subclass, got {cls!r}"
             )
-            return cls
-
-        return decorator
-
-    def entry(self, name: str) -> RegisteredEngine:
-        try:
-            return self._entries[name]
-        except KeyError:
-            known = ", ".join(self.names()) or "(none)"
-            raise ReproError(
-                f"unknown engine {name!r}; registered engines: {known}"
-            ) from None
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(sorted(self._entries))
-
-    def entries(self) -> tuple[RegisteredEngine, ...]:
-        return tuple(self._entries[name] for name in self.names())
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
+        cls.name = name
+        if cls.__init__ is object.__init__:
+            return ()  # parameterless engine: no constructor declared
+        return introspect_params(
+            cls.__init__, skip=1, kind="engine", owner=repr(cls)
+        )
 
 
 #: The process-wide registry every un-scoped resolution consults.
@@ -279,6 +138,29 @@ REGISTRY = EngineRegistry()
 
 #: Module-level decorator bound to the global registry (the public API).
 register_engine = REGISTRY.register
+
+
+class EngineSpec(Spec):
+    """A serializable description of one engine: name + parameters (the
+    shared :class:`~repro.specs.Spec`, so its serialized form — hence
+    every cache key — is independent of what else is registered)."""
+
+    registry = REGISTRY
+
+    @property
+    def is_reference(self) -> bool:
+        """True for the byte-identical reference engine (``event``)."""
+        return self.name == DEFAULT_ENGINE
+
+    def build(self, registry: EngineRegistry | None = None) -> SimEngine:
+        """Resolve to a ready :class:`SimEngine` instance (validated)."""
+        engine = self.validate(registry).target(**self.params_dict)
+        engine.spec = self  # type: ignore[attr-defined]
+        return engine
+
+
+#: The spec every un-specified simulation resolves to.
+DEFAULT_ENGINE_SPEC = EngineSpec(DEFAULT_ENGINE)
 
 
 def registered_engines() -> tuple[RegisteredEngine, ...]:
@@ -295,16 +177,6 @@ def resolve_engine(
     ``None`` resolves to the reference :data:`DEFAULT_ENGINE_SPEC`;
     strings use the ``name[:k=v,...]`` CLI syntax.
     """
-    if engine is None:
-        spec = DEFAULT_ENGINE_SPEC
-    elif isinstance(engine, EngineSpec):
-        spec = engine
-    elif isinstance(engine, str):
-        spec = EngineSpec.from_string(engine)
-    else:
-        raise ConfigError(
-            f"cannot resolve {engine!r} to an engine; pass an EngineSpec "
-            "or a 'name:key=value' string"
-        )
-    spec.validate(registry)
-    return spec
+    return EngineSpec.resolve(
+        DEFAULT_ENGINE_SPEC if engine is None else engine, registry
+    )

@@ -1,17 +1,21 @@
-"""Experiment façade: one-call simulation of workloads and defense sweeps.
+"""Experiment façade: one-call simulation of a workload under a defense.
 
 This is the API the benchmarks and examples use::
 
-    from repro.sim import simulate_workload, run_variant_comparison
+    from repro.sim import simulate_workload
 
-    result = simulate_workload("429.mcf", defense="qprac")
+    result = simulate_workload("429.mcf")              # config.variant's QPRAC
+    result = simulate_workload("429.mcf", defense="baseline")
     result = simulate_workload("429.mcf", defense="moat:proactive_every_n_refs=4")
-    table = run_variant_comparison(["429.mcf", "470.lbm"], n_entries=20_000)
 
-Any defense is selected by a :class:`~repro.defenses.DefenseSpec` (or its
-string / :class:`~repro.params.MitigationVariant` shorthand), resolved
-against the defense registry; results carry the resolved spec's label, so
-distinct defenses are never conflated in tables or cache rows.
+``defense=`` is the one way to name a defense: a
+:class:`~repro.defenses.DefenseSpec`, its ``"name:key=value"`` string or
+a :class:`~repro.params.MitigationVariant`, resolved against the defense
+registry (:func:`defense_and_config`).  Results carry the resolved
+spec's label, so distinct defenses are never conflated in tables or
+cache rows; designs outside the built-ins plug in through
+:func:`~repro.defenses.register_defense`.  Sweeps over many workloads
+and defenses go through :func:`repro.exp.run_sweep`.
 
 Execution is equally pluggable: ``engine=`` selects a registered
 :class:`~repro.sim.engines.SimEngine` by
@@ -27,13 +31,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.controller.memctrl import DefenseFactory
 from repro.cpu.system import MulticoreSystem, SystemResult
 from repro.defenses import DefenseSpec, resolve_defense
 from repro.errors import ConfigError
 from repro.params import MitigationVariant, SystemConfig, default_config
 from repro.sim.engines import EngineSpec, build_event_system, resolve_engine
-from repro.sim.factory import qprac_factory
 from repro.workloads.suites import workload as lookup_workload
 from repro.workloads.synthetic import WorkloadSpec
 
@@ -73,10 +75,30 @@ def _resolve_workload_or_attack(workload, attack) -> WorkloadSpec:
     return _resolve_spec(workload)
 
 
+#: Anything ``defense=`` accepts (``None``: ``config.variant``'s QPRAC).
+Defense = DefenseSpec | MitigationVariant | str | None
+
+
+def defense_and_config(
+    defense: Defense, config: SystemConfig | None = None
+) -> tuple[DefenseSpec, SystemConfig]:
+    """The validated spec and the effective configuration of one run.
+
+    ``defense=None`` names the QPRAC policy of ``config.variant``, and a
+    QPRAC spec sets ``config.variant`` (which every job's cache key
+    encodes); any other defense leaves the config as given.
+    """
+    config = config or default_config()
+    spec = resolve_defense(config.variant if defense is None else defense)
+    if spec.variant is not None:
+        config = config.with_variant(spec.variant)
+    return spec, config
+
+
 def build_system(
     workload: str | WorkloadSpec,
     config: SystemConfig | None = None,
-    defense_factory: DefenseFactory | None = None,
+    defense: Defense = None,
     n_entries: int = DEFAULT_ENTRIES,
     seed: int = 0,
     telemetry=None,
@@ -87,20 +109,17 @@ def build_system(
     returns *is* the event-driven system; batched engines have no
     equivalent object.  Kept public for the bench harness and tests.
     """
-    config = config or default_config()
-    spec = _resolve_spec(workload)
-    factory = defense_factory or qprac_factory()
+    spec, config = defense_and_config(defense, config)
     return build_event_system(
-        spec, config, factory, n_entries, seed, telemetry=telemetry
+        _resolve_spec(workload), config, spec.factory(), n_entries, seed,
+        telemetry=telemetry,
     )
 
 
 def simulate_workload(
     workload: str | WorkloadSpec | None = None,
     config: SystemConfig | None = None,
-    defense: DefenseSpec | MitigationVariant | str | None = None,
-    variant: MitigationVariant | None = None,
-    defense_factory: DefenseFactory | None = None,
+    defense: Defense = None,
     n_entries: int = DEFAULT_ENTRIES,
     seed: int = 0,
     engine: EngineSpec | str | None = None,
@@ -111,11 +130,9 @@ def simulate_workload(
 
     ``defense`` selects any registered defense — a
     :class:`~repro.defenses.DefenseSpec`, a ``"name:key=value"`` string,
-    or a :class:`MitigationVariant` (shim for the QPRAC policies).
-    ``variant`` remains as a QPRAC-only alias, and ``defense_factory``
-    accepts a raw per-bank factory for unregistered designs; results from
-    registry-built factories are still labeled with their spec's name
-    (``"custom"`` only when the factory is truly anonymous).
+    or a :class:`MitigationVariant`; ``None`` runs ``config.variant``'s
+    QPRAC policy (see :func:`defense_and_config`).  The result is
+    labeled with the spec's label.
 
     ``attack`` names a registered attack pattern (an
     :class:`~repro.attacks.AttackSpec` or ``"name:k=v"`` string) to run
@@ -133,31 +150,7 @@ def simulate_workload(
     enabled, so externally registered engines that predate the seam
     keep working untouched.
     """
-    config = config or default_config()
-    selectors = (defense, variant, defense_factory)
-    if sum(s is not None for s in selectors) > 1:
-        raise ConfigError(
-            "pass only one of defense=, variant= or defense_factory="
-        )
-    spec: DefenseSpec | None = None
-    if defense is not None:
-        spec = resolve_defense(defense)
-    elif variant is not None:
-        spec = resolve_defense(variant)
-    elif defense_factory is not None:
-        spec = getattr(defense_factory, "spec", None)
-
-    if spec is not None and spec.variant is not None:
-        config = config.with_variant(spec.variant)
-    factory = defense_factory if defense_factory is not None else (
-        spec.factory() if spec is not None else qprac_factory()
-    )
-    if spec is not None:
-        name = spec.label
-    elif defense_factory is not None:
-        name = "custom"
-    else:
-        name = None  # default QPRAC factory: label by config.variant
+    spec, config = defense_and_config(defense, config)
     sim = resolve_engine(engine).build()
     kwargs = {}
     if telemetry is not None and getattr(telemetry, "enabled", False):
@@ -165,29 +158,11 @@ def simulate_workload(
     return sim.simulate(
         _resolve_workload_or_attack(workload, attack),
         config,
-        factory,
+        spec.factory(),
         n_entries=n_entries,
         seed=seed,
-        variant_name=name,
+        variant_name=spec.label,
         **kwargs,
-    )
-
-
-def simulate_baseline(
-    workload: str | WorkloadSpec,
-    config: SystemConfig | None = None,
-    n_entries: int = DEFAULT_ENTRIES,
-    seed: int = 0,
-    engine: EngineSpec | str | None = None,
-) -> SystemResult:
-    """The paper's non-secure baseline (PRAC timings, no ABO)."""
-    return simulate_workload(
-        workload,
-        config=config,
-        defense="baseline",
-        n_entries=n_entries,
-        seed=seed,
-        engine=engine,
     )
 
 
@@ -221,42 +196,3 @@ class VariantComparison:
             self.results[variant][w].alerts_per_trefi for w in self.workloads
         ]
         return sum(values) / len(values) if values else 0.0
-
-
-def run_variant_comparison(
-    workloads: list[str | WorkloadSpec],
-    variants: tuple[MitigationVariant | DefenseSpec | str, ...] = EVALUATED_VARIANTS,
-    config: SystemConfig | None = None,
-    n_entries: int = DEFAULT_ENTRIES,
-    seed: int = 0,
-    jobs: int = 1,
-    store=None,
-    backend: str = "auto",
-    hosts=None,
-    engine: EngineSpec | str | None = None,
-) -> VariantComparison:
-    """Figure 14/15 style sweep: defenses over a workload list.
-
-    ``variants`` accepts any mix of defense designators (QPRAC variants,
-    ``"moat"``, ``DefenseSpec.of("pride", t_rh=256)``, ...).  Routed
-    through the :mod:`repro.exp` orchestrator: ``jobs`` fans the grid out
-    over worker processes, and passing a
-    :class:`~repro.exp.cache.ResultStore` as ``store`` reuses (and
-    persists) results across invocations.  Output is identical at every
-    ``jobs`` value.  ``engine`` selects the simulation engine for every
-    job in the grid (cache rows from different engines never mix).
-    """
-    # Imported here: repro.exp builds on this module's simulate_* calls.
-    from repro.exp import SweepSpec, run_sweep
-
-    spec = SweepSpec(
-        workloads=tuple(_resolve_spec(w) for w in workloads),
-        defenses=tuple(variants),
-        config=config or default_config(),
-        include_baseline=True,
-        n_entries=n_entries,
-        seed=seed,
-        engine=resolve_engine(engine),
-    )
-    return run_sweep(spec, jobs=jobs, store=store, backend=backend,
-                     hosts=hosts).comparison()

@@ -1,23 +1,32 @@
-"""The shared ``name[:key=value,...]`` spec grammar and param machinery.
+"""The shared ``name[:key=value,...]`` spec grammar, spec class and registry.
 
 Three registries address pluggable components by name plus parameters:
-defenses (:mod:`repro.defenses`), sweep-execution backends
-(:mod:`repro.exp.backend`) and simulation engines
-(:mod:`repro.sim.engines`).  The first and last accept parameterized
-selections from the CLI and from serialized sweep grids, and they must
-agree on the grammar — a value that round-trips through a defense label
-must round-trip identically through an engine label, because both feed
-canonical cache keys.  This module is that single grammar, plus the
-shared parameter machinery both registries validate against:
-:func:`parse_name_params` (the ``name:k=v,...`` parser),
-:class:`SpecParam` / :func:`introspect_params` (a callable's keyword
-parameters as a validated table) and :func:`check_params` (fail-fast
-unknown/missing/type errors, worded per registry ``kind``).
+defenses (:mod:`repro.defenses`), simulation engines
+(:mod:`repro.sim.engines`) and attack patterns (:mod:`repro.attacks`).
+Each accepts parameterized selections from the CLI and from serialized
+sweep grids, and they must agree on the grammar — a value that
+round-trips through a defense label must round-trip identically through
+an engine or attack label, because all three feed canonical cache keys.
+This module is that single grammar and the one implementation behind
+all three kinds:
+
+* :func:`parse_name_params` (the ``name:k=v,...`` parser) and
+  :func:`render_value` (its loss-free inverse for canonical labels);
+* :class:`Spec`, the frozen ``(name, params)`` value each kind
+  subclasses (:class:`~repro.defenses.DefenseSpec`,
+  :class:`~repro.sim.engines.EngineSpec`,
+  :class:`~repro.attacks.AttackSpec`);
+* :class:`Registry` and :class:`RegisteredEntry`, the name → entry map
+  each kind subclasses, with duplicate rejection and fail-fast lookup;
+* :class:`SpecParam` / :func:`introspect_params` (a callable's keyword
+  parameters as a validated table) and :func:`check_params` (fail-fast
+  unknown/missing/type errors, worded per registry ``kind``).
 
 Values are coerced on parse (``"4"`` → 4, ``"2.5"`` → 2.5,
 ``"true"``/``"false"`` → bool, ``"none"`` → None); anything else stays a
-string, and quoting (``mode='8'``) keeps a string verbatim.
-:func:`render_value` is the loss-free inverse used by canonical labels.
+string, and quoting (``mode='8'``) keeps a string verbatim.  Sweep
+execution backends (:mod:`repro.exp.backend`) are named too, but take no
+parameters and have no spec.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ import inspect
 import types
 import typing
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, ClassVar, Mapping
 
 from repro.errors import ConfigError, ReproError
 
@@ -58,10 +67,12 @@ def parse_value(raw: str) -> object:
 
 def render_value(value: object) -> str:
     """Inverse of :func:`parse_value`: quote strings that would
-    otherwise coerce to a different value — or split differently —
-    when parsed back (numeric-looking values, separators, quotes)."""
+    otherwise coerce to a different value — or split differently, or
+    lose surrounding whitespace — when parsed back (numeric-looking
+    values, separators, quotes, leading or trailing blanks)."""
     if isinstance(value, str) and (
         parse_value(value) != value
+        or value != value.strip()
         or any(ch in value for ch in ",=:'\"")
     ):
         quote = '"' if "'" in value else "'"
@@ -233,3 +244,187 @@ def check_params(
                 f"{value!r} has the wrong type "
                 f"({type(value).__name__}; expected {expected})"
             )
+
+
+@dataclass(frozen=True)
+class Spec:
+    """A serializable selection from one registry: name + parameters.
+
+    Params are stored as a sorted tuple of ``(key, value)`` pairs so two
+    specs naming the same configuration always compare (and hash, and
+    serialize) identically regardless of construction order.  A spec's
+    serialized form (and hence every cache key derived from it) depends
+    only on its own ``name`` and ``params`` — never on what else is
+    registered — and resolution checks both against the registry, so a
+    typo dies before any simulation runs.  Each kind subclasses this and
+    sets :attr:`registry`, the process-wide registry it resolves
+    against.
+    """
+
+    name: str
+    params: tuple[tuple[str, object], ...] = ()
+
+    #: The kind's process-wide registry (set by each subclass).
+    registry: ClassVar["Registry"]
+
+    def __post_init__(self) -> None:
+        if not self.name:
+            raise ConfigError(f"{self.registry.kind} name must be non-empty")
+        object.__setattr__(
+            self, "params", tuple(sorted(dict(self.params).items()))
+        )
+
+    # -- construction --------------------------------------------------
+    @classmethod
+    def of(cls, name: str, **params: object):
+        """Convenience constructor: ``DefenseSpec.of("moat", eth=8)``."""
+        return cls(name=name, params=tuple(params.items()))
+
+    @classmethod
+    def from_string(cls, text: str):
+        """Parse the CLI syntax ``name`` or ``name:key=value,key=value``."""
+        name, params = parse_name_params(text, cls.registry.kind)
+        return cls.of(name, **params)
+
+    @classmethod
+    def from_dict(cls, payload: Mapping[str, object]):
+        """Inverse of :meth:`to_dict`."""
+        name = payload.get("name")
+        params = payload.get("params", {})
+        if not isinstance(name, str) or not isinstance(params, Mapping):
+            raise ConfigError(
+                f"malformed {cls.registry.kind} payload: {payload!r}"
+            )
+        return cls.of(name, **dict(params))
+
+    # -- identity ------------------------------------------------------
+    @property
+    def params_dict(self) -> dict[str, object]:
+        return dict(self.params)
+
+    @property
+    def label(self) -> str:
+        """Canonical human/cache label: ``name[:k=v,...]`` (sorted keys).
+
+        String values that would parse back as a different value are
+        quoted (``mode='8'``), keeping the label loss-free.
+        """
+        if not self.params:
+            return self.name
+        rendered = ",".join(
+            f"{k}={render_value(v)}" for k, v in self.params
+        )
+        return f"{self.name}:{rendered}"
+
+    def to_string(self) -> str:
+        """CLI-syntax form; ``from_string(to_string())`` round-trips for
+        every value the syntax can express — scalars, and strings without
+        commas or quotes (build exotic specs with :meth:`of` instead)."""
+        return self.label
+
+    def to_dict(self) -> dict:
+        """JSON-able form; feeds cache keys, so registry-independent."""
+        return {"name": self.name, "params": self.params_dict}
+
+    # -- resolution ----------------------------------------------------
+    def validate(self, registry: "Registry | None" = None):
+        """Check name and params against the registry; return the entry."""
+        registry = registry or self.registry
+        entry = registry.entry(self.name)
+        check_params(registry.kind, self.name, entry.params, self.params_dict)
+        return entry
+
+    @classmethod
+    def resolve(cls, designator: "Spec | str", registry=None):
+        """Normalize a spec or a ``name:k=v`` string to a validated spec."""
+        if isinstance(designator, str):
+            designator = cls.from_string(designator)
+        elif not isinstance(designator, cls):
+            raise ConfigError(
+                f"cannot resolve {designator!r} as {cls.__name__}; pass "
+                "a spec or a 'name:key=value' string"
+            )
+        designator.validate(registry)
+        return designator
+
+
+@dataclass(frozen=True)
+class RegisteredEntry:
+    """Registry entry: the registered ``target`` (a defense builder, an
+    engine class or an attack generator) plus its parameter table."""
+
+    name: str
+    target: Callable
+    summary: str = ""
+    params: tuple[SpecParam, ...] = ()
+
+
+class Registry:
+    """Name → :class:`RegisteredEntry` map with duplicate rejection.
+
+    Subclasses set the nouns and :attr:`entry_type`, and implement
+    :meth:`_params`, which checks a target and returns its table.
+    """
+
+    #: Singular and plural nouns in errors ("unknown defense 'x';
+    #: registered defenses: ...").
+    kind: ClassVar[str] = "component"
+    plural: ClassVar[str] = "components"
+    entry_type: ClassVar[type[RegisteredEntry]] = RegisteredEntry
+
+    def __init__(self) -> None:
+        self._entries: dict[str, RegisteredEntry] = {}
+
+    def register(
+        self, name: str, summary: str = "", **extra: object
+    ) -> Callable[[Callable], Callable]:
+        """Decorator registering its target under ``name``.
+
+        The target's keyword parameters (introspected by :meth:`_params`)
+        become the spec's valid params; ``extra`` fills the entry type's
+        own fields.
+        """
+        if not name:
+            raise ConfigError(f"{self.kind} name must be non-empty")
+
+        def decorator(target: Callable) -> Callable:
+            if name in self._entries:
+                raise ConfigError(
+                    f"{self.kind} {name!r} is already registered "
+                    f"(by {self._entries[name].target!r})"
+                )
+            self._entries[name] = self.entry_type(
+                name=name,
+                target=target,
+                summary=summary,
+                params=self._params(name, target),
+                **extra,
+            )
+            return target
+
+        return decorator
+
+    def _params(self, name: str, target: Callable) -> tuple[SpecParam, ...]:
+        raise NotImplementedError
+
+    def entry(self, name: str) -> RegisteredEntry:
+        try:
+            return self._entries[name]
+        except KeyError:
+            known = ", ".join(self.names()) or "(none)"
+            raise ReproError(
+                f"unknown {self.kind} {name!r}; registered {self.plural}: "
+                f"{known}"
+            ) from None
+
+    def names(self) -> tuple[str, ...]:
+        return tuple(sorted(self._entries))
+
+    def entries(self) -> tuple[RegisteredEntry, ...]:
+        return tuple(self._entries[name] for name in self.names())
+
+    def __contains__(self, name: str) -> bool:
+        return name in self._entries
+
+    def __len__(self) -> int:
+        return len(self._entries)

@@ -36,7 +36,7 @@ from repro.exp.runner import execute_job
 from repro.exp.serialize import canonical_json, result_to_dict
 from repro.exp.worker import (
     load_jobs_file,
-    read_results_file,
+    read_worker_rows,
     run_worker,
     write_jobs_file,
 )
@@ -290,7 +290,9 @@ class TestWorkerSerializationBoundary:
             jobs_file, execute_job, [(i, job) for i, job in enumerate(jobs)]
         )
         assert run_worker(jobs_file, out_file) == len(jobs)
-        rows = dict(read_results_file(out_file))
+        rows = {
+            row["index"]: row["payload"] for row in read_worker_rows(out_file)
+        }
         assert sorted(rows) == list(range(len(jobs)))
         assert canonical_json(
             [rows[i] for i in range(len(jobs))]
@@ -314,8 +316,9 @@ class TestWorkerSerializationBoundary:
             capture_output=True, env=env, timeout=300,
         )
         assert result.returncode == 0, result.stderr.decode()
-        rows = list(read_results_file(out_file))
-        assert len(rows) == 1 and rows[0][0] == 0
+        rows = list(read_worker_rows(out_file))
+        assert len(rows) == 1 and rows[0]["index"] == 0
+        assert "payload" in rows[0]
 
     def test_partial_output_rows_are_skipped(self, tmp_path):
         out = tmp_path / "out.jsonl"
@@ -323,4 +326,6 @@ class TestWorkerSerializationBoundary:
             json.dumps({"index": 0, "payload": {"v": 1}}) + "\n"
             + '{"index": 1, "payl'  # killed mid-flush
         )
-        assert list(read_results_file(out)) == [(0, {"v": 1})]
+        assert list(read_worker_rows(out)) == [
+            {"index": 0, "payload": {"v": 1}}
+        ]

@@ -1,5 +1,5 @@
-"""Tests for the defense helpers, factories, runner façade and bandwidth
-models."""
+"""Tests for the defense helpers, spec factories, runner façade and
+bandwidth models."""
 
 from __future__ import annotations
 
@@ -15,15 +15,11 @@ from repro.core.prac_counters import PRACCounterBank
 from repro.core.psq import PriorityServiceQueue
 from repro.errors import ConfigError, ReproError
 from repro.params import MitigationVariant, RfmScope, default_config
+from repro.defenses import DefenseSpec
 from repro.sim import (
     EVALUATED_VARIANTS,
     analytical_bandwidth_reduction,
-    baseline_factory,
     build_system,
-    factory_for_variant,
-    moat_factory,
-    panopticon_factory,
-    qprac_factory,
 )
 from repro.sim.bandwidth import BandwidthResult
 
@@ -109,25 +105,11 @@ class TestApplyMitigation:
 class TestFactories:
     def test_each_factory_builds_independent_banks(self):
         cfg = default_config()
-        for factory in (
-            baseline_factory(),
-            qprac_factory(),
-            moat_factory(),
-            panopticon_factory(),
-        ):
+        for name in ("baseline", "qprac", "moat", "panopticon"):
+            factory = DefenseSpec(name).factory()
             a = factory(0, cfg)
             b = factory(1, cfg)
             assert a is not b
-
-    def test_factory_for_variant(self):
-        cfg = default_config()
-        bank = factory_for_variant(MitigationVariant.QPRAC_IDEAL)(0, cfg)
-        assert bank.variant is MitigationVariant.QPRAC_IDEAL
-
-    def test_qprac_factory_follows_config_variant(self):
-        cfg = default_config().with_variant(MitigationVariant.QPRAC_NOOP)
-        bank = qprac_factory()(0, cfg)
-        assert bank.variant is MitigationVariant.QPRAC_NOOP
 
 
 class TestRunnerFacade:
@@ -152,6 +134,14 @@ class TestRunnerFacade:
     def test_unknown_workload_rejected(self):
         with pytest.raises(ConfigError):
             build_system("not-a-workload", n_entries=100)
+
+    def test_build_system_defaults_to_config_variant(self):
+        cfg = default_config().with_variant(MitigationVariant.QPRAC_NOOP)
+        system = build_system("541.leela", config=cfg, n_entries=50)
+        banks = [bank.defense for bank in system.memory.banks]
+        assert banks and all(
+            bank.variant is MitigationVariant.QPRAC_NOOP for bank in banks
+        )
 
 
 class TestBandwidthModels:
@@ -202,20 +192,18 @@ class TestSystemGuards:
             for _ in range(cfg.cpu.cores + 1)
         ]
         with pytest.raises(ConfigError):
-            MulticoreSystem(cfg, traces, baseline_factory())
+            MulticoreSystem(cfg, traces, DefenseSpec("baseline").factory())
 
     def test_no_traces_rejected(self):
         from repro.cpu.system import MulticoreSystem
 
         with pytest.raises(ConfigError):
-            MulticoreSystem(default_config(), [], baseline_factory())
+            MulticoreSystem(
+                default_config(), [], DefenseSpec("baseline").factory()
+            )
 
     def test_rerun_guard(self):
-        system = build_system(
-            "541.leela",
-            defense_factory=baseline_factory(),
-            n_entries=50,
-        )
+        system = build_system("541.leela", defense="baseline", n_entries=50)
         system.run()
         # The event queue still holds REF events, but cores are done; a
         # second run returns immediately rather than double counting.

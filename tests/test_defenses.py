@@ -245,51 +245,8 @@ class TestResultLabeling:
         )
         assert run.variant == "mithril:t_rh=512"
 
-    def test_registry_factories_are_not_labeled_custom(self):
-        """The old bug: factory-based runs were conflated as "custom"."""
-        from repro.sim import moat_factory, simulate_workload
-
-        run = simulate_workload(
-            "541.leela",
-            defense_factory=moat_factory(proactive_every_n_refs=4),
-            n_entries=200,
-        )
-        assert run.variant == "moat:proactive_every_n_refs=4"
-
-    def test_anonymous_factory_still_labeled_custom(self):
-        from repro.sim import simulate_workload
-
-        run = simulate_workload(
-            "541.leela",
-            defense_factory=lambda bank, config: NullDefense(),
-            n_entries=200,
-        )
-        assert run.variant == "custom"
-
-    def test_variant_alias_still_works(self):
-        from repro.sim import simulate_workload
-
-        run = simulate_workload(
-            "541.leela", variant=MitigationVariant.QPRAC_NOOP, n_entries=200
-        )
-        assert run.variant == "qprac-noop"
-
     def test_baseline_label(self):
-        from repro.sim import simulate_baseline
+        from repro.sim import simulate_workload
 
-        run = simulate_baseline("541.leela", n_entries=200)
+        run = simulate_workload("541.leela", defense="baseline", n_entries=200)
         assert run.variant == "baseline"
-
-    def test_conflicting_selectors_rejected(self):
-        from repro.sim import baseline_factory, simulate_workload
-
-        with pytest.raises(ConfigError, match="only one of"):
-            simulate_workload(
-                "541.leela", defense="moat",
-                variant=MitigationVariant.QPRAC, n_entries=100,
-            )
-        with pytest.raises(ConfigError, match="only one of"):
-            simulate_workload(
-                "541.leela", defense="moat",
-                defense_factory=baseline_factory(), n_entries=100,
-            )

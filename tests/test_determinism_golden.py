@@ -328,10 +328,12 @@ def test_inline_enqueue_decode_matches_mapper(monkeypatch):
     from repro.controller.memctrl import MemorySystem
     from repro.engine import EventQueue
     from repro.params import default_config
-    from repro.sim.factory import baseline_factory
+    from repro.defenses import DefenseSpec
 
     config = default_config()
-    system = MemorySystem(config, EventQueue(), baseline_factory())
+    system = MemorySystem(
+        config, EventQueue(), DefenseSpec("baseline").factory()
+    )
     mapper = AddressMapper(config.org)
     rng = random.Random(7)
     max_addr = 1 << mapper.address_bits

@@ -572,3 +572,26 @@ class TestSpoolGc:
         spool = store.health()["spool"]
         assert spool["dirs"] == 1 and spool["files"] == 2
         assert spool["bytes"] >= 64
+
+
+class TestResultsAreNotShared:
+    """A result handed out by ``run_sweep`` owns its lists: mutating
+    one must not change what the same long-lived store serves next."""
+
+    def test_mutated_outcomes_leave_the_store_intact(self, tmp_path):
+        from repro.exp import SweepSpec, run_sweep, sweep_digest
+
+        spec = SweepSpec.build(
+            ["541.leela"], ["qprac"], n_entries=300, engine="epoch"
+        )
+        store = ResultStore(tmp_path)
+        fresh = run_sweep(spec, store=store)
+        assert fresh.executed == 2
+        digest = sweep_digest(fresh)
+        fresh.outcomes[0].result.core_ipcs.append(99.0)
+        cached = run_sweep(spec, store=store)
+        assert cached.cache_hits == 2
+        assert sweep_digest(cached) == digest
+        cached.outcomes[1].result.core_ipcs.append(99.0)
+        again = run_sweep(spec, store=store)
+        assert sweep_digest(again) == digest

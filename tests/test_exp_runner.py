@@ -15,7 +15,7 @@ from repro.exp import (
     run_sweep,
 )
 from repro.params import MitigationVariant
-from repro.sim import run_variant_comparison, simulate_workload
+from repro.sim import simulate_workload
 
 ENTRIES = 400
 
@@ -56,7 +56,7 @@ class TestSerialRun:
             jobs=1,
         )
         direct = simulate_workload(
-            "541.leela", variant=MitigationVariant.QPRAC, n_entries=ENTRIES
+            "541.leela", defense=MitigationVariant.QPRAC, n_entries=ENTRIES
         )
         assert result_to_dict(sweep.outcomes[0].result) == result_to_dict(direct)
 
@@ -217,21 +217,6 @@ class TestAggregation:
         with pytest.raises(ReproError, match="no baseline"):
             sweep.comparison()
 
-    def test_run_variant_comparison_routes_through_orchestrator(self, tmp_path):
-        store = ResultStore(tmp_path)
-        first = run_variant_comparison(
-            ["541.leela"], variants=(MitigationVariant.QPRAC,),
-            n_entries=ENTRIES, store=store,
-        )
-        again = run_variant_comparison(
-            ["541.leela"], variants=(MitigationVariant.QPRAC,),
-            n_entries=ENTRIES, jobs=2, store=store,
-        )
-        assert store.hits >= 2  # second call served entirely from cache
-        assert first.slowdown_pct("qprac", "541.leela") == pytest.approx(
-            again.slowdown_pct("qprac", "541.leela")
-        )
-
     def test_mean_slowdown_rejects_unknown_variant(self):
         from repro.exp import mean_slowdown_by_override
 
@@ -241,7 +226,7 @@ class TestAggregation:
 
     def test_result_roundtrip_is_lossless(self):
         direct = simulate_workload(
-            "mb-adpcm", variant=MitigationVariant.QPRAC, n_entries=ENTRIES
+            "mb-adpcm", defense=MitigationVariant.QPRAC, n_entries=ENTRIES
         )
         restored = result_from_dict(
             json.loads(json.dumps(result_to_dict(direct)))

@@ -58,7 +58,7 @@ class TestExpansion:
 
     def test_no_baseline(self):
         jobs = make_spec(include_baseline=False).expand()
-        assert all(j.variant is not None for j in jobs)
+        assert all(j.defense.variant is not None for j in jobs)
         assert len(jobs) == 4
 
     def test_overrides_axis(self):
@@ -83,15 +83,15 @@ class TestExpansion:
         jobs = spec.expand()
         # Overrides only alter the defense: 1 shared baseline + 2 variants.
         assert len(jobs) == 3
-        assert sum(1 for j in jobs if j.variant is None) == 1
+        assert sum(1 for j in jobs if j.defense.variant is None) == 1
 
     def test_variant_applied_to_config(self):
         jobs = make_spec().expand()
-        assert jobs[0].variant is None
+        assert jobs[0].defense.variant is None
         assert jobs[0].defense.is_baseline
-        assert jobs[0].variant_name == BASELINE
+        assert jobs[0].defense.label == BASELINE
         assert jobs[1].config.variant is MitigationVariant.QPRAC
-        assert jobs[1].variant is MitigationVariant.QPRAC
+        assert jobs[1].defense.variant is MitigationVariant.QPRAC
 
     def test_string_defenses_resolved(self):
         spec = SweepSpec.build(["541.leela"], ["qprac"], n_entries=100)
@@ -112,7 +112,7 @@ class TestExpansion:
             "541.leela/pride:t_rh=256",
         ]
         # Non-QPRAC defenses leave the config's variant untouched.
-        assert jobs[2].variant is None
+        assert jobs[2].defense.variant is None
         assert jobs[2].config.variant is spec.config.variant
 
     def test_duplicate_defenses_rejected(self):

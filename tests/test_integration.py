@@ -9,14 +9,7 @@ from __future__ import annotations
 import pytest
 
 from repro.params import MitigationVariant, default_config
-from repro.sim import (
-    baseline_factory,
-    moat_factory,
-    qprac_factory,
-    run_bandwidth_attack,
-    simulate_baseline,
-    simulate_workload,
-)
+from repro.sim import run_bandwidth_attack, simulate_workload
 from repro.workloads.synthetic import WorkloadSpec
 
 #: A hot, memory-intensive workload that triggers Alerts quickly at the
@@ -36,7 +29,7 @@ ENTRIES = 6_000
 
 @pytest.fixture(scope="module")
 def hot_baseline():
-    return simulate_baseline(HOT, n_entries=ENTRIES)
+    return simulate_workload(HOT, defense="baseline", n_entries=ENTRIES)
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +43,7 @@ def hot_runs(hot_baseline):
         MitigationVariant.QPRAC_IDEAL,
     ):
         runs[variant] = simulate_workload(
-            HOT, variant=variant, n_entries=ENTRIES
+            HOT, defense=variant, n_entries=ENTRIES
         )
     return runs
 
@@ -123,7 +116,7 @@ class TestNboSensitivity:
             runs[n_bo] = simulate_workload(
                 HOT,
                 config=cfg,
-                variant=MitigationVariant.QPRAC,
+                defense=MitigationVariant.QPRAC,
                 n_entries=ENTRIES,
             )
         assert runs[16].alerts_per_trefi >= runs[64].alerts_per_trefi
@@ -131,9 +124,7 @@ class TestNboSensitivity:
 
 class TestMOATComparison:
     def test_moat_completes_and_mitigates(self, hot_baseline):
-        run = simulate_workload(
-            HOT, defense_factory=moat_factory(), n_entries=ENTRIES
-        )
+        run = simulate_workload(HOT, defense="moat", n_entries=ENTRIES)
         assert sum(run.mitigations.values()) > 0
         assert run.slowdown_pct_vs(hot_baseline) < 20.0
 
@@ -142,13 +133,10 @@ class TestMOATComparison:
         at low N_BO."""
         cfg = default_config().with_prac(n_bo=16)
         moat = simulate_workload(
-            HOT, config=cfg, defense_factory=moat_factory(), n_entries=ENTRIES
+            HOT, config=cfg, defense="moat", n_entries=ENTRIES
         )
         qprac = simulate_workload(
-            HOT,
-            config=cfg,
-            defense_factory=qprac_factory(MitigationVariant.QPRAC),
-            n_entries=ENTRIES,
+            HOT, config=cfg, defense="qprac", n_entries=ENTRIES
         )
         assert qprac.alerts <= moat.alerts * 1.1
 
@@ -158,14 +146,14 @@ class TestBandwidthAttack:
         cfg = default_config().with_prac(n_bo=16)
         base = run_bandwidth_attack(
             cfg,
-            defense_factory=baseline_factory(),
+            defense="baseline",
             measure_ns=100_000,
             warmup_ns=30_000,
             pool_rows_per_bank=8,
         )
         defended = run_bandwidth_attack(
-            cfg.with_variant(MitigationVariant.QPRAC),
-            defense_factory=qprac_factory(MitigationVariant.QPRAC),
+            cfg,
+            defense="qprac",
             measure_ns=100_000,
             warmup_ns=30_000,
             pool_rows_per_bank=8,
@@ -190,8 +178,8 @@ class TestBandwidthAttack:
 
 class TestDeterminism:
     def test_same_seed_same_result(self):
-        a = simulate_workload(HOT, variant=MitigationVariant.QPRAC, n_entries=2000)
-        b = simulate_workload(HOT, variant=MitigationVariant.QPRAC, n_entries=2000)
+        a = simulate_workload(HOT, defense="qprac", n_entries=2000)
+        b = simulate_workload(HOT, defense="qprac", n_entries=2000)
         assert a.sim_time_ns == b.sim_time_ns
         assert a.acts == b.acts
         assert a.alerts == b.alerts

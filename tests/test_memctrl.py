@@ -15,7 +15,7 @@ from repro.params import (
     RfmScope,
     SystemConfig,
 )
-from repro.sim.factory import qprac_factory
+from repro.defenses import DefenseSpec
 
 
 def null_factory(_index, _config) -> BankDefense:
@@ -153,7 +153,8 @@ class TestRefresh:
             variant=MitigationVariant.QPRAC_PROACTIVE,
         )
         system, events = make_system(
-            config, qprac_factory(), enable_refresh=True
+            config, DefenseSpec("qprac+proactive").factory(),
+            enable_refresh=True,
         )
         system.enqueue(system.mapper.compose(row=7), False, 500.0, None)
         events.run(until=config.timing.t_refi * 2.5)
