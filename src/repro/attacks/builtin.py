@@ -31,10 +31,10 @@ import numpy as np
 
 from repro.attacks.registry import register_attack
 from repro.cpu.trace import Trace
-from repro.dram.address import AddressMapper, flat_bank_coords
+from repro.dram.address import bank_pools
 from repro.errors import ConfigError
 from repro.params import DRAMOrganization
-from repro.workloads.attacks import hammer_trace
+from repro.workloads.attacks import hammer_trace, round_robin_trace
 
 
 def _pattern_rng(name: str, seed: int) -> np.random.Generator:
@@ -59,46 +59,6 @@ def _seeded_base(
             f"{org.rows_per_bank} per bank"
         )
     return int(rng.integers(1, org.rows_per_bank - span))
-
-
-def _bank_pools(
-    org: DRAMOrganization, banks: int, rows: list[int]
-) -> list[list[int]]:
-    """Compose the row set into per-bank address pools (flat-bank order)."""
-    mapper = AddressMapper(org)
-    pools: list[list[int]] = []
-    for flat in range(banks):
-        channel, rank, bankgroup, bank = flat_bank_coords(flat, org)
-        pools.append([
-            mapper.compose(
-                row=row,
-                column=0,
-                channel=channel,
-                rank=rank,
-                bankgroup=bankgroup,
-                bank=bank,
-            )
-            for row in rows
-        ])
-    return pools
-
-
-def _round_robin_trace(
-    pools: list[list[int]], n_entries: int, bubbles: int, name: str
-) -> Trace:
-    """Interleave per-bank pools entry-by-entry, cycling each pool —
-    the same walk as :func:`~repro.workloads.attacks.hammer_trace`."""
-    banks = len(pools)
-    addresses = np.empty(n_entries, dtype=np.int64)
-    for i in range(n_entries):
-        pool = pools[i % banks]
-        addresses[i] = pool[(i // banks) % len(pool)]
-    return Trace(
-        np.full(n_entries, bubbles, dtype=np.int32),
-        addresses,
-        np.zeros(n_entries, dtype=bool),
-        name=name,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -185,9 +145,9 @@ def double_sided(
 ) -> Trace:
     _check_banks(org, banks)
     rows = _double_sided_row_set(org, seed, pairs, victim_gap)
-    pools = _bank_pools(org, banks, rows)
-    return _round_robin_trace(
-        pools, n_entries, bubbles, name=f"double-sided-{pairs}p"
+    return round_robin_trace(
+        bank_pools(org, range(banks), rows), n_entries, bubbles,
+        name=f"double-sided-{pairs}p",
     )
 
 
@@ -230,9 +190,9 @@ def many_sided(
 ) -> Trace:
     _check_banks(org, banks)
     rows = _many_sided_row_set(org, seed, sides, gap)
-    pools = _bank_pools(org, banks, rows)
-    return _round_robin_trace(
-        pools, n_entries, bubbles, name=f"many-sided-{sides}"
+    return round_robin_trace(
+        bank_pools(org, range(banks), rows), n_entries, bubbles,
+        name=f"many-sided-{sides}",
     )
 
 
@@ -293,23 +253,16 @@ def decoy(
     block_rows = [
         aggressors[i % len(aggressors)] for i in range(reads_per_trefi)
     ] + decoy_rows
-    pools = _bank_pools(org, banks, block_rows)
+    # Each bank's pool is one block: the walk visits a bank's block
+    # start at every multiple of its length.
+    position = np.arange(n_entries) // banks
     block_len = len(block_rows)
-    addresses = np.empty(n_entries, dtype=np.int64)
-    bubbles = np.zeros(n_entries, dtype=np.int32)
-    for i in range(n_entries):
-        bank = i % banks
-        position = i // banks
-        within = position % block_len
-        block = position // block_len
-        addresses[i] = pools[bank][within]
-        if within == 0 and block % self_sync_cycles == 0:
-            bubbles[i] = sync_bubbles
-    return Trace(
-        bubbles,
-        addresses,
-        np.zeros(n_entries, dtype=bool),
-        name=f"decoy-r{reads_per_trefi}",
+    sync = (position % block_len == 0) & (
+        position // block_len % self_sync_cycles == 0
+    )
+    return round_robin_trace(
+        bank_pools(org, range(banks), block_rows), n_entries,
+        np.where(sync, sync_bubbles, 0), name=f"decoy-r{reads_per_trefi}",
     )
 
 
@@ -366,26 +319,7 @@ def row_list(
     del seed  # explicit playbook: nothing to draw
     if not 0 <= bank < org.total_banks:
         raise ConfigError(f"bank must be in [0, {org.total_banks})")
-    row_ids = _parse_row_list(rows, org)
-    mapper = AddressMapper(org)
-    channel, rank, bankgroup, bank_index = flat_bank_coords(bank, org)
-    pool = [
-        mapper.compose(
-            row=row,
-            column=0,
-            channel=channel,
-            rank=rank,
-            bankgroup=bankgroup,
-            bank=bank_index,
-        )
-        for row in row_ids
-    ]
-    addresses = np.empty(n_entries, dtype=np.int64)
-    for i in range(n_entries):
-        addresses[i] = pool[i % len(pool)]
-    return Trace(
-        np.full(n_entries, bubbles, dtype=np.int32),
-        addresses,
-        np.zeros(n_entries, dtype=bool),
-        name=f"row-list@{bank}",
+    return round_robin_trace(
+        bank_pools(org, [bank], _parse_row_list(rows, org)), n_entries,
+        bubbles, name=f"row-list@{bank}",
     )

@@ -14,9 +14,9 @@ telemetry — and ranks each defense's patterns by how hard they bite:
    (telemetry tier), the early-warning sign of queue-pressure attacks.
 
 The ranking is deterministic: jobs are content-addressed (so re-runs
-cache-hit), telemetry is recorded on execution and carried forward
-through the sweep trace file on cached re-runs, and ties break on the
-pattern label.  The report (:meth:`HuntResult.to_dict`) is a plain
+cache-hit), telemetry is recorded on execution and ``run_sweep`` carries
+it forward from the sweep trace file onto cached outcomes, and ties
+break on the pattern label.  The report (:meth:`HuntResult.to_dict`) is a plain
 JSON-able dict suitable for CI artifacts.
 
 Lives outside :mod:`repro.attacks`'s package exports because it imports
@@ -37,7 +37,6 @@ from repro.exp.cache import ResultStore
 from repro.exp.runner import SweepResult, run_sweep
 from repro.exp.serialize import canonical_json
 from repro.exp.spec import SweepSpec
-from repro.obs import read_trace
 from repro.params import SystemConfig
 
 ProgressFn = Callable[[str], None]
@@ -129,33 +128,6 @@ class HuntResult:
         ).hexdigest()
 
 
-def _backfill_telemetry(sweep: SweepResult) -> None:
-    """Attach trace-file telemetry to cached outcomes.
-
-    ``run_sweep`` only sets ``result.latency`` on *executed* jobs;
-    cached ones carry their telemetry forward in the sweep trace file
-    (matched by cache key).  Reading it back here makes the hunt's PSQ
-    column identical between a cold run and a fully cached replay.
-    """
-    pending = [
-        outcome for outcome in sweep.outcomes
-        if outcome.result.latency is None and outcome.from_cache
-    ]
-    if not pending or sweep.trace_path is None:
-        return
-    try:
-        rows = read_trace(sweep.trace_path)["jobs"]
-    except OSError:
-        return
-    by_key = {
-        row["key"]: row for row in rows if isinstance(row.get("key"), str)
-    }
-    for outcome in pending:
-        row = by_key.get(outcome.job.cache_key())
-        if row is not None and row.get("latency") is not None:
-            outcome.result.latency = row["latency"]
-
-
 def run_hunt(
     defenses: Sequence[str],
     patterns: Sequence[str] | None = None,
@@ -204,7 +176,6 @@ def run_hunt(
         backend=backend,
         telemetry=True,
     )
-    _backfill_telemetry(sweep)
 
     baselines = sweep.baselines()
     rankings: dict[str, list[PatternScore]] = {}

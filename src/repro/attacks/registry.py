@@ -47,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Mapping
 
-from repro.dram.address import AddressMapper, flat_bank_coords
+from repro.dram.address import bank_pools
 from repro.errors import ConfigError, ReproError
 from repro.params import DRAMOrganization
 from repro.specs import (
@@ -208,23 +208,8 @@ def bandwidth_targets(
     rows, never the bank walk.
     """
     rows = attack_rows(attack, org, seed, registry)
-    mapper = AddressMapper(org)
     ranks_to_attack = min(attack_ranks, org.channels * org.ranks)
-    targets: list[list[int]] = []
-    for flat in range(ranks_to_attack * org.banks_per_rank):
-        channel, rank, bankgroup, bank = flat_bank_coords(flat, org)
-        targets.append([
-            mapper.compose(
-                row=row,
-                column=0,
-                channel=channel,
-                rank=rank,
-                bankgroup=bankgroup,
-                bank=bank,
-            )
-            for row in rows
-        ])
-    return targets
+    return bank_pools(org, range(ranks_to_attack * org.banks_per_rank), rows)
 
 
 @dataclass(frozen=True)

@@ -108,35 +108,18 @@ def _cmd_panopticon(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.exp import ResultStore, run_sweep, stderr_progress
-    from repro.serve.protocol import build_spec
+    from repro.serve.protocol import SweepRequest
 
-    # The same spec builder the sweep service uses: a grid submitted
-    # over HTTP and one run here are identical by construction.
-    spec = build_spec(
-        args.workloads,
-        defenses=args.defenses,
-        attacks=args.attacks,
-        entries=args.entries,
-        nbo=args.nbo_value,
-        n_mit=args.n_mit,
-        seed=args.seed,
-        engine=args.engine,
-    )
+    # The request the sweep service would parse from `repro submit`
+    # with these options: one spec, one backend, the same refusals.
+    request = SweepRequest.from_payload(_submission_payload(args))
+    spec = request.spec()
     store = None if args.no_cache else ResultStore(args.cache_dir)
     progress = None if args.quiet else stderr_progress
-    if args.faults is not None:
-        # The remote-fleet backend builds its fault plan from this
-        # environment variable at construction; its transport strips
-        # it from worker environments so only the coordinator injects.
-        import os
-
-        from repro.fleet.faults import FLEET_FAULTS_ENV, FleetFaultPlan
-
-        FleetFaultPlan.parse(args.faults)  # fail fast on a bad spec
-        os.environ[FLEET_FAULTS_ENV] = args.faults
-    sweep = run_sweep(spec, jobs=args.jobs, store=store, progress=progress,
-                      backend=args.backend, hosts=args.hosts,
-                      telemetry=args.trace)
+    sweep = run_sweep(spec, jobs=request.jobs, store=store,
+                      progress=progress,
+                      backend=request.build_backend(args.cache_dir),
+                      hosts=request.hosts, telemetry=request.trace)
     comparison = sweep.comparison()
     print(render_table(
         f"Orchestrated sweep (N_BO={args.nbo_value}, PRAC-{args.n_mit}, "
@@ -740,8 +723,7 @@ def _add_run_options(parser: argparse.ArgumentParser, backend: str) -> None:
     parser.add_argument("--faults", default=None, metavar="PLAN",
                         help="chaos-injection plan for --backend "
                         "remote-fleet, e.g. 'kill-worker;drop-host:"
-                        "host=local,times=2' (see repro.fleet.faults; "
-                        "equivalent to setting $REPRO_FLEET_FAULTS)")
+                        "host=local,times=2' (see repro.fleet.faults)")
     parser.add_argument("--trace", action="store_true",
                         help="record per-request latency telemetry in "
                         "every executed job (results stay byte-identical); "

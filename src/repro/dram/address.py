@@ -64,6 +64,26 @@ def flat_bank_coords(flat_bank, org: DRAMOrganization):
     return channel, rank, bankgroup, bank
 
 
+def bank_pools(org: DRAMOrganization, flat_banks, rows) -> list[list[int]]:
+    """Per-bank address pools: every row of ``rows``, at column 0, in
+    each bank of ``flat_banks`` (flat indices, pools in that order).
+
+    The one composition of attack row pools — the attack patterns, the
+    classic hammer trace and the closed-loop bandwidth attacker's
+    targets all build theirs here.
+    """
+    mapper = AddressMapper(org)
+    pools = []
+    for flat in flat_banks:
+        channel, rank, bankgroup, bank = flat_bank_coords(flat, org)
+        pools.append([
+            mapper.compose(row=row, column=0, channel=channel, rank=rank,
+                           bankgroup=bankgroup, bank=bank)
+            for row in rows
+        ])
+    return pools
+
+
 def _bits(value: int) -> int:
     """Number of address bits consumed by a power-of-two quantity."""
     if value < 1 or value & (value - 1):

@@ -25,6 +25,7 @@ from repro.attacks import AttackSpec, bandwidth_targets, resolve_attack
 from repro.defenses import DefenseSpec
 from repro.errors import ReproError
 from repro.exp.cache import ResultStore
+from repro.exp.runner import run_batch
 from repro.exp.serialize import (
     SCHEMA_VERSION,
     canonical_json,
@@ -168,59 +169,20 @@ def run_attack_jobs(
 ) -> list[BandwidthResult]:
     """Execute attack jobs, reusing cached results where available.
 
-    Results come back in job order; every fresh simulation is persisted
-    to ``store`` (salt-tagged, like workload jobs) the moment it
-    finishes, so interrupted figure runs resume.  The uncached remainder
-    runs on any registered :class:`~repro.exp.backend.SweepBackend`
-    (``backend`` + ``workers``/``hosts``), sharing the equivalence
-    contract of workload sweeps: payloads are reassembled positionally,
-    so every backend aggregates byte-identically.
+    Results come back in job order.  The jobs run through
+    :func:`~repro.exp.runner.run_batch`, the loop workload sweeps use:
+    every fresh simulation is persisted to ``store`` (salt-tagged) the
+    moment it finishes, so interrupted figure runs resume, and the
+    uncached remainder runs on any registered
+    :class:`~repro.exp.backend.SweepBackend` (``backend`` +
+    ``workers``/``hosts``).  Payloads are reassembled positionally, so
+    every backend aggregates byte-identically.
     """
-    from repro.exp.backend import resolve_backend
-
-    total = len(jobs)
-    payloads: list[dict | None] = [None] * total
-    keys: list[str | None] = [None] * total
-    cached: list[bool] = [False] * total
-    completed = 0
-
-    pending: list[int] = []
-    for index, job in enumerate(jobs):
-        if store is not None:
-            keys[index] = job.cache_key()
-            payload = store.get(keys[index])
-            if payload is not None:
-                payloads[index] = payload
-                cached[index] = True
-                completed += 1
-                if progress is not None:
-                    progress(f"[{completed}/{total}] {job.label} cached")
-                continue
-        pending.append(index)
-
-    def finish(index: int, payload: dict) -> None:
-        nonlocal completed
-        payloads[index] = payload
-        if store is not None:
-            assert keys[index] is not None
-            store.put(keys[index], payload, salt=code_version_salt())
-        completed += 1
+    def report(completed: int, index: int, cached: bool) -> None:
         if progress is not None:
-            progress(f"[{completed}/{total}] {jobs[index].label} simulated")
+            source = "cached" if cached else "simulated"
+            progress(f"[{completed}/{len(jobs)}] {jobs[index].label} {source}")
 
-    if backend == "auto" and (workers == 1 or len(pending) <= 1):
-        backend = "serial"
-    chosen = resolve_backend(backend, jobs=workers, hosts=hosts)
-    if pending:
-        chosen.execute(
-            [(index, jobs[index]) for index in pending],
-            execute_attack_job,
-            finish,
-        )
-    missing = [index for index in pending if payloads[index] is None]
-    if missing:
-        raise ReproError(
-            f"backend {chosen.name!r} returned no result for attack "
-            f"job(s) {missing}"
-        )
-    return [_result_from_payload(payload) for payload in payloads]
+    batch = run_batch(jobs, execute_attack_job, store, backend, workers,
+                      hosts, report)
+    return [_result_from_payload(payload) for payload in batch.payloads]

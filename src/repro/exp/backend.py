@@ -1,8 +1,9 @@
 """Pluggable sweep-execution backends.
 
-:func:`~repro.exp.runner.run_sweep` splits a sweep into a cache-served
-part and an "execute the uncached remainder" part.  This module owns the
-second part: a :class:`SweepBackend` receives the pending ``(index,
+:func:`~repro.exp.runner.run_batch` (behind ``run_sweep`` and
+``run_attack_jobs``) splits a batch into a cache-served part and an
+"execute the uncached remainder" part.  This module owns the second
+part: a :class:`SweepBackend` receives the pending ``(index,
 task)`` pairs, runs each task through a picklable ``run_one`` callable,
 and reports every finished payload through an ``emit(index, payload)``
 callback.  The caller persists and reassembles; the backend only decides
@@ -68,7 +69,8 @@ Task = tuple[int, object]
 #: Called by the backend once per finished task, any order.
 EmitFn = Callable[[int, dict], None]
 
-#: Module-level (hence picklable) task executor, e.g. ``execute_job``.
+#: Picklable task executor: a module-level function such as
+#: ``execute_job``, or a ``functools.partial`` of one.
 RunOneFn = Callable[[object], dict]
 
 
@@ -165,16 +167,18 @@ def resolve_backend(
     backend: str | SweepBackend,
     jobs: int = 1,
     hosts: Sequence[str] | None = None,
+    pending: int | None = None,
 ) -> SweepBackend:
     """Turn a name (or an already-built backend) into a ready instance.
 
-    ``"auto"`` picks ``serial`` for ``jobs<=1`` and ``pool`` otherwise —
-    the historical ``run_sweep`` behaviour.
+    ``"auto"`` picks ``serial`` for ``jobs<=1`` or when at most one task
+    is ``pending`` (``None``: not known yet), and ``pool`` otherwise.
     """
     if isinstance(backend, SweepBackend):
         return backend
     if backend == "auto":
-        backend = "serial" if jobs <= 1 else "pool"
+        one_task = pending is not None and pending <= 1
+        backend = "serial" if jobs <= 1 or one_task else "pool"
     return backend_class(backend)(jobs=jobs, hosts=hosts)
 
 

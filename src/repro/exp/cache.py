@@ -280,10 +280,6 @@ class ResultStore:
         self.compaction_count = 0
         self.compaction_total_s = 0.0
         self.compaction_last_s: float | None = None
-        #: True when the file ends mid-line (crash during an append); the
-        #: next put() must start on a fresh line or it merges with the
-        #: partial record and corrupts itself too.
-        self._needs_newline = False
         #: Counter values at the previous :meth:`sweep_health` report.
         #: Zeros: the first sweep's window opens with the instance, so
         #: it includes the load and any auto-compaction.
@@ -312,9 +308,9 @@ class ResultStore:
         self._synced_ino = ino
         # Decode permissively: invalid UTF-8 (disk corruption, a crash
         # mid-multibyte-write) must degrade to skipped lines, not abort.
-        text = raw.decode("utf-8", errors="replace")
-        self._needs_newline = bool(text) and not text.endswith("\n")
-        for line in text.splitlines():
+        # Lines end at "\n" only: str.splitlines would also break on
+        # characters a JSON string may hold raw (U+2028, U+0085, ...).
+        for line in raw.decode("utf-8", errors="replace").split("\n"):
             self._ingest_line(line)
 
     def _ingest_line(self, line: str) -> bool:
@@ -374,7 +370,6 @@ class ResultStore:
         self._salt_counts = Counter()
         self._records = 0
         self.skipped_lines = 0
-        self._needs_newline = False
         self._load()
 
     def _absorb_new_rows(self) -> int:
@@ -412,7 +407,7 @@ class ResultStore:
         if not newline:
             return 0  # a single torn line: nothing complete to absorb
         absorbed = 0
-        for line in complete.decode("utf-8", errors="replace").splitlines():
+        for line in complete.decode("utf-8", errors="replace").split("\n"):
             if self._ingest_line(line):
                 absorbed += 1
         self._synced_bytes += len(complete) + 1
@@ -504,7 +499,6 @@ class ResultStore:
             # this store loaded, and gluing onto its partial row would
             # damage this record too.
             torn = self._tail_is_torn()
-            self._needs_newline = False
             if torn:
                 try:
                     size = self.path.stat().st_size
@@ -664,7 +658,6 @@ class ResultStore:
             self._synced_ino = 0
         self._records = len(self._index)
         self.skipped_lines = 0
-        self._needs_newline = False
         self.compaction_last_s = time.perf_counter() - compaction_started
         self.compaction_count += 1
         self.compaction_total_s += self.compaction_last_s

@@ -1,12 +1,14 @@
 """Sweep execution: cache lookup, backend dispatch, aggregation.
 
-:func:`run_sweep` is the orchestrator's entry point.  It expands a
-:class:`~repro.exp.spec.SweepSpec`, satisfies whatever it can from the
-:class:`~repro.exp.cache.ResultStore`, hands the uncached remainder to a
-:class:`~repro.exp.backend.SweepBackend` resolved by name (``serial``,
-``pool``, ``remote-fleet``, or anything registered via
-:func:`~repro.exp.backend.register_backend`), and returns a
-:class:`SweepResult` whose outcomes are always in spec-expansion order.
+:func:`run_batch` is the one cached batch loop, behind workload sweeps
+(:func:`run_sweep`) and bandwidth-attack jobs
+(:func:`~repro.exp.attack.run_attack_jobs`).  It satisfies whatever it
+can from the :class:`~repro.exp.cache.ResultStore`, hands the uncached
+remainder to a :class:`~repro.exp.backend.SweepBackend` resolved by name
+(``serial``, ``pool``, ``remote-fleet``, or anything registered via
+:func:`~repro.exp.backend.register_backend`), and persists every fresh
+row.  :func:`run_sweep` returns a :class:`SweepResult` whose outcomes
+are always in spec-expansion order.
 
 Determinism: every backend returns results through the same dict
 serialization used by the cache, and outcomes are reassembled
@@ -17,7 +19,7 @@ replay).
 
 from __future__ import annotations
 
-import os
+import functools
 import sys
 import time
 from dataclasses import dataclass
@@ -25,7 +27,7 @@ from typing import Callable, Sequence
 
 from repro.cpu.system import SystemResult
 from repro.errors import ReproError
-from repro.exp.backend import SweepBackend, resolve_backend
+from repro.exp.backend import RunOneFn, SweepBackend, resolve_backend
 from repro.exp.cache import ResultStore
 from repro.exp.serialize import (
     code_version_salt,
@@ -34,11 +36,11 @@ from repro.exp.serialize import (
 )
 from repro.exp.spec import Job, Overrides, SweepSpec, overrides_label
 from repro.obs import (
-    TELEMETRY_ENV,
     SweepMetrics,
+    Telemetry,
+    max_samples_from_env,
     read_trace,
     sweep_id_for,
-    telemetry_from_env,
     trace_path_for,
     write_sweep_trace,
 )
@@ -52,37 +54,134 @@ ProgressFn = Callable[[str], None]
 #: sweep service streams these to HTTP clients.
 EventsFn = Callable[[dict], None]
 
+#: :func:`run_batch`'s per-task hook: ``(completed, index, cached)``,
+#: where ``completed`` is a monotonic done-count (tasks finish out of
+#: submission order under parallel dispatch).
+ReportFn = Callable[[int, int, bool], None]
+
 #: Per-job telemetry fields carried between the worker payload, the
 #: in-memory result, and the sweep trace file.
 _OBS_FIELDS = ("latency", "samples", "samples_total")
 
 
-def execute_job(job: Job) -> dict:
+def execute_job(job: Job, telemetry: bool = False) -> dict:
     """Run one job to completion; returns the serialized result payload.
 
-    Module-level so it pickles cleanly into worker processes.  Every
-    backend routes results through this dict form — the single canonical
-    representation shared with the cache.
+    Module-level so it pickles cleanly into worker processes, bare or
+    bound as ``functools.partial(execute_job, telemetry=True)``.  Every
+    backend routes results through this dict form — the single
+    canonical representation shared with the cache.
 
-    Telemetry crosses the process boundary through the environment
-    (:data:`~repro.obs.TELEMETRY_ENV`, set by ``run_sweep``): when
-    enabled, the recorder's export rides as an ``"_obs"`` side channel
-    on the payload — *beside* the canonical result fields, never among
-    them, so cache rows and aggregate digests stay byte-identical with
+    With ``telemetry``, a recorder observes the run, its export capped
+    at :func:`~repro.obs.max_samples_from_env` of the process that runs
+    the job, and the export rides as an ``"_obs"`` side channel on the
+    payload — *beside* the canonical result fields, never among them,
+    so cache rows and aggregate digests stay byte-identical with
     telemetry on or off.
     """
     from repro.sim.runner import simulate_workload
 
-    telemetry = telemetry_from_env()
+    recorder = (
+        Telemetry(max_samples=max_samples_from_env()) if telemetry else None
+    )
     result = simulate_workload(
         job.workload, config=job.config, defense=job.defense,
         n_entries=job.n_entries, seed=job.seed, engine=job.engine,
-        telemetry=telemetry,
+        telemetry=recorder,
     )
     payload = result_to_dict(result)
-    if telemetry is not None:
-        payload["_obs"] = telemetry.export()
+    if recorder is not None:
+        payload["_obs"] = recorder.export()
     return payload
+
+
+@dataclass
+class BatchRun:
+    """What :func:`run_batch` did, per task in task order."""
+
+    payloads: list[dict]
+    cached: list[bool]
+    #: Cache key per task (``None`` when the batch ran without a store).
+    keys: list[str | None]
+    #: Telemetry by index: executed tasks' ``"_obs"`` exports
+    #: (``run_sweep`` adds the rows it carries for cached jobs).
+    observations: dict[int, dict]
+    #: The backend that ran the uncached remainder, and its wall time.
+    backend: SweepBackend
+    exec_elapsed_s: float
+
+    @property
+    def executed(self) -> int:
+        return len(self.cached) - sum(self.cached)
+
+
+def run_batch(
+    tasks: Sequence,
+    run_one: RunOneFn,
+    store: ResultStore | None,
+    backend: str | SweepBackend,
+    jobs: int,
+    hosts: Sequence[str] | None,
+    report: ReportFn,
+) -> BatchRun:
+    """Run cacheable tasks: one lookup → dispatch → put loop.
+
+    Each task (anything with a ``cache_key()``) is looked up in
+    ``store``, and cached tasks are reported first, in task order.  The
+    pending rest runs through ``run_one`` on ``backend``, resolved with
+    the pending count (so ``"auto"`` stays in process for one task).
+    Each fresh payload loses its ``"_obs"`` side channel, is persisted
+    the moment it arrives (an interrupted batch resumes from the store)
+    and is reported once.  Raises :class:`ReproError` when the backend
+    does not finish every pending task.
+    """
+    total = len(tasks)
+    payloads: list = [None] * total
+    cached = [False] * total
+    keys: list[str | None] = [None] * total
+    observations: dict[int, dict] = {}
+    completed = 0
+    pending: list[int] = []
+    for index, task in enumerate(tasks):
+        if store is not None:
+            keys[index] = task.cache_key()
+            payloads[index] = store.get(keys[index])
+            if payloads[index] is not None:
+                cached[index] = True
+                completed += 1
+                report(completed, index, True)
+                continue
+        pending.append(index)
+
+    def finish(index: int, payload: dict) -> None:
+        nonlocal completed
+        # Telemetry rides beside the canonical payload: strip it before
+        # anything durable or digestable sees the dict.
+        obs = payload.pop("_obs", None)
+        if obs is not None:
+            observations[index] = obs
+        payloads[index] = payload
+        if store is not None:
+            # Tag the row with the salt baked into its key, so cache
+            # compaction can identify rows stranded by code changes.
+            store.put(keys[index], payload, salt=code_version_salt())
+        completed += 1
+        report(completed, index, False)
+
+    chosen = resolve_backend(backend, jobs, hosts, pending=len(pending))
+    started = time.perf_counter()
+    if pending:
+        chosen.execute(
+            [(index, tasks[index]) for index in pending], run_one, finish
+        )
+    elapsed = time.perf_counter() - started
+    executed = completed - (total - len(pending))
+    if executed != len(pending):
+        raise ReproError(
+            f"backend {chosen.name!r} finished {executed} of "
+            f"{len(pending)} pending jobs"
+        )
+    return BatchRun(payloads, cached, keys, observations, chosen, elapsed)
 
 
 @dataclass
@@ -186,18 +285,18 @@ def run_sweep(
         plus a final line summarising executed-vs-cached throughput.
     backend:
         Execution backend, by registry name or as a built
-        :class:`~repro.exp.backend.SweepBackend`.  ``"auto"`` keeps the
-        historical behaviour: in-process for ``jobs=1`` (or when at most
-        one job is pending), ``pool`` otherwise.
+        :class:`~repro.exp.backend.SweepBackend`.  ``"auto"`` runs in
+        process for ``jobs=1`` (or when at most one job is pending) and
+        on ``pool`` otherwise.
     hosts:
         Host list for the ``remote-fleet`` backend (``"local"`` spawns
         a plain subprocess); ignored by the others.
     telemetry:
-        Record per-request latency telemetry in every executed job
-        (enabled across worker processes via
-        :data:`~repro.obs.TELEMETRY_ENV`).  Results and cache rows are
-        byte-identical either way; the summaries land on each outcome's
-        ``result.latency`` and in the sweep trace file.
+        Record per-request latency telemetry in every executed job: the
+        backend runs ``execute_job`` with ``telemetry=True`` bound, so
+        the switch travels with each task into any worker.  Results and
+        cache rows are byte-identical either way; the summaries land on
+        each outcome's ``result.latency`` and in the sweep trace file.
     events:
         Structured progress hook (:data:`EventsFn`): one dict per
         completed job, emitted alongside the human ``progress`` lines
@@ -207,93 +306,39 @@ def run_sweep(
     the result, and — when a store is present — writes a JSONL sweep
     trace next to the cache (``<cache_dir>/traces/``) for ``repro
     stats`` / ``repro trace``.  Cached jobs carry their telemetry
-    forward from the previous trace of the same sweep, so a fully
-    cached re-run never erases observed latencies.
+    forward from the previous trace of the same sweep, onto their
+    ``result.latency`` and into the new trace, so a fully cached re-run
+    never erases observed latencies.
     """
     if jobs < 1:
         raise ReproError(f"jobs must be >= 1, got {jobs}")
     started = time.perf_counter()
     expanded = spec.expand()
     total = len(expanded)
-    payloads: list[dict | None] = [None] * total
-    cached: list[bool] = [False] * total
-    #: Per-index telemetry exports, carried outside the payloads.
-    observations: dict[int, dict] = {}
-    cached_done = 0
-    executed_done = 0
 
-    pending: list[int] = []
-    keys: list[str | None] = [None] * total
-    for index, job in enumerate(expanded):
-        if store is not None:
-            keys[index] = job.cache_key()
-            payload = store.get(keys[index])
-            if payload is not None:
-                payloads[index] = payload
-                cached[index] = True
-                cached_done += 1
-                _report(progress, events, cached_done + executed_done,
-                        total, index, job, cached=True)
-                continue
-        pending.append(index)
+    def report(completed: int, index: int, cached: bool) -> None:
+        _report(progress, events, completed, total, index, expanded[index],
+                cached)
 
-    def finish(index: int, payload: dict) -> None:
-        nonlocal executed_done
-        # Telemetry rides beside the canonical payload: strip it before
-        # anything durable or digestable sees the dict.
-        obs = payload.pop("_obs", None)
-        if obs is not None:
-            observations[index] = obs
-        payloads[index] = payload
-        if store is not None:
-            assert keys[index] is not None
-            # Tag the row with the salt baked into its key, so cache
-            # compaction can identify rows stranded by code changes.
-            store.put(keys[index], payload, salt=code_version_salt())
-        executed_done += 1
-        _report(progress, events, cached_done + executed_done, total,
-                index, expanded[index], cached=False)
-
-    if backend == "auto" and (jobs == 1 or len(pending) <= 1):
-        backend = "serial"
-    chosen = resolve_backend(backend, jobs=jobs, hosts=hosts)
-    exec_started = time.perf_counter()
-    if pending:
-        previous_env = os.environ.get(TELEMETRY_ENV)
-        if telemetry:
-            os.environ[TELEMETRY_ENV] = "1"
-        try:
-            chosen.execute(
-                [(index, expanded[index]) for index in pending],
-                execute_job,
-                finish,
-            )
-        finally:
-            if telemetry:
-                if previous_env is None:
-                    os.environ.pop(TELEMETRY_ENV, None)
-                else:
-                    os.environ[TELEMETRY_ENV] = previous_env
-    exec_elapsed = time.perf_counter() - exec_started
-    if executed_done != len(pending):
-        raise ReproError(
-            f"backend {chosen.name!r} finished {executed_done} of "
-            f"{len(pending)} pending jobs"
-        )
-
+    run_one = (
+        functools.partial(execute_job, telemetry=True) if telemetry
+        else execute_job
+    )
+    batch = run_batch(expanded, run_one, store, backend, jobs, hosts, report)
     outcomes = [
-        JobOutcome(
-            job=job,
-            result=result_from_dict(payload),  # type: ignore[arg-type]
-            from_cache=was_cached,
+        JobOutcome(job=job, result=result_from_dict(payload),
+                   from_cache=was_cached)
+        for job, payload, was_cached in zip(
+            expanded, batch.payloads, batch.cached
         )
-        for job, payload, was_cached in zip(expanded, payloads, cached)
     ]
+    chosen = batch.backend
+    exec_elapsed = batch.exec_elapsed_s
     sweep = SweepResult(
         spec=spec,
         outcomes=outcomes,
-        cache_hits=sum(cached),
-        executed=len(pending),
+        cache_hits=sum(batch.cached),
+        executed=batch.executed,
         elapsed_s=time.perf_counter() - started,
         backend=chosen.name,
         exec_elapsed_s=exec_elapsed,
@@ -304,11 +349,11 @@ def run_sweep(
         # line can never diverge from the recorded rate.
         rate = (
             f" ({sweep.exec_rate:.2f} jobs/s)"
-            if pending and exec_elapsed > 0 else ""
+            if sweep.executed and exec_elapsed > 0 else ""
         )
         progress(
             f"{sweep.executed} executed on {chosen.name} in "
-            f"{exec_elapsed:.2f}s{rate}, {cached_done} from cache"
+            f"{exec_elapsed:.2f}s{rate}, {sweep.cache_hits} from cache"
         )
 
     sweep.metrics = SweepMetrics(
@@ -324,43 +369,48 @@ def run_sweep(
         backend_metrics=dict(getattr(chosen, "metrics", {}) or {}),
         store=store.sweep_health() if store is not None else None,
     )
-    for index, obs in observations.items():
-        latency = obs.get("latency")
-        if latency is not None:
-            outcomes[index].result.latency = latency
     if store is not None:
-        sweep.trace_path = str(_write_trace(
-            store, sweep.metrics, expanded, keys, cached, observations
-        ))
+        path = trace_path_for(store.directory, sweep.metrics.sweep_id)
+        batch.observations.update(_carried_rows(path, batch))
+        sweep.trace_path = str(
+            _write_trace(path, sweep.metrics, expanded, batch)
+        )
+    for index, obs in batch.observations.items():
+        if isinstance(obs.get("latency"), dict):
+            outcomes[index].result.latency = obs["latency"]
     return sweep
 
 
-def _write_trace(
-    store: ResultStore,
-    metrics: SweepMetrics,
-    expanded: list[Job],
-    keys: list[str | None],
-    cached: list[bool],
-    observations: dict[int, dict],
-):
+def _carried_rows(path, batch: BatchRun) -> dict[int, dict]:
+    """Cached jobs' rows in the previous trace of the same sweep.
+
+    Matched by cache key, so stale observations from an older code
+    version are never carried forward.  The previous trace is read only
+    when some job is cached: after a simulator edit every key changes,
+    so none of it could be reused.
+    """
+    if not any(batch.cached) or not path.exists():
+        return {}
+    previous = {
+        row["key"]: row
+        for row in read_trace(path)["jobs"]
+        if isinstance(row.get("key"), str)
+    }
+    return {
+        index: previous[key]
+        for index, key in enumerate(batch.keys)
+        if batch.cached[index] and key in previous
+    }
+
+
+def _write_trace(path, metrics: SweepMetrics, expanded: list[Job],
+                 batch: BatchRun):
     """Write (or refresh) the sweep's JSONL trace next to the cache.
 
-    Cached jobs re-use the telemetry recorded in the previous trace of
-    the same sweep (matched by cache key, so stale observations from an
-    older code version are never carried forward): a fully cached
-    re-run refreshes the metrics header without erasing latencies.
-    Their fields pass through as stored, in either sample layout.  The
-    previous trace is read only when some job is cached: after a
-    simulator edit every key changes, so none of it could be reused.
+    Each job's telemetry fields come from ``batch.observations``: the
+    worker's export for an executed job, the previous trace's row for a
+    cached one, passed through as stored, in either sample layout.
     """
-    path = trace_path_for(store.directory, metrics.sweep_id)
-    previous: dict[str, dict] = {}
-    if any(cached) and path.exists():
-        previous = {
-            row["key"]: row
-            for row in read_trace(path)["jobs"]
-            if isinstance(row.get("key"), str)
-        }
     job_rows = []
     for index, job in enumerate(expanded):
         row: dict = {
@@ -368,13 +418,11 @@ def _write_trace(
             "index": index,
             "label": job.label,
             "overrides": overrides_label(job.overrides),
-            "key": keys[index],
+            "key": batch.keys[index],
             "engine": job.engine.label,
-            "from_cache": cached[index],
+            "from_cache": batch.cached[index],
         }
-        obs = observations.get(index)
-        if obs is None and cached[index]:
-            obs = previous.get(keys[index])
+        obs = batch.observations.get(index)
         if obs:
             for field_name in _OBS_FIELDS:
                 if obs.get(field_name) is not None:

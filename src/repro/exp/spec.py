@@ -236,6 +236,13 @@ class SweepSpec:
     def workload_names(self) -> tuple[str, ...]:
         return tuple(w.name for w in self.workloads)
 
+    @property
+    def job_count(self) -> int:
+        """``len(self.expand())``, from the grid's dimensions alone: per
+        workload, one job per (override set, defense) plus one baseline."""
+        per_workload = len(self.overrides) * len(self.defenses)
+        return len(self.workloads) * (per_workload + self.include_baseline)
+
     def expand(self) -> list[Job]:
         """Materialise the grid, in stable (override, workload, defense)
         order with each workload's baseline first.

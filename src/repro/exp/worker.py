@@ -241,8 +241,9 @@ def parse_worker_row(line: str) -> dict | None:
     """Decode one output line into a row dict, or ``None`` for damaged
     or foreign lines (a worker killed mid-write, injected corruption).
 
-    Valid rows have an int ``index`` and either a dict ``payload``
-    (finished) or a dict ``error`` (typed deterministic failure)."""
+    Valid rows have an int ``index`` (JSON ``true`` is not one) and
+    either a dict ``payload`` (finished) or a dict ``error`` (typed
+    deterministic failure)."""
     line = line.strip()
     if not line:
         return None
@@ -250,9 +251,7 @@ def parse_worker_row(line: str) -> dict | None:
         record = json.loads(line)
     except json.JSONDecodeError:
         return None
-    if not isinstance(record, dict) or not isinstance(
-        record.get("index"), int
-    ):
+    if not isinstance(record, dict) or type(record.get("index")) is not int:
         return None
     if isinstance(record.get("payload"), dict):
         return {"index": record["index"], "payload": record["payload"]}
@@ -267,7 +266,7 @@ def read_worker_rows(path: str | Path) -> Iterator[dict]:
     path = Path(path)
     if not path.exists():
         return
-    for line in path.read_text().splitlines():
+    for line in path.read_text().split("\n"):
         row = parse_worker_row(line)
         if row is not None:
             yield row

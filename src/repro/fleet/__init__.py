@@ -9,7 +9,6 @@ registry to keep ``repro.exp.backend`` ↔ ``repro.fleet`` acyclic.
 """
 
 from repro.fleet.faults import (
-    FLEET_FAULTS_ENV,
     WORKER_FAULT_ENV,
     FleetFault,
     FleetFaultPlan,
@@ -23,7 +22,6 @@ from repro.fleet.policy import (
 )
 
 __all__ = [
-    "FLEET_FAULTS_ENV",
     "WORKER_FAULT_ENV",
     "FleetFault",
     "FleetFaultPlan",

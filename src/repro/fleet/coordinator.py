@@ -316,11 +316,8 @@ class FleetCoordinator:
                 host.status = "down"
             else:
                 host.status = "quarantined"
-        elif host.status == "probing":
-            # A failed probe with failures to spare: try again directly.
-            host.status = "probing"
-        else:
-            host.status = "active" if host.status == "active" else host.status
+        # Otherwise the host keeps its status: a failed probe with
+        # failures to spare probes again directly.
 
     # -- claiming and retrying ----------------------------------------
 
@@ -655,8 +652,9 @@ class RemoteFleetBackend(SweepBackend):
     ssh and assumes a shared filesystem); ``jobs`` caps concurrent
     workers *per host* (the effective count is ``min(jobs, probed CPU
     count)``).  Chaos is injected through a
-    :class:`~repro.fleet.faults.FleetFaultPlan` (``fault_plan=`` or the
-    ``REPRO_FLEET_FAULTS`` environment variable).
+    :class:`~repro.fleet.faults.FleetFaultPlan` (``fault_plan=``; none
+    by default).  ``spool_root`` names the cache dir whose ``spool/``
+    holds the batch files (``None``: the default cache dir).
     """
 
     def __init__(
@@ -678,7 +676,7 @@ class RemoteFleetBackend(SweepBackend):
         self.retry = retry or DEFAULT_RETRY_POLICY
         self.lease = lease or DEFAULT_LEASE_POLICY
         self.fault_plan = (
-            fault_plan if fault_plan is not None else FleetFaultPlan.from_env()
+            fault_plan if fault_plan is not None else FleetFaultPlan()
         )
         self.transport = transport or Transport()
         self.batch_size = batch_size

@@ -38,11 +38,11 @@ process as a JSON directive in :data:`WORKER_FAULT_ENV`; the
 coordinator decides *whether* a fault fires (consuming its budget
 in-process), the worker only obeys.
 
-Plans are also settable from the environment
-(:data:`FLEET_FAULTS_ENV`) in a compact spec grammar, one fault per
-``;``-separated clause::
+Plans are written in a compact spec grammar, one fault per
+``;``-separated clause (``repro sweep --faults`` / the service's
+``faults`` field, parsed by :meth:`FleetFaultPlan.parse`)::
 
-    REPRO_FLEET_FAULTS="kill-worker:after_jobs=1;drop-host:host=local@1,times=2"
+    kill-worker:after_jobs=1;drop-host:host=local@1,times=2
 """
 
 from __future__ import annotations
@@ -52,9 +52,6 @@ import os
 from dataclasses import dataclass, field
 
 from repro.errors import ReproError
-
-#: Environment variable carrying a FleetFaultPlan spec string.
-FLEET_FAULTS_ENV = "REPRO_FLEET_FAULTS"
 
 #: Environment variable carrying one worker-side fault directive (JSON),
 #: injected per dispatch by the coordinator.
@@ -173,10 +170,6 @@ class FleetFaultPlan:
             _parse_clause(clause)
             for clause in text.split(";") if clause.strip()
         ))
-
-    @classmethod
-    def from_env(cls) -> "FleetFaultPlan":
-        return cls.parse(os.environ.get(FLEET_FAULTS_ENV))
 
     def __bool__(self) -> bool:
         return bool(self.faults)

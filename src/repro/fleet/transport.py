@@ -77,12 +77,11 @@ class Transport:
 
 def worker_env(extra: dict[str, str] | None = None) -> dict[str, str]:
     """Environment for a spawned worker: the caller's, with the package
-    importable and any inherited fleet fault directives stripped (the
+    importable and any inherited worker fault directive stripped (the
     coordinator injects its own, per dispatch, via ``extra``)."""
-    from repro.fleet.faults import FLEET_FAULTS_ENV, WORKER_FAULT_ENV
+    from repro.fleet.faults import WORKER_FAULT_ENV
 
     env = dict(os.environ)
-    env.pop(FLEET_FAULTS_ENV, None)
     env.pop(WORKER_FAULT_ENV, None)
     package_parent = str(Path(__file__).resolve().parents[2])
     existing = env.get("PYTHONPATH")

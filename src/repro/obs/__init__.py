@@ -32,15 +32,14 @@ from repro.obs.telemetry import (
     DEFAULT_MAX_SAMPLES,
     NULL_TELEMETRY,
     SAMPLES_LAYOUT,
-    TELEMETRY_ENV,
     TELEMETRY_MAX_SAMPLES_ENV,
     NullTelemetry,
     Telemetry,
     active_telemetry,
     decode_samples,
+    max_samples_from_env,
     percentile,
     summarize_latencies,
-    telemetry_from_env,
 )
 
 __all__ = [
@@ -48,7 +47,6 @@ __all__ = [
     "NULL_TELEMETRY",
     "SAMPLES_LAYOUT",
     "SWEEP_TRACE_SCHEMA",
-    "TELEMETRY_ENV",
     "TELEMETRY_MAX_SAMPLES_ENV",
     "NullTelemetry",
     "SweepMetrics",
@@ -57,12 +55,12 @@ __all__ = [
     "decode_samples",
     "latest_trace_path",
     "list_trace_paths",
+    "max_samples_from_env",
     "percentile",
     "read_trace",
     "resolve_trace_path",
     "summarize_latencies",
     "sweep_id_for",
-    "telemetry_from_env",
     "trace_path_for",
     "traces_dir",
     "write_sweep_trace",

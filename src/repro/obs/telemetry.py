@@ -15,11 +15,10 @@ test per request.  :data:`NULL_TELEMETRY` (a :class:`NullTelemetry`) is
 the explicit disabled instance for callers that want an object either
 way.
 
-Worker processes enable telemetry through the environment
-(:data:`TELEMETRY_ENV`), because sweep backends cross process
-boundaries where no object can travel: ``run_sweep(...,
-telemetry=True)`` sets the variable around backend execution and
-:func:`telemetry_from_env` builds the recorder inside the worker.
+Sweep workers build their recorder themselves: ``run_sweep(...,
+telemetry=True)`` hands its backend ``execute_job`` with
+``telemetry=True`` bound, which pickles into any worker process, and the
+worker caps the exported samples at :func:`max_samples_from_env`.
 
 Per-request samples are kept as columns, not rows.  The recorder
 appends each request's arrival, write flag and core to three plain
@@ -47,9 +46,6 @@ import sys
 from typing import Iterable, Iterator
 
 import numpy as np
-
-#: Set to ``1`` to enable per-request telemetry in sweep workers.
-TELEMETRY_ENV = "REPRO_TELEMETRY"
 
 #: Caps the per-request samples *exported* per job (summaries always
 #: cover every request).  The first N samples in simulated-clock
@@ -341,21 +337,14 @@ class Telemetry:
         }
 
 
-def telemetry_from_env() -> Telemetry | None:
-    """Build a recorder iff :data:`TELEMETRY_ENV` enables one.
-
-    The cross-process enablement channel for sweep workers; returns
-    ``None`` (not a :class:`NullTelemetry`) when disabled so callers can
-    pass the result straight to an engine.
-    """
-    if os.environ.get(TELEMETRY_ENV, "").strip() not in ("1", "true", "yes"):
-        return None
+def max_samples_from_env() -> int:
+    """This process's export cap: :data:`TELEMETRY_MAX_SAMPLES_ENV`, or
+    :data:`DEFAULT_MAX_SAMPLES` when it is unset or not an integer."""
     raw = os.environ.get(TELEMETRY_MAX_SAMPLES_ENV, "")
     try:
-        max_samples = int(raw) if raw else DEFAULT_MAX_SAMPLES
+        return int(raw) if raw else DEFAULT_MAX_SAMPLES
     except ValueError:
-        max_samples = DEFAULT_MAX_SAMPLES
-    return Telemetry(max_samples=max_samples)
+        return DEFAULT_MAX_SAMPLES
 
 
 def active_telemetry(telemetry) -> "Telemetry | None":

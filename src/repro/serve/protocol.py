@@ -9,13 +9,15 @@ and therefore the sweep's content identity
 trace, faults) only say how to execute it; two submissions that differ
 only in run fields are the same sweep and coalesce onto one record.
 
-:func:`build_spec` is the single spec constructor used by both ``repro
-sweep``/``repro submit`` and the HTTP service, so a spec submitted over
-HTTP is identical *by construction* to the one the CLI would run — and
-so are its cache keys, its sweep id, and its aggregate digest.  Every
-default below (5000 entries, N_BO=32, PRAC-1, seed 0, the ``event``
-engine, the paper's five QPRAC variants) is the CLI default for the
-same field.
+``repro sweep``, ``repro submit`` and the HTTP service all parse their
+options into one :class:`SweepRequest`, whose spec comes from
+:func:`build_spec` and whose backend from
+:meth:`SweepRequest.build_backend`.  So a spec submitted over HTTP is
+identical *by construction* to the one the CLI would run — and so are
+its cache keys, its sweep id, and its aggregate digest — and both refuse
+the same requests.  Every default below (5000 entries, N_BO=32, PRAC-1,
+seed 0, the ``event`` engine, the paper's five QPRAC variants) is the
+CLI default for the same field.
 """
 
 from __future__ import annotations
@@ -185,6 +187,29 @@ class SweepRequest:
             )
             object.__setattr__(self, "_spec", spec)  # frozen: not a field
         return spec
+
+    def build_backend(self, cache_dir):
+        """Run options -> ``run_sweep``'s ``backend`` argument, for
+        ``repro sweep`` and the service alike.
+
+        Most backends pass through by registry name.  ``remote-fleet``
+        becomes an instance of its own, carrying the request's fault
+        plan (empty without ``faults``) and spooling under ``cache_dir``
+        (``None``: the default cache dir), where ``repro cache info`` /
+        ``gc`` find its leavings.  A fresh instance per call: a fault
+        plan's budget is spent by the run it is handed to.
+        """
+        if self.backend != "remote-fleet":
+            return self.backend
+        from repro.fleet.coordinator import RemoteFleetBackend
+        from repro.fleet.faults import FleetFaultPlan
+
+        return RemoteFleetBackend(
+            jobs=self.jobs,
+            hosts=self.hosts,
+            fault_plan=FleetFaultPlan.parse(self.faults),
+            spool_root=cache_dir,
+        )
 
     def to_payload(self) -> dict:
         """JSON-able round-trip form (echoed back in status payloads)."""

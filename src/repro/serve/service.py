@@ -214,7 +214,7 @@ class SweepService:
         try:
             request = SweepRequest.from_payload(payload)
             spec = request.spec()  # the one validation built
-            total = len(spec.expand())
+            total = spec.job_count
         except ReproError as exc:
             with self._cond:
                 self.metrics.rejected += 1
@@ -362,27 +362,6 @@ class SweepService:
             store.refresh()
         return store
 
-    def _build_backend(self, request: SweepRequest):
-        """Run options -> backend argument for ``run_sweep``.
-
-        Fault injection builds the fleet backend *instance* with an
-        explicit plan (thread-safe, unlike the ``REPRO_FLEET_FAULTS``
-        process environment the CLI uses); everything else passes the
-        registry name through.  The fleet spools under the service's
-        cache dir so ``repro cache info``/``gc`` see its leavings.
-        """
-        if request.faults is None:
-            return request.backend
-        from repro.fleet.coordinator import RemoteFleetBackend
-        from repro.fleet.faults import FleetFaultPlan
-
-        return RemoteFleetBackend(
-            jobs=request.jobs,
-            hosts=request.hosts,
-            fault_plan=FleetFaultPlan.parse(request.faults),
-            spool_root=self.cache_dir,
-        )
-
     def _run(self, record: SweepRecord) -> None:
         from repro.exp import run_sweep, sweep_digest
 
@@ -402,7 +381,7 @@ class SweepService:
             spec,
             jobs=request.jobs,
             store=store,
-            backend=self._build_backend(request),
+            backend=request.build_backend(self.cache_dir),
             hosts=request.hosts,
             telemetry=request.trace,
             events=on_event,

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.controller.memctrl import MemorySystem
-from repro.dram.address import AddressMapper
+from repro.dram.address import bank_pools
 from repro.engine import EventQueue
 from repro.errors import ConfigError
 from repro.params import RfmScope, SystemConfig, default_config
@@ -82,30 +82,16 @@ def run_bandwidth_attack(
     spec, config = defense_and_config(defense, config)
     events = EventQueue()
     memory = MemorySystem(config, events, spec.factory())
-    mapper = AddressMapper(config.org)
     org = config.org
     row_stride = 2 * config.prac.blast_radius + 2
 
     if targets is None:
         ranks_to_attack = min(attack_ranks, org.channels * org.ranks)
-        targets = []
-        for rank_index in range(ranks_to_attack):
-            channel = rank_index // org.ranks
-            rank = rank_index % org.ranks
-            for bg in range(org.bankgroups):
-                for bank in range(org.banks_per_group):
-                    addrs = [
-                        mapper.compose(
-                            row=(i * row_stride) % org.rows_per_bank,
-                            column=0,
-                            channel=channel,
-                            rank=rank,
-                            bankgroup=bg,
-                            bank=bank,
-                        )
-                        for i in range(pool_rows_per_bank)
-                    ]
-                    targets.append(addrs)
+        targets = bank_pools(
+            org, range(ranks_to_attack * org.banks_per_rank),
+            [(i * row_stride) % org.rows_per_bank
+             for i in range(pool_rows_per_bank)],
+        )
     if not targets or any(not addrs for addrs in targets):
         raise ConfigError("attack targets must be non-empty per bank")
 

@@ -1,6 +1,6 @@
 """Workloads: the 57-application synthetic suite and attack traffic."""
 
-from repro.workloads.attacks import hammer_trace, wave_attack_rows
+from repro.workloads.attacks import hammer_trace
 from repro.workloads.suites import (
     ALL_WORKLOADS,
     REPRESENTATIVE_WORKLOADS,
@@ -24,7 +24,6 @@ __all__ = [
     "hammer_trace",
     "memory_intensive_workloads",
     "suites",
-    "wave_attack_rows",
     "workload",
     "workloads_by_suite",
 ]

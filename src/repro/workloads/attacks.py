@@ -1,12 +1,11 @@
 """Attack traffic generators.
 
-Two shapes of adversarial traffic from the paper:
-
-* **Row hammer traces** for CPU-driven runs: alternating activations of a
-  small row set per bank, defeating the row buffer so every access is an
-  activation (used by examples and integration tests).
-* **Wave-attack address schedules** used by
-  :mod:`repro.security.wave_sim` (which drives banks directly).
+**Row hammer traces** for CPU-driven runs: alternating activations of a
+small row set per bank, defeating the row buffer so every access is an
+activation (used by examples and integration tests), and the round-robin
+walk every pool-based attack pattern shares (:func:`round_robin_trace`).
+The wave attack's pool spacing lives with its simulator,
+:mod:`repro.security.wave_sim`, which drives banks directly.
 
 The multi-bank *performance* attack of Figure 19 is a closed-loop driver
 over the memory system and lives in :mod:`repro.sim.bandwidth`.
@@ -17,9 +16,31 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cpu.trace import Trace
-from repro.dram.address import AddressMapper, flat_bank_coords
+from repro.dram.address import bank_pools
 from repro.errors import ConfigError
 from repro.params import DRAMOrganization
+
+
+def round_robin_trace(
+    pools: list[list[int]], n_entries: int, bubbles, name: str
+) -> Trace:
+    """Interleave per-bank pools access by access: access ``i`` goes to
+    pool ``i % len(pools)``, whose rows it cycles in order.
+
+    The one walk of every pool-based attack trace.  Pools must be of
+    equal length (as :func:`~repro.dram.address.bank_pools` builds
+    them); ``bubbles`` is one count for every access or an array with
+    one per access.
+    """
+    table = np.asarray(pools, dtype=np.int64)
+    banks, rows = table.shape
+    index = np.arange(n_entries)
+    return Trace(
+        np.full(n_entries, bubbles, dtype=np.int32),
+        table[index % banks, index // banks % rows],
+        np.zeros(n_entries, dtype=bool),
+        name=name,
+    )
 
 
 def hammer_trace(
@@ -42,38 +63,8 @@ def hammer_trace(
         raise ConfigError(f"banks must be in [1, {org.total_banks}]")
     if rows_per_bank < 2:
         raise ConfigError("need >= 2 rows per bank to defeat the row buffer")
-    mapper = AddressMapper(org)
-    bank_addrs: list[list[int]] = []
-    for flat in range(banks):
-        channel, rank, bg, bank = flat_bank_coords(flat, org)
-        rows = [
-            mapper.compose(
-                row=(i * row_stride) % org.rows_per_bank,
-                column=0,
-                channel=channel,
-                rank=rank,
-                bankgroup=bg,
-                bank=bank,
-            )
-            for i in range(rows_per_bank)
-        ]
-        bank_addrs.append(rows)
-    addresses = np.empty(n_entries, dtype=np.int64)
-    for i in range(n_entries):
-        bank_rows = bank_addrs[i % banks]
-        addresses[i] = bank_rows[(i // banks) % rows_per_bank]
-    return Trace(
-        np.full(n_entries, bubbles, dtype=np.int32),
-        addresses,
-        np.zeros(n_entries, dtype=bool),
+    rows = [(i * row_stride) % org.rows_per_bank for i in range(rows_per_bank)]
+    return round_robin_trace(
+        bank_pools(org, range(banks), rows), n_entries, bubbles,
         name=f"hammer-{banks}banks",
     )
-
-
-def wave_attack_rows(r1: int, blast_radius: int = 2) -> list[int]:
-    """Pool rows for the wave attack, spaced outside each other's blast
-    radius (used by the empirical security simulations)."""
-    if r1 < 1:
-        raise ConfigError(f"r1 must be >= 1, got {r1}")
-    spacing = 2 * blast_radius + 2
-    return [spacing * (i + 1) for i in range(r1)]

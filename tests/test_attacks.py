@@ -25,6 +25,7 @@ addresses of the hand-rolled decode arithmetic it replaced.
 from __future__ import annotations
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -42,13 +43,14 @@ from repro.attacks import (
 )
 from repro.attacks.hunt import DEFAULT_PATTERNS, run_hunt
 from repro.cpu.trace import Trace
-from repro.dram.address import AddressMapper
+from repro.dram.address import AddressMapper, flat_bank_coords
 from repro.errors import ConfigError, ReproError
 from repro.exp import ResultStore, SweepSpec
 from repro.exp.attack import attack_job
 from repro.exp.serialize import canonical_json, result_to_dict
 from repro.params import DRAMOrganization, default_config
 from repro.sim import simulate_workload
+from repro.sim.bandwidth import run_bandwidth_attack
 from repro.workloads.attacks import hammer_trace
 from repro.workloads.synthetic import generate_trace
 
@@ -330,6 +332,72 @@ def test_bandwidth_targets_match_default_bank_walk():
     assert len(everything) == org.channels * org.ranks * org.banks_per_rank
 
 
+#: sha256 over each registered pattern's whole trace at its defaults
+#: (``build_attack_trace(name, 4000, org, seed=7)``: addresses, bubbles,
+#: write flags and name) and over its ``bandwidth_targets`` at one and
+#: two attacked ranks, recorded before the patterns, ``hammer_trace``
+#: and the bandwidth attacker shared one pool builder and one walk.
+POOL_PINS = {
+    "decoy": (
+        "ec5f3127ff30157d686083025906ac2f74d24d9b41374808c363e0f5c79e08a6",
+        "ca69cccad4c593f47a1589f2e62383219dd08c365b9d54424ad1eec7871ad8f6",
+        "86e14397cf54d967a4dd9f8bea690ea64f582e8be5c4d25104f4c6bf1e5298d4",
+    ),
+    "double-sided": (
+        "3e9a3731d94cc84dcf674858bdc3ed509ab0098cf7dedd87c1a41647eeb8974f",
+        "77419b2e18a623461f5f11adc80a1392130747d6dbc39b1586eb0fa7f078f00d",
+        "860a9ca7bfc3736780a350e2eef8f1de09d3f2f22e906ddab0f0eb8a56621e7e",
+    ),
+    "hammer": (
+        "e3e05c22701d3a567cfb0c467684e9df7619f7f5c3c0bd121bbbf0f453cff5ef",
+        "a3f1e2689afd0334181f275a9f2e9d9025c17febabca6bc3d134e604f6dbcba9",
+        "0ce562d6c57943b07d99869fda203629002fdbc72168c7987aac026b241e16d1",
+    ),
+    "many-sided": (
+        "e3600afbd73629a6a03630af1e01462d08df6ee394d3014578c823df092788bc",
+        "5287c991d8d6e599134d0165a3f2e06c06e109b73187a44507b67e13b65c9524",
+        "dd94b68ca0cc3271f60bda9b64ad35da0f37bcd821acaf956af8df7e76c8ae87",
+    ),
+    "row-list": (
+        "b21afd426c8e88e9fe7602d6e58f7fb538bcd1796056ec9afd74e5bb9cc46c4f",
+        "8bba797d82493e485e12e729db4f70553945d3b75eda1b959cf723efad84082e",
+        "283f8fbc58c251ecf862ba35b079fac5bd3b148059ee5acb18a749e08f9cc0ca",
+    ),
+}
+
+
+@needs_golden_env
+@pytest.mark.parametrize("name", sorted(POOL_PINS))
+def test_pool_builder_pins(name):
+    org = default_config().org
+    trace = build_attack_trace(name, 4000, org, seed=7)
+    digests = [hashlib.sha256(
+        trace.addresses.tobytes() + trace.bubbles.tobytes()
+        + trace.is_write.tobytes() + trace.name.encode()
+    ).hexdigest()]
+    for ranks in (1, 2):
+        targets = bandwidth_targets(name, org, attack_ranks=ranks)
+        digests.append(
+            hashlib.sha256(json.dumps(targets).encode()).hexdigest()
+        )
+    assert tuple(digests) == POOL_PINS[name]
+
+
+@pytest.mark.parametrize("defense, ranks, acts, alerts", [
+    ("baseline", 1, 5344, 0),
+    ("qprac", 1, 5134, 4),
+    ("qprac", 2, 9123, 8),
+])
+def test_default_bandwidth_pool_pin(defense, ranks, acts, alerts):
+    """The classic strided pool attacker, pinned before its pool was
+    built by ``bank_pools``: the qprac runs climb past N_BO."""
+    result = run_bandwidth_attack(
+        default_config(), defense=defense, measure_ns=30_000.0,
+        pool_rows_per_bank=4, attack_ranks=ranks,
+    )
+    assert (result.acts, result.alerts) == (acts, alerts)
+
+
 # ----------------------------------------------------------------------
 # AttackWorkload: the workload-path seam
 # ----------------------------------------------------------------------
@@ -494,6 +562,50 @@ def test_hammer_trace_addresses_match_hand_rolled_decode():
     assert traces_equal(registered, trace)
 
 
+def _decoy_loop_reference(org, n_entries, seed, reads_per_trefi, decoys,
+                          self_sync_cycles, banks, sync_bubbles):
+    """The ``decoy`` generator as first written: one Python loop over
+    accesses, composing each bank's block by hand."""
+    from repro.attacks.builtin import _decoy_row_set
+
+    aggressors, decoy_rows = _decoy_row_set(org, seed, decoys)
+    block = [aggressors[i % 2] for i in range(reads_per_trefi)] + decoy_rows
+    mapper = AddressMapper(org)
+    pools = []
+    for flat in range(banks):
+        channel, rank, bankgroup, bank = flat_bank_coords(flat, org)
+        pools.append([
+            mapper.compose(row=row, column=0, channel=channel, rank=rank,
+                           bankgroup=bankgroup, bank=bank)
+            for row in block
+        ])
+    addresses, bubbles = [], []
+    for i in range(n_entries):
+        position = i // banks
+        within = position % len(block)
+        addresses.append(pools[i % banks][within])
+        sync = within == 0 and position // len(block) % self_sync_cycles == 0
+        bubbles.append(sync_bubbles if sync else 0)
+    return addresses, bubbles
+
+
+@pytest.mark.parametrize("params", [
+    dict(reads_per_trefi=8, decoys=2, self_sync_cycles=4, banks=4,
+         sync_bubbles=64),
+    dict(reads_per_trefi=1, decoys=0, self_sync_cycles=1, banks=1,
+         sync_bubbles=5),
+    dict(reads_per_trefi=5, decoys=3, self_sync_cycles=3, banks=7,
+         sync_bubbles=0),
+])
+def test_decoy_walk_matches_the_loop_reference(params):
+    org = default_config().org
+    spec = AttackSpec.of("decoy", **params)
+    trace = build_attack_trace(spec, 997, org, seed=3)
+    addresses, bubbles = _decoy_loop_reference(org, 997, 3, **params)
+    assert trace.addresses.tolist() == addresses
+    assert trace.bubbles.tolist() == bubbles
+
+
 # ----------------------------------------------------------------------
 # Worst-pattern search
 # ----------------------------------------------------------------------
@@ -518,8 +630,8 @@ def test_hunt_ranks_deterministically(tmp_path):
     report = cold.to_dict()
     assert report["kind"] == "hunt_report"
     assert sorted(report["patterns"]) == sorted(HUNT_GRID)
-    # A fully cached replay — telemetry backfilled from the sweep trace
-    # file — must reproduce the report byte for byte.
+    # A fully cached replay — telemetry carried forward from the sweep
+    # trace file — must reproduce the report byte for byte.
     warm = run_hunt(
         ["qprac"], patterns=HUNT_GRID, n_entries=800, store=store
     )
@@ -529,18 +641,23 @@ def test_hunt_ranks_deterministically(tmp_path):
 
 def test_cold_hunt_skips_trace_read(tmp_path, monkeypatch):
     """A cold hunt executes every job, so no outcome needs telemetry
-    from the sweep trace and the trace is never re-read; a cached hunt
-    still reads it once (its backfill is checked above)."""
+    from the sweep trace and the trace is never read; a cached hunt
+    reads its previous trace exactly once, wherever the read happens
+    (``run_sweep`` carries the telemetry onto cached outcomes, so the
+    hunt itself never re-reads the trace it just wrote)."""
     import repro.attacks.hunt as hunt
+    import repro.exp.runner as runner
+    from repro.obs import read_trace
 
     reads = []
-    read_trace = hunt.read_trace
 
     def spy(path):
-        reads.append(path)
+        reads.append(str(path))
         return read_trace(path)
 
-    monkeypatch.setattr(hunt, "read_trace", spy)
+    for module in (runner, hunt):
+        if hasattr(module, "read_trace"):
+            monkeypatch.setattr(module, "read_trace", spy)
     store = ResultStore(tmp_path)
     cold = run_hunt(
         ["qprac"], patterns=HUNT_GRID, n_entries=800, store=store
@@ -551,6 +668,7 @@ def test_cold_hunt_skips_trace_read(tmp_path, monkeypatch):
         ["qprac"], patterns=HUNT_GRID, n_entries=800, store=store
     )
     assert reads == [warm.sweep.trace_path]
+    assert warm.digest() == cold.digest()
 
 
 def test_hunt_validates_inputs():

@@ -73,6 +73,13 @@ class TestRegistry:
         assert resolve_backend("auto", jobs=1).name == "serial"
         assert resolve_backend("auto", jobs=4).name == "pool"
 
+    def test_auto_stays_in_process_for_one_pending_task(self):
+        assert resolve_backend("auto", jobs=4, pending=1).name == "serial"
+        assert resolve_backend("auto", jobs=4, pending=0).name == "serial"
+        assert resolve_backend("auto", jobs=4, pending=2).name == "pool"
+        assert resolve_backend("auto", jobs=1, pending=9).name == "serial"
+        assert resolve_backend("pool", jobs=4, pending=1).name == "pool"
+
     def test_instances_pass_through(self):
         backend = SerialBackend()
         assert resolve_backend(backend) is backend

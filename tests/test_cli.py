@@ -136,6 +136,20 @@ class TestParser:
         assert args.hosts == ["local", "local"]
         assert args.print_digest
 
+    @pytest.mark.parametrize("backend", [
+        [], ["--backend", "serial"], ["--backend", "pool", "--jobs", "2"],
+    ])
+    def test_sweep_refuses_faults_off_the_fleet(self, capsys, backend):
+        """The service's refusal, word for word, before anything runs."""
+        assert main([
+            "sweep", "541.leela", "--defenses", "qprac", "--entries", "200",
+            "--engine", "epoch", "--no-cache", "--faults", "kill-worker",
+            *backend,
+        ]) == 1
+        captured = capsys.readouterr()
+        assert "fault injection needs backend 'remote-fleet'" in captured.err
+        assert captured.out == ""
+
     def test_sweep_backend_defaults_to_auto(self):
         args = build_parser().parse_args(["sweep", "429.mcf"])
         assert args.backend == "auto" and args.hosts is None

@@ -37,6 +37,51 @@ def make_spec(**kwargs):
     )
 
 
+_GRID_WORKLOADS = ("541.leela", "429.mcf", "470.lbm", "ycsb-a", "mb-adpcm")
+_GRID_ATTACKS = ("hammer:banks=2", "decoy", "row-list:rows=1/3", "many-sided")
+_GRID_DEFENSES = ("qprac", "moat", "qprac+proactive", "mithril:t_rh=256",
+                  "panopticon")
+_GRID_OVERRIDES = ({}, {"n_bo": 16}, {"n_bo": 64}, {"n_mit": 2},
+                   {"n_bo": 16, "n_mit": 2})
+
+
+@st.composite
+def _grids(draw):
+    """Sweep grids: workloads and/or attack patterns (attacks-only
+    included), zero or more defenses, one to three override sets, with
+    or without the baseline."""
+    workloads = draw(st.lists(st.sampled_from(_GRID_WORKLOADS),
+                              max_size=3, unique=True))
+    attacks = draw(st.lists(st.sampled_from(_GRID_ATTACKS),
+                            min_size=0 if workloads else 1, max_size=2,
+                            unique=True))
+    include_baseline = draw(st.booleans())
+    defenses = draw(st.lists(st.sampled_from(_GRID_DEFENSES),
+                             min_size=0 if include_baseline else 1,
+                             max_size=3, unique=True))
+    overrides = draw(st.lists(
+        st.sampled_from(range(len(_GRID_OVERRIDES))),
+        min_size=1, max_size=3, unique=True,
+    ))
+    return SweepSpec.build(
+        workloads, defenses,
+        overrides=[_GRID_OVERRIDES[i] for i in overrides],
+        attacks=attacks, include_baseline=include_baseline, n_entries=100,
+    )
+
+
+class TestJobCount:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(_grids())
+    def test_job_count_matches_expansion(self, spec):
+        assert spec.job_count == len(spec.expand())
+
+    def test_attacks_only_grid(self):
+        spec = SweepSpec.build([], ["qprac", "moat"], attacks=["decoy"],
+                               overrides=[{}, {"n_bo": 16}])
+        assert spec.job_count == len(spec.expand()) == 5
+
+
 class TestExpansion:
     def test_grid_size_and_order(self):
         spec = make_spec()

@@ -19,12 +19,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ReproError
 from repro.exp import ResultStore, SweepSpec, registered_backends, run_sweep
 from repro.exp.serialize import canonical_json, code_version_salt, result_to_dict
 from repro.exp.worker import (
     JOBS_FILE_VERSION,
+    parse_worker_row,
     probe_payload,
     read_worker_rows,
     run_worker,
@@ -184,6 +187,12 @@ class TestFaultPlan:
         assert f"bad fault parameter after_jobs='x' in {plan!r}" in err
         assert "Traceback" not in err
 
+    def test_fleet_backend_ignores_the_environment(self, monkeypatch):
+        """Plans travel only in the backend instance: a variable left in
+        the process environment arms nothing."""
+        monkeypatch.setenv("REPRO_FLEET_FAULTS", "kill-worker")
+        assert not RemoteFleetBackend().fault_plan
+
     def test_budgets_are_consumed(self):
         plan = FleetFaultPlan.parse("kill-worker:times=2")
         kinds = ("kill-worker",)
@@ -287,6 +296,76 @@ class TestWorkerHardening:
         assert seen == {0: {"value": "a"}, 1: {"value": "b"}}
         assert backend.metrics["retries"] >= 1
         assert backend.metrics["faults_fired"] == {"kill-worker": 1}
+
+
+_DICTS = st.dictionaries(st.sampled_from("ab"), st.integers(0, 2),
+                         max_size=2)
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.floats(0, 2),
+    st.text(max_size=3), st.lists(st.integers(0, 2), max_size=2), _DICTS,
+)
+
+
+#: Field values by kind; ``None`` leaves the field out.
+_ROW_FIELDS = {
+    "index": {"int": st.integers(-1, 9), "bool": st.booleans(),
+              "float": st.floats(0, 9), "text": st.text(max_size=2),
+              "null": st.none(), "absent": None},
+    "payload": {"dict": _DICTS, "other": _JSON_VALUES, "absent": None},
+    "error": {"dict": _DICTS, "other": _JSON_VALUES, "absent": None},
+}
+
+
+@st.composite
+def _worker_lines(draw):
+    """Output lines a worker (or a fault) may leave: objects whose
+    ``index``/``payload``/``error`` fields are each present or not and
+    of any JSON type, torn objects, other JSON values and garbage,
+    padded with whitespace."""
+    record = {}
+    for name, kinds in _ROW_FIELDS.items():
+        values = kinds[draw(st.sampled_from(sorted(kinds)))]
+        if values is not None:
+            record[name] = draw(values)
+    text = json.dumps(record)
+    damage = draw(st.sampled_from(("none", "none", "torn", "other", "junk")))
+    if damage == "torn":
+        text = text[:draw(st.integers(0, len(text)))]
+    elif damage == "other":
+        text = json.dumps(draw(_JSON_VALUES))
+    elif damage == "junk":
+        text = draw(st.text(max_size=8))
+    pad = st.sampled_from(("", " ", "\t", "\r"))
+    return draw(pad) + text + draw(pad)
+
+
+def _worker_row_model(line: str):
+    """The row a worker line stands for: an integer (not boolean)
+    ``index`` and a dict ``payload`` (finished, checked first) or a
+    dict ``error`` (typed failure); anything else is no row."""
+    try:
+        record = json.loads(line)
+    except ValueError:
+        return None
+    if not isinstance(record, dict) or type(record.get("index")) is not int:
+        return None
+    for field in ("payload", "error"):
+        if isinstance(record.get(field), dict):
+            return {"index": record["index"], field: record[field]}
+    return None
+
+
+class TestWorkerRowModel:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_worker_lines())
+    def test_parse_worker_row_matches_the_model(self, line):
+        assert parse_worker_row(line) == _worker_row_model(line)
+
+    @pytest.mark.parametrize("index", ["true", "false"])
+    def test_boolean_index_is_no_row(self, index):
+        """JSON ``true`` is not an index (minimized from the property:
+        Python's ``bool`` is an ``int``, so it used to map to task 1)."""
+        assert parse_worker_row(f'{{"index": {index}, "payload": {{}}}}') is None
 
 
 class TestChaosMatrix:

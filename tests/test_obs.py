@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 import re
+import threading
 from pathlib import Path
 
 import pytest
@@ -26,7 +27,7 @@ from test_determinism_golden import (
     result_digest,
 )
 
-from repro.exp import ResultStore, SweepSpec, run_sweep
+from repro.exp import ResultStore, SweepBackend, SweepSpec, run_sweep
 from repro.obs import (
     NULL_TELEMETRY,
     SAMPLES_LAYOUT,
@@ -476,6 +477,72 @@ def test_cached_rerun_carries_telemetry_forward(tmp_path):
         assert row["from_cache"] is True
         assert row["latency"]["count"] > 0
     assert render_trace(trace, limit=10**6) == rendered
+
+
+def test_cached_outcomes_carry_the_cold_runs_latency(tmp_path):
+    """``run_sweep`` sets a cached outcome's ``result.latency`` from the
+    previous trace: a warm run hands back what the cold run observed."""
+    cold = run_sweep(_tiny_spec(), store=ResultStore(tmp_path),
+                     telemetry=True)
+    warm = run_sweep(_tiny_spec(), store=ResultStore(tmp_path))
+    assert warm.cache_hits == warm.total_jobs
+    latencies = [o.result.latency for o in warm.outcomes]
+    assert all(latency for latency in latencies)
+    assert latencies == [o.result.latency for o in cold.outcomes]
+
+
+class _ParkedSerial(SweepBackend):
+    """Serial execution that first parks inside :meth:`execute` until
+    released, so one sweep is provably mid-run while another starts or
+    finishes on another thread (``repro serve --workers N``)."""
+
+    name = "parked-serial"
+
+    def __init__(self) -> None:
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def execute(self, tasks, run_one, emit) -> None:
+        self.entered.set()
+        assert self.release.wait(timeout=60)
+        for index, obj in tasks:
+            emit(index, run_one(obj))
+
+
+def _start_parked(telemetry: bool):
+    """A ``run_sweep`` on its own thread, returned once it is parked in
+    its backend: ``(backend, thread, box)``, the sweep lands in box."""
+    backend = _ParkedSerial()
+    box: dict = {}
+    thread = threading.Thread(target=lambda: box.update(sweep=run_sweep(
+        _tiny_spec(), backend=backend, telemetry=telemetry,
+    )))
+    thread.start()
+    assert backend.entered.wait(timeout=60)
+    return backend, thread, box
+
+
+def test_untraced_sweep_records_nothing_beside_a_traced_one():
+    traced, thread, box = _start_parked(telemetry=True)
+    try:
+        plain = run_sweep(_tiny_spec(), telemetry=False)
+    finally:
+        traced.release.set()
+        thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert all(o.result.latency is None for o in plain.outcomes)
+    assert all(o.result.latency is not None for o in box["sweep"].outcomes)
+
+
+def test_traced_sweep_keeps_telemetry_when_another_finishes_first():
+    first, first_thread, _ = _start_parked(telemetry=True)
+    second, second_thread, box = _start_parked(telemetry=True)
+    first.release.set()
+    first_thread.join(timeout=60)
+    second.release.set()
+    second_thread.join(timeout=60)
+    assert not first_thread.is_alive() and not second_thread.is_alive()
+    assert all(o.result.latency is not None for o in box["sweep"].outcomes)
 
 
 def test_storeless_sweep_still_aggregates_metrics():

@@ -141,6 +141,22 @@ class TestProtocol:
         with pytest.raises(ReproError, match="remote-fleet"):
             SweepRequest.from_payload(dict(GRID, faults="kill-worker"))
 
+    def test_fleet_backend_spools_under_the_given_cache_dir(self, tmp_path):
+        from repro.fleet.coordinator import RemoteFleetBackend
+
+        request = SweepRequest.from_payload(dict(GRID, backend="remote-fleet"))
+        backend = request.build_backend(tmp_path)
+        assert isinstance(backend, RemoteFleetBackend)
+        assert backend.spool_root == tmp_path
+        assert not backend.fault_plan
+        faulted = SweepRequest.from_payload(dict(
+            GRID, backend="remote-fleet", faults="kill-worker:times=2",
+        )).build_backend(tmp_path)
+        assert [f.kind for f in faulted.fault_plan.faults] == ["kill-worker"]
+        assert SweepRequest.from_payload(GRID).build_backend(tmp_path) == (
+            "serial"
+        )
+
     def test_bad_fault_plan_rejected(self):
         with pytest.raises(ReproError):
             SweepRequest.from_payload(dict(

@@ -14,6 +14,8 @@ import json
 import multiprocessing
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.exp import ResultStore, SweepSpec, code_version_salt, run_sweep
 from repro.exp.serialize import canonical_json, result_to_dict
@@ -198,3 +200,146 @@ class TestConcurrentWriters:
         assert merged.skipped_lines == 0
         for i in range(40):
             assert merged.get(f"w9-{i}") is not None
+
+
+# ----------------------------------------------------------------------
+# Line parsing against a reference model
+# ----------------------------------------------------------------------
+_KEYS = ("k0", "k1", "k2", "k\u2028")
+_NO_SALT = object()
+#: Characters ``str.splitlines`` breaks on besides ``\n``; JSONL lines
+#: end at ``\n`` only, and JSON strings may hold the last three raw.
+_FOREIGN_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _row_line(key: str, value: int, salt, ascii_only: bool = True) -> str:
+    record = {"key": key, "payload": {"v": value}}
+    if salt is not _NO_SALT:
+        record["salt"] = salt
+    return json.dumps(record, sort_keys=True, ensure_ascii=ascii_only)
+
+
+@st.composite
+def _store_lines(draw):
+    """``(kind, line, row)`` entries of a store file, in order: rows
+    (duplicate keys; current, foreign, missing and non-string salts;
+    some from a writer that leaves non-ASCII unescaped), damaged lines
+    (not JSON, JSON of the wrong shape, a torn row ended by a later
+    writer's repair newline) and blank lines."""
+    current = code_version_salt()
+    entries = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(("row", "row", "row", "junk", "blank")))
+        if kind == "row":
+            row = (draw(st.sampled_from(_KEYS)), draw(st.integers(0, 9)),
+                   draw(st.sampled_from((current, "old-salt", _NO_SALT, 7))))
+            line = _row_line(*row, ascii_only=draw(st.booleans()))
+            entries.append(("row", line, row))
+        elif kind == "blank":
+            entries.append(("blank", draw(st.sampled_from(("", " ", "\t"))),
+                            None))
+        else:
+            junk = draw(st.one_of(
+                st.text(st.one_of(
+                    st.characters(), st.sampled_from(_FOREIGN_BREAKS),
+                )).map(lambda text: "~" + text),
+                st.sampled_from((
+                    "[]", "7", '"text"', "null", '{"payload": {}}',
+                    '{"key": 3, "payload": {}}', '{"key": "k0"}',
+                    '{"key": "k0", "payload": [1]}',
+                )),
+                st.builds(
+                    lambda line, cut: line[:max(1, len(line) * cut // 8)],
+                    st.builds(_row_line, st.sampled_from(_KEYS),
+                              st.integers(0, 9), st.just(current)),
+                    st.integers(1, 7),
+                ),
+            ))
+            entries.append(("junk", junk.replace("\n", " "), None))
+    torn = None
+    if draw(st.booleans()):
+        line = _row_line(draw(st.sampled_from(_KEYS)), 0, current)
+        torn = line[:draw(st.integers(1, len(line) - 1))]
+    return entries, torn
+
+
+def _model(entries, torn_counted: bool) -> dict:
+    """What a store over ``entries`` must report: last write wins,
+    every damaged line counted once, blank lines ignored."""
+    current = code_version_salt()
+    index: dict = {}
+    records = damaged = 0
+    for kind, _line, row in entries:
+        if kind == "row":
+            key, value, salt = row
+            index[key] = ({"v": value}, salt)
+            records += 1
+        elif kind == "junk":
+            damaged += 1
+    return {
+        "len": len(index),
+        "get": {key: index[key][0] if key in index else None
+                for key in _KEYS},
+        "skipped_lines": damaged + torn_counted,
+        "dead_records": records - len(index),
+        "stale_records": sum(
+            isinstance(salt, str) and salt != current
+            for _payload, salt in index.values()
+        ),
+    }
+
+
+def _observed(store) -> dict:
+    info = store.info()
+    return {
+        "len": len(store),
+        "get": {key: store.get(key) for key in _KEYS},
+        "skipped_lines": store.skipped_lines,
+        "dead_records": info.dead_records,
+        "stale_records": info.stale_records,
+    }
+
+
+def _text(entries) -> str:
+    return "".join(line + "\n" for _kind, line, _row in entries)
+
+
+class TestLineParsingModel:
+    @settings(derandomize=True, max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=_store_lines(), split=st.integers(0, 12))
+    def test_open_reconcile_and_put_match_the_model(self, tmp_path_factory,
+                                                    data, split):
+        entries, torn = data
+        directory = tmp_path_factory.mktemp("store")
+        path = directory / "results.jsonl"
+        # One writer's lines are there at open; the rest, and a torn
+        # tail, are appended by another before a reconcile.
+        path.write_text(_text(entries[:split]))
+        store = ResultStore(directory, auto_compact=False)
+        assert _observed(store) == _model(entries[:split], False)
+        with path.open("a") as handle:
+            handle.write(_text(entries[split:]) + (torn or ""))
+        store.reconcile()
+        # A torn tail is not absorbed until an append completes it.
+        assert _observed(store) == _model(entries, False)
+        fresh = ResultStore(directory, auto_compact=False)
+        assert _observed(fresh) == _model(entries, torn is not None)
+        # An append repairs the tail into one damaged line, never into
+        # its own record.
+        store.put("k0", {"v": 99}, salt=code_version_salt())
+        repaired = entries + [("row", "", ("k0", 99, code_version_salt()))]
+        assert _observed(store) == _model(repaired, torn is not None)
+        reopened = ResultStore(directory, auto_compact=False)
+        assert _observed(reopened) == _model(repaired, torn is not None)
+
+    def test_raw_line_separators_stay_inside_their_line(self, tmp_path):
+        """A JSON string may hold U+2028 raw, and junk may hold a form
+        feed: each is still one line (minimized from the property)."""
+        row = _row_line("k\u2028", 1, code_version_salt(), ascii_only=False)
+        (tmp_path / "results.jsonl").write_text(
+            row + "\n~a\x0cb\n", encoding="utf-8"
+        )
+        store = ResultStore(tmp_path, auto_compact=False)
+        assert store.get("k\u2028") == {"v": 1}
+        assert store.skipped_lines == 1

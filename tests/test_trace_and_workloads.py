@@ -17,7 +17,6 @@ from repro.workloads import (
     hammer_trace,
     memory_intensive_workloads,
     suites,
-    wave_attack_rows,
     workload,
     workloads_by_suite,
 )
@@ -182,9 +181,3 @@ class TestAttackTraces:
             hammer_trace(banks=0)
         with pytest.raises(ConfigError):
             hammer_trace(rows_per_bank=1)
-
-    def test_wave_rows_spacing(self):
-        rows = wave_attack_rows(10, blast_radius=2)
-        assert len(rows) == 10
-        gaps = [b - a for a, b in zip(rows, rows[1:])]
-        assert all(g >= 5 for g in gaps)  # outside each other's blast radius
