@@ -17,7 +17,6 @@ replays from one content-addressed cache.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -28,8 +27,9 @@ from repro.exp.cache import ResultStore
 from repro.exp.runner import run_batch
 from repro.exp.serialize import (
     SCHEMA_VERSION,
-    canonical_json,
+    KeyFragments,
     code_version_salt,
+    content_key,
 )
 from repro.params import MitigationVariant, SystemConfig
 from repro.sim.bandwidth import BandwidthResult, run_bandwidth_attack
@@ -79,23 +79,23 @@ class AttackJob:
         jobs differing only in attack parameters must render apart."""
         return f"attack[{self.pattern_label}]/{self.defense.label}"
 
-    def cache_key(self) -> str:
+    def cache_key(self, fragments: KeyFragments | None = None) -> str:
         """Content address (same contract as :meth:`Job.cache_key`)."""
         identity = {
             "kind": "bandwidth_attack",
             "schema": SCHEMA_VERSION,
             "code": code_version_salt(),
-            "defense": self.defense.to_dict(),
+            "defense": self.defense,
             "config": self.config,
             "measure_ns": self.measure_ns,
             "warmup_ns": self.warmup_ns,
             "pool_rows_per_bank": self.pool_rows_per_bank,
             "attack_ranks": self.attack_ranks,
-            "engine": self.engine.to_dict(),
+            "engine": self.engine,
         }
         if self.attack is not None:
-            identity["attack"] = self.attack.to_dict()
-        return hashlib.sha256(canonical_json(identity).encode()).hexdigest()
+            identity["attack"] = self.attack
+        return content_key(identity, fragments)
 
 
 def attack_job(

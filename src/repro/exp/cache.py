@@ -239,6 +239,10 @@ class ResultStore:
         #: Compactions this instance performed opportunistically.
         self.auto_compactions = 0
         self._index: dict[str, dict] = {}
+        #: ``canonical_json`` of a key's payload, encoded on the first
+        #: :meth:`payload_text` and dropped whenever the key's index
+        #: entry changes (never encoded at load).
+        self._texts: dict[str, str] = {}
         #: Code-version salt each key was written under (None if unknown).
         self._salts: dict[str, str | None] = {}
         #: Live keys per salt, kept in step with ``_salts`` so that the
@@ -346,6 +350,7 @@ class ResultStore:
         per-salt live counts in step."""
         if key in self._salts:
             self._salt_counts[self._salts[key]] -= 1
+            self._texts.pop(key, None)
         self._index[key] = payload
         self._salts[key] = salt
         self._salt_counts[salt] += 1
@@ -366,6 +371,7 @@ class ResultStore:
     def _reload(self) -> None:
         """Re-read the file from scratch (picks up concurrent appends)."""
         self._index = {}
+        self._texts = {}
         self._salts = {}
         self._salt_counts = Counter()
         self._records = 0
@@ -473,6 +479,17 @@ class ResultStore:
         else:
             self.hits += 1
         return payload
+
+    def payload_text(self, key: str) -> str:
+        """``canonical_json`` of ``key``'s payload (``KeyError`` when
+        absent): the bytes a sweep digest hashes for a cached row,
+        encoded once per index entry."""
+        text = self._texts.get(key)
+        if text is None:
+            from repro.exp.serialize import canonical_json
+
+            text = self._texts[key] = canonical_json(self._index[key])
+        return text
 
     def put(self, key: str, payload: dict, salt: str | None = None) -> None:
         """Record a result durably (appended before the index updates).

@@ -20,6 +20,7 @@ replay).
 from __future__ import annotations
 
 import functools
+import hashlib
 import sys
 import time
 from dataclasses import dataclass
@@ -30,6 +31,8 @@ from repro.errors import ReproError
 from repro.exp.backend import RunOneFn, SweepBackend, resolve_backend
 from repro.exp.cache import ResultStore
 from repro.exp.serialize import (
+    KeyFragments,
+    canonical_json,
     code_version_salt,
     result_from_dict,
     result_to_dict,
@@ -40,7 +43,6 @@ from repro.obs import (
     Telemetry,
     max_samples_from_env,
     read_trace,
-    sweep_id_for,
     trace_path_for,
     write_sweep_trace,
 )
@@ -100,6 +102,9 @@ class BatchRun:
     """What :func:`run_batch` did, per task in task order."""
 
     payloads: list[dict]
+    #: ``canonical_json`` of each payload: the store's memo for a
+    #: cached task, encoded once on arrival for an executed one.
+    texts: list[str]
     cached: list[bool]
     #: Cache key per task (``None`` when the batch ran without a store).
     keys: list[str | None]
@@ -126,27 +131,35 @@ def run_batch(
 ) -> BatchRun:
     """Run cacheable tasks: one lookup → dispatch → put loop.
 
-    Each task (anything with a ``cache_key()``) is looked up in
-    ``store``, and cached tasks are reported first, in task order.  The
-    pending rest runs through ``run_one`` on ``backend``, resolved with
-    the pending count (so ``"auto"`` stays in process for one task).
-    Each fresh payload loses its ``"_obs"`` side channel, is persisted
-    the moment it arrives (an interrupted batch resumes from the store)
-    and is reported once.  Raises :class:`ReproError` when the backend
-    does not finish every pending task.
+    Each task (anything with a ``cache_key(fragments)``) is looked up
+    in ``store``, and cached tasks are reported first, in task order.
+    Every task is keyed through one :data:`KeyFragments` memo, so the
+    objects the tasks share are encoded once per batch.  The pending
+    rest runs through ``run_one`` on ``backend``, resolved with the
+    pending count (so ``"auto"`` stays in process for one task); a
+    fleet backend without a spool root of its own spools under the
+    store's directory.  Each fresh payload loses its ``"_obs"`` side
+    channel, is persisted the moment it arrives (an interrupted batch
+    resumes from the store) and is reported once.  Raises
+    :class:`ReproError` when the backend does not finish every pending
+    task.
     """
     total = len(tasks)
     payloads: list = [None] * total
+    texts: list = [None] * total
     cached = [False] * total
     keys: list[str | None] = [None] * total
     observations: dict[int, dict] = {}
     completed = 0
     pending: list[int] = []
+    fragments: KeyFragments = {}
     for index, task in enumerate(tasks):
         if store is not None:
-            keys[index] = task.cache_key()
-            payloads[index] = store.get(keys[index])
-            if payloads[index] is not None:
+            key = keys[index] = task.cache_key(fragments)
+            payload = store.get(key)
+            if payload is not None:
+                payloads[index] = payload
+                texts[index] = store.payload_text(key)
                 cached[index] = True
                 completed += 1
                 report(completed, index, True)
@@ -161,6 +174,7 @@ def run_batch(
         if obs is not None:
             observations[index] = obs
         payloads[index] = payload
+        texts[index] = canonical_json(payload)
         if store is not None:
             # Tag the row with the salt baked into its key, so cache
             # compaction can identify rows stranded by code changes.
@@ -169,6 +183,11 @@ def run_batch(
         report(completed, index, False)
 
     chosen = resolve_backend(backend, jobs, hosts, pending=len(pending))
+    if (store is not None and hasattr(chosen, "spool_root")
+            and chosen.spool_root is None):
+        # A fleet spools beside the run's store, where `repro cache
+        # info` and `gc` look, not under the default cache dir.
+        chosen.spool_root = store.directory
     started = time.perf_counter()
     if pending:
         chosen.execute(
@@ -181,7 +200,8 @@ def run_batch(
             f"backend {chosen.name!r} finished {executed} of "
             f"{len(pending)} pending jobs"
         )
-    return BatchRun(payloads, cached, keys, observations, chosen, elapsed)
+    return BatchRun(payloads, texts, cached, keys, observations, chosen,
+                    elapsed)
 
 
 @dataclass
@@ -202,6 +222,9 @@ class SweepResult:
     cache_hits: int
     executed: int
     elapsed_s: float
+    #: ``canonical_json`` of each outcome's payload, in expansion order:
+    #: what :func:`sweep_digest` hashes.
+    payload_texts: list[str]
     #: Name of the backend that ran the uncached remainder.
     backend: str = "serial"
     #: Wall time spent inside the backend (cache scanning excluded), so
@@ -209,8 +232,9 @@ class SweepResult:
     exec_elapsed_s: float = 0.0
     #: Operational metrics of this run (:class:`~repro.obs.SweepMetrics`).
     metrics: SweepMetrics | None = None
-    #: Path of the JSONL sweep trace written next to the cache
-    #: (``None`` for storeless runs).
+    #: Path of the sweep's JSONL trace next to the cache: the one this
+    #: run wrote, or, when it executed nothing, the previous run's
+    #: (``None`` when there is none, and for storeless runs).
     trace_path: str | None = None
 
     @property
@@ -303,12 +327,13 @@ def run_sweep(
         and from the same (orchestrating) thread.
 
     Every run aggregates a :class:`~repro.obs.SweepMetrics` block onto
-    the result, and — when a store is present — writes a JSONL sweep
-    trace next to the cache (``<cache_dir>/traces/``) for ``repro
-    stats`` / ``repro trace``.  Cached jobs carry their telemetry
-    forward from the previous trace of the same sweep, onto their
-    ``result.latency`` and into the new trace, so a fully cached re-run
-    never erases observed latencies.
+    the result.  When a store is present and some job executed, the run
+    writes a JSONL sweep trace next to the cache
+    (``<cache_dir>/traces/``) for ``repro stats`` / ``repro trace``.
+    Cached jobs carry their telemetry forward from the previous trace
+    of the same sweep, onto their ``result.latency`` and into the new
+    trace.  A run that executed nothing leaves the previous trace as it
+    is (and writes none if there is none): it has nothing to add.
     """
     if jobs < 1:
         raise ReproError(f"jobs must be >= 1, got {jobs}")
@@ -340,6 +365,7 @@ def run_sweep(
         cache_hits=sum(batch.cached),
         executed=batch.executed,
         elapsed_s=time.perf_counter() - started,
+        payload_texts=batch.texts,
         backend=chosen.name,
         exec_elapsed_s=exec_elapsed,
     )
@@ -357,7 +383,7 @@ def run_sweep(
         )
 
     sweep.metrics = SweepMetrics(
-        sweep_id=sweep_id_for(spec),
+        sweep_id=spec.sweep_id,
         backend=chosen.name,
         total_jobs=total,
         executed=sweep.executed,
@@ -372,9 +398,12 @@ def run_sweep(
     if store is not None:
         path = trace_path_for(store.directory, sweep.metrics.sweep_id)
         batch.observations.update(_carried_rows(path, batch))
-        sweep.trace_path = str(
-            _write_trace(path, sweep.metrics, expanded, batch)
-        )
+        if sweep.executed:
+            sweep.trace_path = str(
+                _write_trace(path, sweep.metrics, expanded, batch)
+            )
+        elif path.exists():
+            sweep.trace_path = str(path)
     for index, obs in batch.observations.items():
         if isinstance(obs.get("latency"), dict):
             outcomes[index].result.latency = obs["latency"]
@@ -436,14 +465,14 @@ def sweep_digest(sweep: SweepResult) -> str:
     in spec-expansion order) — the equivalence probe behind ``repro
     sweep --print-digest``, the CI backend-equivalence job, and the
     sweep service's completion report.  Identical across backends,
-    engines' cached replays, and worker counts by construction."""
-    import hashlib
+    engines' cached replays, and worker counts by construction.
 
-    from repro.exp.serialize import canonical_json, result_to_dict
-
-    return hashlib.sha256(canonical_json(
-        [result_to_dict(o.result) for o in sweep.outcomes]
-    ).encode()).hexdigest()
+    The bytes hashed are ``canonical_json`` of the list of payloads,
+    joined from each payload's own text
+    (:attr:`SweepResult.payload_texts`), so a cached replay re-encodes
+    nothing."""
+    joined = "[" + ",".join(sweep.payload_texts) + "]"
+    return hashlib.sha256(joined.encode()).hexdigest()
 
 
 def stderr_progress(line: str) -> None:

@@ -16,15 +16,18 @@ The experiment orchestrator needs two guarantees this module provides:
   <result_from_dict>` reproduces every metric bit-for-bit.
 
 Both encoders walk each value once.  A fully cached sweep still keys
-every job and digests every result, so :func:`_plain` answers exact
-JSON leaves (``int``, ``float``, ``str``, ``bool``, ``None``) before
-anything else and reads each dataclass's field names from a per-class
-table instead of calling :func:`dataclasses.fields` on every node, and
-:func:`result_to_dict` reads :class:`SystemResult`'s field list instead
-of deep-copying the whole result through :func:`dataclasses.asdict`.
-There is deliberately no memo keyed by *value*: ``1 == 1.0 == True``
-and ``0.0 == -0.0`` compare and hash alike but encode differently, so
-such a memo could hand one job another job's key.
+every job, so :func:`_plain` answers exact JSON leaves (``int``,
+``float``, ``str``, ``bool``, ``None``) before anything else and reads
+each dataclass's field names from a per-class table instead of calling
+:func:`dataclasses.fields` on every node, and :func:`result_to_dict`
+reads :class:`SystemResult`'s field list instead of deep-copying the
+whole result through :func:`dataclasses.asdict`.  :func:`content_key`
+composes a key from the texts of its parts, so the workload,
+configuration and specs that many jobs share are walked once per batch
+(:data:`KeyFragments`).  That memo is keyed by object identity, never
+by *value*: ``1 == 1.0 == True`` and ``0.0 == -0.0`` compare and hash
+alike but encode differently, so a value memo could hand one job
+another job's key.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from pathlib import Path
 
 from repro.core.defense import MitigationReason
 from repro.cpu.system import SystemResult
+from repro.specs import Spec
 
 #: Bump when the cached payload layout changes; old rows become misses.
 #: v2: jobs are keyed by their serialized DefenseSpec (name + params)
@@ -118,9 +122,54 @@ def _plain(value: object) -> object:
     return value
 
 
+#: The encoder behind every canonical text: ``json.dumps`` with these
+#: options would build a new one per call, which costs more than
+#: encoding a short key fragment.
+_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(obj: object) -> str:
     """Deterministic JSON: sorted keys, no whitespace, enums by value."""
-    return json.dumps(_plain(obj), sort_keys=True, separators=(",", ":"))
+    return _CANONICAL_ENCODER.encode(_plain(obj))
+
+
+#: Canonical texts of the objects a batch's cache keys share, as
+#: ``{id(obj): (obj, text)}``.  Each entry holds its object, so no id
+#: is reused by another object while the memo lives.
+KeyFragments = dict[int, tuple[object, str]]
+
+
+def content_key(
+    identity: dict[str, object], fragments: KeyFragments | None = None
+) -> str:
+    """``sha256(canonical_json(identity))``, composed from the canonical
+    text of each name and value; a :class:`~repro.specs.Spec` value
+    enters as its ``to_dict()`` form.
+
+    The bytes are ``canonical_json``'s: a dict encodes as its sorted
+    ``"name":value`` pairs joined by ``,`` inside braces, each value
+    encoded as it would be on its own.  ``fragments`` keeps each
+    object's text for later keys: ``run_batch`` passes one memo to
+    every task of a batch, so an object shared by many jobs is encoded
+    once (``None``: a memo for this key alone).
+    """
+    if fragments is None:
+        fragments = {}
+    pairs = ",".join([
+        _fragment(name, fragments) + ":" + _fragment(value, fragments)
+        for name, value in sorted(identity.items())
+    ])
+    return hashlib.sha256(("{" + pairs + "}").encode()).hexdigest()
+
+
+def _fragment(value: object, fragments: KeyFragments) -> str:
+    """``value``'s canonical text, from ``fragments`` when it holds the
+    very same object."""
+    entry = fragments.get(id(value))
+    if entry is None:
+        plain = value.to_dict() if isinstance(value, Spec) else value
+        entry = fragments[id(value)] = (value, canonical_json(plain))
+    return entry[1]
 
 
 #: Subtrees / top-level modules of the ``repro`` package that a

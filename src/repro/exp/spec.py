@@ -22,8 +22,8 @@ reproducible regardless of how many worker processes execute it.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from repro.attacks import AttackSpec, attack_workload
@@ -33,8 +33,9 @@ from repro.params import MitigationVariant, PRACParams, SystemConfig, default_co
 from repro.sim.engines import DEFAULT_ENGINE_SPEC, EngineSpec, resolve_engine
 from repro.exp.serialize import (
     SCHEMA_VERSION,
-    canonical_json,
+    KeyFragments,
     code_version_salt,
+    content_key,
     environment_fingerprint,
 )
 from repro.workloads.suites import workload as lookup_workload
@@ -90,36 +91,37 @@ class Job:
     def label(self) -> str:
         return f"{self.workload.name}/{self.defense.label}"
 
-    def cache_key(self) -> str:
+    def cache_key(self, fragments: KeyFragments | None = None) -> str:
         """Content address: hash of every input that shapes the result.
 
         Includes a salt over the simulator sources
         (:func:`~repro.exp.serialize.code_version_salt`) so stale results
         are never served across code changes, and the payload schema
-        version so layout changes invalidate cleanly.  The defense and
-        the engine enter as their serialized ``{name, params}`` forms —
-        independent of the registries' contents or registration order,
-        so registering new defenses or engines never perturbs existing
-        keys, and rows produced by different engines can never collide.
-        The workload and the configuration enter as themselves:
-        :func:`~repro.exp.serialize.canonical_json` encodes every field
-        of both in its one walk.
+        version so layout changes invalidate cleanly.  The defense, the
+        engine and any attack enter as their serialized ``{name,
+        params}`` forms — independent of the registries' contents or
+        registration order, so registering new defenses or engines never
+        perturbs existing keys, and rows produced by different engines
+        can never collide.  The workload and the configuration enter as
+        themselves, every field encoded.  ``fragments`` is the batch's
+        memo of shared objects' texts
+        (:func:`~repro.exp.serialize.content_key`).
         """
         identity = {
             "schema": SCHEMA_VERSION,
             "code": code_version_salt(),
             "env": environment_fingerprint(),
             "workload": self.workload,
-            "defense": self.defense.to_dict(),
+            "defense": self.defense,
             "config": self.config,
             "n_entries": self.n_entries,
             "seed": self.seed,
-            "engine": self.engine.to_dict(),
+            "engine": self.engine,
         }
         attack = self.attack
         if attack is not None:
-            identity["attack"] = attack.to_dict()
-        return hashlib.sha256(canonical_json(identity).encode()).hexdigest()
+            identity["attack"] = attack
+        return content_key(identity, fragments)
 
     @property
     def attack(self) -> "AttackSpec | None":
@@ -243,6 +245,14 @@ class SweepSpec:
         per_workload = len(self.overrides) * len(self.defenses)
         return len(self.workloads) * (per_workload + self.include_baseline)
 
+    @cached_property
+    def sweep_id(self) -> str:
+        """:func:`~repro.obs.sweep_id_for` of this spec, computed on first
+        use and kept: the service's dedup and the run share it."""
+        from repro.obs import sweep_id_for
+
+        return sweep_id_for(self)
+
     def expand(self) -> list[Job]:
         """Materialise the grid, in stable (override, workload, defense)
         order with each workload's baseline first.
@@ -251,11 +261,22 @@ class SweepSpec:
         config: overrides are restricted to PRAC parameters, which only
         shape the defense — a baseline (no-defense) run is identical
         under every set, so one simulation (and one cache key, shared by
-        sweeps over different override grids) serves them all.
+        sweeps over different override grids) serves them all.  Each
+        (override set, defense) config is built once and shared by that
+        pair's jobs on every workload, and an empty override set uses
+        ``config`` itself, so a batch keys each distinct config object
+        once.
         """
         jobs: list[Job] = []
         for set_index, overrides in enumerate(self.overrides):
-            base = self.config.with_prac(**dict(overrides))
+            base = (
+                self.config.with_prac(**dict(overrides)) if overrides
+                else self.config
+            )
+            configs = [
+                base.with_variant(d.variant) if d.variant else base
+                for d in self.defenses
+            ]
             for workload in self.workloads:
                 if self.include_baseline and set_index == 0:
                     jobs.append(Job(
@@ -267,9 +288,7 @@ class SweepSpec:
                         seed=self.seed,
                         engine=self.engine,
                     ))
-                for defense in self.defenses:
-                    variant = defense.variant
-                    config = base.with_variant(variant) if variant else base
+                for defense, config in zip(self.defenses, configs):
                     jobs.append(Job(
                         workload=workload,
                         defense=defense,

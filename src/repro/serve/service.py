@@ -34,7 +34,9 @@ auto-compaction policy a fresh open would.  Worker threads never share
 an in-memory index, and appends from any number of writers stay safe
 and visible.  A cached replay therefore costs O(jobs in the request),
 not O(rows in the store), and on an unchanged file it takes no lock:
-keying each job, one dict lookup per key, and digesting the results.
+keying each job (shared objects encoded once), one dict lookup per key,
+and hashing the rows' canonical texts, which the store encodes once per
+row.  It writes no trace; its store block rides on the record instead.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
 from repro.errors import ReproError
-from repro.obs import sweep_id_for
 from repro.obs.metrics import ServiceMetrics, fleet_backend_metrics
 from repro.serve.protocol import SweepRequest
 
@@ -77,6 +78,10 @@ class SweepRecord:
     trace_path: str | None = None
     #: Per-host fleet metrics of the run (fleet-shaped backends only).
     fleet_hosts: dict | None = None
+    #: The run's store block (``SweepMetrics.store``): its own hits,
+    #: puts and reconciled rows, and the store's state after it.  Kept
+    #: here because a run that executed nothing writes no trace.
+    store: dict | None = None
     aggregates: list | None = None
     created_s: float = dc_field(default_factory=time.time)
     finished_s: float | None = None
@@ -105,6 +110,8 @@ class SweepRecord:
             payload["aggregates"] = self.aggregates
         if self.fleet_hosts is not None:
             payload["fleet"] = {"hosts": self.fleet_hosts}
+        if self.store is not None:
+            payload["store"] = self.store
         if self.finished_s is not None:
             payload["elapsed_s"] = round(self.finished_s - self.created_s, 3)
         return payload
@@ -219,7 +226,7 @@ class SweepService:
             with self._cond:
                 self.metrics.rejected += 1
             return {"error": str(exc)}, 400
-        sweep_id = sweep_id_for(spec)
+        sweep_id = spec.sweep_id
         with self._cond:
             record = self._records.get(sweep_id)
             if record is not None:
@@ -417,6 +424,7 @@ class SweepService:
             record.digest = digest
             record.trace_path = sweep.trace_path
             record.fleet_hosts = fleet["hosts"] if fleet else None
+            record.store = sweep.metrics.store
             record.aggregates = aggregates
             self._finish(record)
             self.metrics.completed += 1

@@ -66,13 +66,20 @@ def aggregate_bytes(sweep) -> str:
     return canonical_json([result_to_dict(o.result) for o in sweep.outcomes])
 
 
-def fleet_backend(plan: str = "", **kwargs) -> RemoteFleetBackend:
-    kwargs.setdefault("hosts", ["local", "local"])
-    kwargs.setdefault("retry", FAST_RETRY)
-    kwargs.setdefault("lease", FAST_LEASE)
-    return RemoteFleetBackend(
-        fault_plan=FleetFaultPlan.parse(plan), **kwargs
-    )
+@pytest.fixture
+def fleet_backend(tmp_path):
+    """Builds test-scale fleets that spool under the test's tmp dir,
+    never under the user's cache dir."""
+    def build(plan: str = "", **kwargs) -> RemoteFleetBackend:
+        kwargs.setdefault("hosts", ["local", "local"])
+        kwargs.setdefault("retry", FAST_RETRY)
+        kwargs.setdefault("lease", FAST_LEASE)
+        kwargs.setdefault("spool_root", tmp_path / "fleet-cache")
+        return RemoteFleetBackend(
+            fault_plan=FleetFaultPlan.parse(plan), **kwargs
+        )
+
+    return build
 
 
 @pytest.fixture(scope="module")
@@ -275,7 +282,9 @@ class TestWorkerHardening:
         )
         assert beat.exists()
 
-    def test_deterministic_failure_fails_fleet_without_retry(self):
+    def test_deterministic_failure_fails_fleet_without_retry(
+        self, fleet_backend
+    ):
         """Typed error row => the job is poison everywhere: the sweep
         fails with the host and traceback, no retry burned."""
         backend = fleet_backend(hosts=["local"])
@@ -286,7 +295,7 @@ class TestWorkerHardening:
         ):
             backend.execute([(0, "x")], _poison, _drop)
 
-    def test_host_death_is_retried_not_fatal(self):
+    def test_host_death_is_retried_not_fatal(self, fleet_backend):
         """Missing rows (host death) migrate/retry; the sweep completes."""
         seen: dict[int, dict] = {}
         backend = fleet_backend("kill-worker", hosts=["local"])
@@ -389,7 +398,7 @@ class TestChaosMatrix:
         ("heartbeat:delay=0.05,hold=30", {}),
     ])
     def test_digest_matches_serial_under_fault(
-        self, plan, kwargs, serial_aggregate
+        self, plan, kwargs, serial_aggregate, fleet_backend
     ):
         backend = fleet_backend(plan, **kwargs)
         sweep = run_sweep(mixed_spec(), store=None, backend=backend)
@@ -397,7 +406,7 @@ class TestChaosMatrix:
         assert aggregate_bytes(sweep) == serial_aggregate
         assert backend.metrics["faults_fired"]  # the fault really fired
 
-    def test_clean_run_matches_serial(self, serial_aggregate):
+    def test_clean_run_matches_serial(self, serial_aggregate, fleet_backend):
         backend = fleet_backend()
         sweep = run_sweep(mixed_spec(), store=None, backend=backend)
         assert aggregate_bytes(sweep) == serial_aggregate
@@ -408,7 +417,9 @@ class TestChaosMatrix:
             entry["jobs"] for entry in metrics["hosts"].values()
         ) == sweep.total_jobs
 
-    def test_retry_counters_surface_for_worker_kills(self, serial_aggregate):
+    def test_retry_counters_surface_for_worker_kills(
+        self, serial_aggregate, fleet_backend
+    ):
         backend = fleet_backend("kill-worker:times=2")
         sweep = run_sweep(mixed_spec(), store=None, backend=backend)
         assert aggregate_bytes(sweep) == serial_aggregate
@@ -416,7 +427,7 @@ class TestChaosMatrix:
         assert backend.metrics["faults_fired"] == {"kill-worker": 2}
 
     def test_failing_host_is_quarantined_then_recovers(
-        self, serial_aggregate
+        self, serial_aggregate, fleet_backend
     ):
         """Two straight probe failures quarantine the host; after the
         cooldown it re-probes clean and finishes the sweep itself."""
@@ -429,7 +440,7 @@ class TestChaosMatrix:
         assert "fallback" not in metrics
 
     def test_all_hosts_down_degrades_to_local_pool(
-        self, serial_aggregate, capsys
+        self, serial_aggregate, capsys, fleet_backend
     ):
         """Every probe fails until the host is retired: the sweep warns
         and finishes on the local pool, same digest."""
@@ -451,7 +462,7 @@ class TestChaosMatrix:
         )
 
     def test_repeated_kills_migrate_work_to_the_healthy_host(
-        self, serial_aggregate
+        self, serial_aggregate, fleet_backend
     ):
         """A host whose workers always die is retired after one
         quarantine; everything it claimed finishes on the other host."""
@@ -474,7 +485,7 @@ class TestChaosMatrix:
             metrics["hosts"]["local"]["jobs"]
         )
 
-    def test_exhausted_retry_budget_is_a_clear_error(self):
+    def test_exhausted_retry_budget_is_a_clear_error(self, fleet_backend):
         backend = fleet_backend(
             "kill-worker:times=99", hosts=["local"],
             retry=RetryPolicy(
@@ -487,7 +498,9 @@ class TestChaosMatrix:
 
 
 class TestObservability:
-    def test_fleet_metrics_reach_the_trace_and_render(self, tmp_path):
+    def test_fleet_metrics_reach_the_trace_and_render(
+        self, tmp_path, fleet_backend
+    ):
         from repro.obs import read_trace
         from repro.obs.metrics import fleet_backend_metrics
         from repro.obs.stats import render_fleet_status, render_stats
@@ -516,3 +529,26 @@ class TestObservability:
             "backend": "serial", "backend_metrics": {"workers": 1},
         }}}
         assert "no per-host fleet metrics" in render_fleet_status(trace)
+
+
+class TestSpoolRoot:
+    @pytest.mark.parametrize("named", [True, False])
+    def test_a_run_with_a_store_spools_beside_it(
+        self, tmp_path, monkeypatch, named
+    ):
+        """A fleet with no spool root of its own, named or built,
+        spools under the run's store directory, where `repro cache
+        info` and `gc` look, never under the default cache dir."""
+        default = tmp_path / "default-cache"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(default))
+        backend = "remote-fleet" if named else RemoteFleetBackend(
+            hosts=["local"], retry=FAST_RETRY, lease=FAST_LEASE
+        )
+        spec = SweepSpec.build(["541.leela"], ["qprac"], n_entries=ENTRIES,
+                               include_baseline=False)
+        sweep = run_sweep(spec, store=ResultStore(tmp_path / "cache"),
+                          backend=backend, hosts=["local"])
+        assert sweep.backend == "remote-fleet"
+        assert sweep.executed == 1
+        assert (tmp_path / "cache" / "spool").is_dir()
+        assert not default.exists()

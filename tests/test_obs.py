@@ -467,15 +467,20 @@ def test_cached_rerun_carries_telemetry_forward(tmp_path):
     store = ResultStore(tmp_path)
     first = run_sweep(_tiny_spec(), store=store, telemetry=True)
     rendered = render_trace(read_trace(first.trace_path), limit=10**6)
+    path = Path(first.trace_path)
+    before = (path.read_bytes(), path.stat().st_mtime_ns)
     replay = run_sweep(_tiny_spec(), store=ResultStore(tmp_path))
     assert replay.cache_hits == replay.total_jobs
     assert replay.metrics.telemetry is False
+    # A run that simulated nothing leaves the cold run's trace as it is
+    # and reports it; its outcomes still carry the observed latencies.
+    assert replay.trace_path == first.trace_path
+    assert (path.read_bytes(), path.stat().st_mtime_ns) == before
     trace = read_trace(replay.trace_path)
-    # The refreshed trace keeps the previously observed latencies and
-    # samples even though this run simulated nothing.
-    for row in trace["jobs"]:
-        assert row["from_cache"] is True
+    for row, outcome in zip(trace["jobs"], replay.outcomes, strict=True):
+        assert outcome.from_cache is True
         assert row["latency"]["count"] > 0
+        assert outcome.result.latency["count"] > 0
     assert render_trace(trace, limit=10**6) == rendered
 
 

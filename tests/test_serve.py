@@ -53,9 +53,10 @@ def run_to_end(service: SweepService, payload: dict) -> dict:
     return service.status(snapshot["sweep_id"], wait_s=120.0)
 
 
-def trace_store(snapshot: dict) -> dict:
-    """The store block of a finished sweep's trace header."""
-    return read_trace(snapshot["trace_path"])["header"]["metrics"]["store"]
+def store_block(snapshot: dict) -> dict:
+    """A finished sweep's store block (its ``SweepMetrics.store``), which
+    the snapshot carries whether or not the run wrote a trace."""
+    return snapshot["store"]
 
 
 def scratch_rows(directory: Path, payload: dict) -> tuple[list[str], str]:
@@ -502,7 +503,7 @@ class TestWorkerStore:
         assert final["executed"] == 0
         assert final["cache_hits"] == 2
         assert final["digest"] == digest
-        assert trace_store(final)["reconciled_records"] == 2
+        assert store_block(final)["reconciled_records"] == 2
 
     @pytest.mark.parametrize("size", ["same", "larger"])
     def test_external_compaction_is_picked_up(self, tmp_path, size):
@@ -532,7 +533,8 @@ class TestWorkerStore:
             final = run_to_end(svc, OTHER)
             assert final["executed"] == 0
             assert final["digest"] == digest
-            store = trace_store(final)
+            assert final["trace_path"] is None  # never traced: none written
+            store = store_block(final)
             assert store["stale_records"] == 0
             assert store["damaged_lines"] == 0
             assert store["live_keys"] == 4
@@ -550,9 +552,9 @@ class TestWorkerStore:
         final = run_to_end(one_worker, OTHER)
         assert final["executed"] == 2  # the torn row is never served
         assert final["digest"] == digest
-        assert trace_store(final)["damaged_lines"] == 1
+        assert store_block(final)["damaged_lines"] == 1
         later = run_to_end(one_worker, THIRD)
-        assert trace_store(later)["damaged_lines"] == 1
+        assert store_block(later)["damaged_lines"] == 1
         assert ResultStore(one_worker.cache_dir).info().damaged_lines == 1
 
     def test_mostly_stale_store_auto_compacts_on_next_sweep(
@@ -566,7 +568,7 @@ class TestWorkerStore:
         for n in range(AUTO_COMPACT_MIN_WASTE):
             writer.put(f"old-{n}", {"v": n}, salt="obsolete-salt")
         final = run_to_end(one_worker, OTHER)
-        store = trace_store(final)
+        store = store_block(final)
         assert store["auto_compactions"] == 1
         assert store["compaction"]["count"] == 1
         assert store["stale_records"] == 0
@@ -574,12 +576,18 @@ class TestWorkerStore:
         assert on_disk.info().stale_records == 0
         assert len(on_disk) == 4
 
+    def test_store_block_is_the_one_a_written_trace_holds(self, one_worker):
+        final = run_to_end(one_worker, GRID)
+        assert final["executed"] == 2
+        header = read_trace(final["trace_path"])["header"]
+        assert store_block(final) == header["metrics"]["store"]
+
     def test_each_sweep_reports_its_own_store_counters(self, one_worker):
-        first = trace_store(run_to_end(one_worker, GRID))
+        first = store_block(run_to_end(one_worker, GRID))
         assert (first["hits"], first["misses"]) == (0, 2)
         assert first["flush"]["count"] == 2
         both = dict(GRID, defenses=["qprac", "moat"])
-        second = trace_store(run_to_end(one_worker, both))
+        second = store_block(run_to_end(one_worker, both))
         assert (second["hits"], second["misses"]) == (2, 1)
         assert second["flush"]["count"] == 1
         assert second["live_keys"] == 3  # on-disk state stays whole
