@@ -225,8 +225,7 @@ def _measure_cell(
     engine resolution, trace generation, construction and the simulation
     itself are all inside the timed window — but drives the engine
     directly so its work-unit counter is observable.  ``telemetry`` is
-    only forwarded when enabled, so the timed path never pays for the
-    seam.
+    a :class:`~repro.obs.Telemetry` recorder or ``None``.
     """
     from repro.defenses import resolve_defense
     from repro.params import default_config
@@ -248,9 +247,6 @@ def _measure_cell(
         _prepare_stream(
             workload_spec, n_entries, seed, config.org, config.cpu
         ).timing.clear()
-    kwargs = {}
-    if telemetry is not None and getattr(telemetry, "enabled", False):
-        kwargs["telemetry"] = telemetry
     result = sim.simulate(
         workload_spec,
         config,
@@ -258,7 +254,7 @@ def _measure_cell(
         n_entries=n_entries,
         seed=seed,
         variant_name=spec.label,
-        **kwargs,
+        telemetry=telemetry,
     )
     wall = time.perf_counter() - started
     return wall, sim.work_units, result.sim_time_ns, result.latency

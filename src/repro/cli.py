@@ -26,7 +26,7 @@ Usage::
 
 Defenses are addressed by registry name with optional parameters, e.g.
 ``--defenses qprac moat:proactive_every_n_refs=4 mithril:t_rh=256``;
-simulation engines likewise (``--engine epoch:trefi_chunk=4``).
+simulation engines likewise (``--engine epoch``).
 
 Every subcommand prints the same plain-text tables the benchmark harness
 writes to ``benchmarks/results/``.

@@ -39,7 +39,7 @@ from typing import Callable
 
 from repro.controller.request import Request
 from repro.core.defense import BankDefense, MitigationReason
-from repro.obs.telemetry import active_telemetry
+from repro.obs.telemetry import Telemetry
 from repro.dram.address import AddressMapper
 from repro.dram.bank import BankState
 from repro.errors import ConfigError
@@ -157,16 +157,14 @@ class MemorySystem:
         events: EventQueue,
         defense_factory: DefenseFactory,
         enable_refresh: bool = True,
-        telemetry=None,
+        telemetry: Telemetry | None = None,
     ) -> None:
         self.cfg = config
         self.events = events
         self.timing = config.timing
         self.mapper = AddressMapper(config.org)
         self.enable_refresh = enable_refresh
-        #: Normalized once: ``None`` unless an *enabled* telemetry was
-        #: passed, so every hook site tests a plain ``is not None``.
-        self.telemetry = active_telemetry(telemetry)
+        self.telemetry = telemetry
         self.stats = MemStats()
         org = config.org
         # REF-window constants, read by _rank_avail on every timing
@@ -250,7 +248,7 @@ class MemorySystem:
             self.bus_free,
             self.stats,
             self.events,
-            self.telemetry.record_request if self.telemetry else None,
+            telemetry.record_request if telemetry is not None else None,
         )
         if enable_refresh:
             for rank_state in self.ranks:
@@ -270,9 +268,9 @@ class MemorySystem:
         core_id: int | None = None,
     ) -> Request:
         """Queue one cache-line access; ``callback(done_ns)`` fires on completion."""
-        # Inline decode (see AddressMapper.decode_flat): the LLC filters
-        # out re-touches, so addresses arriving here are nearly all
-        # distinct — straight-line bit slicing beats any memo.
+        # Inline decode, bit for bit AddressMapper.decode: the LLC
+        # filters out re-touches, so addresses arriving here are nearly
+        # all distinct — straight-line bit slicing beats any memo.
         (
             offset_bits, column_bits, bg_bits, bank_bits, rank_bits,
             channel_bits, column_mask, bg_mask, bank_mask, rank_mask,
@@ -323,9 +321,6 @@ class MemorySystem:
             t = now if now >= events._now else events._now
             _heappush(events._heap, (t, seq, bank.consider_handler))
         return req
-
-    def bank_for(self, phys_addr: int) -> BankState:
-        return self.banks[self.mapper.decode_flat(phys_addr)[6]]
 
     def defense_stats(self) -> dict[MitigationReason, int]:
         """Total mitigations by reason, summed over all banks."""
@@ -540,7 +535,7 @@ class MemorySystem:
         bank.blocked_until = max(bank.blocked_until, start) + t.t_rfm
         bank.act_allowed = max(bank.act_allowed, bank.blocked_until)
         bank.open_row = None
-        bank.defense.on_rfm(is_alerting_bank=True)
+        bank.defense.on_rfm(True)
         self.stats.cadence_rfms += 1
         if self.telemetry is not None:
             self.telemetry.record_blackout(start, bank.blocked_until, "cadence")
@@ -563,7 +558,7 @@ class MemorySystem:
         scope = self._rfm_scope_banks(rank, bank)
         for _ in range(prac.n_mit):
             for member in scope:
-                member.defense.on_rfm(is_alerting_bank=member is bank)
+                member.defense.on_rfm(member is bank)
         rank.rfm_commands += prac.n_mit
         self.stats.rfm_commands += prac.n_mit
         if self.telemetry is not None:

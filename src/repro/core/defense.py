@@ -140,30 +140,6 @@ def apply_mitigation(
     return victims
 
 
-class EpochBankView:
-    """Narrowed per-epoch view of one bank's defense.
-
-    Batched engines (:mod:`repro.sim.engines.epoch`) touch exactly three
-    defense hooks, thousands of times per tREFI epoch, on objects they
-    did not build.  This view is the contract between the engine tier
-    and the defense tier: the hooks are bound once per bank (no
-    per-call attribute dispatch), and the cadence constant is read once
-    — mirroring what the event-driven controller caches in
-    :class:`~repro.dram.bank.BankState`.  Any
-    :class:`BankDefense` works unmodified under either engine.
-    """
-
-    __slots__ = ("defense", "on_activation", "on_rfm", "on_ref",
-                 "cadence_acts")
-
-    def __init__(self, defense: "BankDefense") -> None:
-        self.defense = defense
-        self.on_activation = defense.on_activation
-        self.on_rfm = defense.on_rfm
-        self.on_ref = defense.on_ref
-        self.cadence_acts = defense.rfm_cadence_acts
-
-
 class BankDefense(ABC):
     """Abstract per-bank defense engine consumed by the DRAM device model."""
 
@@ -181,7 +157,11 @@ class BankDefense(ABC):
 
     @abstractmethod
     def on_rfm(self, is_alerting_bank: bool) -> list[int]:
-        """Service one RFM; return the aggressor rows mitigated (possibly [])."""
+        """Service one RFM; return the aggressor rows mitigated (possibly []).
+
+        Both engines pass the flag positionally, so an override (or a
+        wrapper) may name the parameter as it likes.
+        """
 
     def on_ref(self) -> list[int]:
         """Service one REF; proactive designs mitigate here.  Default: none."""

@@ -11,12 +11,11 @@ locality), while bits just above the column spread traffic across bank
 groups and banks (bank-level parallelism) — the behaviour the paper's
 activation-rate arithmetic depends on.
 
-Two decode forms exist: :meth:`AddressMapper.decode` builds a frozen
-:class:`DramAddress` (convenient, used by tests and reports), while
-:meth:`AddressMapper.decode_flat` returns a memoized plain tuple with the
-flat bank index precomputed — the form the memory controller consumes on
-every access.  Workloads re-touch the same cache lines constantly, so the
-memo turns per-access decoding into a dict hit.
+:meth:`AddressMapper.decode` is the one scalar decode, and the reference
+the fast forms are checked against: the memory controller bit-slices
+each access inline (the LLC filters out re-touches, so nearly every
+address it sees is new and a memo would not pay), and the epoch engine
+decodes whole request streams with :meth:`AddressMapper.decode_arrays`.
 """
 
 from __future__ import annotations
@@ -112,11 +111,6 @@ class AddressMapper:
         self._banks_per_rank = org.banks_per_rank
         self._banks_per_group = org.banks_per_group
         self._ranks = org.ranks
-        #: phys_addr -> (channel, rank, bankgroup, bank, row, column,
-        #: flat_bank).  Bounded by the workload's distinct cache lines.
-        self._flat_cache: dict[
-            int, tuple[int, int, int, int, int, int, int]
-        ] = {}
 
     @property
     def address_bits(self) -> int:
@@ -131,17 +125,12 @@ class AddressMapper:
             + self._row_bits
         )
 
-    def decode_flat(
-        self, phys_addr: int
-    ) -> tuple[int, int, int, int, int, int, int]:
-        """Decode once, with memoization: the controller's per-access form.
+    def decode(self, phys_addr: int) -> DramAddress:
+        """Map a physical byte address to DRAM coordinates.
 
-        Returns ``(channel, rank, bankgroup, bank, row, column,
-        flat_bank)`` as plain ints — no :class:`DramAddress` allocation.
+        The one scalar decode, unmemoized: the controller's inline bit
+        slicing and :meth:`decode_arrays` are checked against it.
         """
-        info = self._flat_cache.get(phys_addr)
-        if info is not None:
-            return info
         if phys_addr < 0:
             raise ConfigError(f"negative physical address {phys_addr:#x}")
         a = phys_addr >> self._offset_bits
@@ -155,27 +144,12 @@ class AddressMapper:
         a >>= self._rank_bits
         channel = a & self._channel_mask
         a >>= self._channel_bits
-        row = a & self._row_mask
-        flat_bank = (
-            (channel * self._ranks + rank) * self._banks_per_rank
-            + bankgroup * self._banks_per_group
-            + bank
-        )
-        info = (channel, rank, bankgroup, bank, row, column, flat_bank)
-        self._flat_cache[phys_addr] = info
-        return info
-
-    def decode(self, phys_addr: int) -> DramAddress:
-        """Map a physical byte address to DRAM coordinates."""
-        channel, rank, bankgroup, bank, row, column, _flat = self.decode_flat(
-            phys_addr
-        )
         return DramAddress(
             channel=channel,
             rank=rank,
             bankgroup=bankgroup,
             bank=bank,
-            row=row,
+            row=a & self._row_mask,
             column=column,
         )
 
@@ -190,13 +164,12 @@ class AddressMapper:
         return a << self._offset_bits
 
     def decode_arrays(self, addrs):
-        """Vectorized :meth:`decode_flat` over an integer address array.
+        """Vectorized :meth:`decode` over an integer address array.
 
         Returns ``(channel, rank, bankgroup, bank, row, column,
-        flat_bank)`` as parallel arrays — bit-for-bit the scalar decode,
-        at array speed.  The epoch engine decodes a whole DRAM request
-        stream in one call instead of one memoized dict probe per
-        access.
+        flat_bank)`` as parallel arrays — bit-for-bit the scalar decode
+        plus :meth:`DramAddress.flat_bank`, at array speed.  The epoch
+        engine decodes a whole DRAM request stream in one call.
         """
         a = addrs >> self._offset_bits
         column = a & self._column_mask

@@ -13,11 +13,12 @@ failure a *recoverable* event:
   unfinished jobs migrate to a healthy host.
 * **Retry with deterministic backoff** — lost jobs are re-dispatched
   under the shared :class:`~repro.fleet.policy.RetryPolicy`: bounded
-  attempts, exponential backoff, jitter keyed off the job's cache key,
-  so retry order is reproducible run to run.
+  attempts, exponential backoff, jitter keyed off the task's sweep
+  position, so retry order is reproducible run to run.
 * **Quarantine** — a host that fails ``quarantine_after`` times in a
   row sits out ``cooldown_s``, then must pass a fresh probe to
-  re-enter; repeat offenders go down for good.
+  re-enter; one quarantine past ``max_quarantines`` and it goes down
+  for good.
 * **Graceful degradation** — when every host is gone, the remaining
   jobs run on the local ``pool`` backend with a warning instead of
   failing the sweep.
@@ -86,6 +87,12 @@ POLL_S = 0.05
 
 #: Terminal host states: a host in one of these never runs again.
 TERMINAL_STATES = ("down", "incompatible")
+
+#: Most tasks one dispatch carries (batches shrink as the queue drains).
+BATCH_CAP = 8
+
+#: Seconds a capability probe may take before it counts as a failure.
+PROBE_TIMEOUT_S = 120.0
 
 
 @dataclass
@@ -156,40 +163,23 @@ class FleetCoordinator:
     """Runs one task set across the fleet; see the module docstring."""
 
     def __init__(
-        self,
-        hosts: Sequence[str],
-        run_one: RunOneFn,
-        emit: EmitFn,
-        retry: RetryPolicy,
-        lease: LeasePolicy,
-        plan: FleetFaultPlan,
-        transport: Transport,
-        slots_per_host: int = 1,
-        batch_size: int | None = None,
-        batch_cap: int = 8,
-        probe_timeout_s: float = 120.0,
-        max_quarantines: int = 2,
-        spool_root: str | Path | None = None,
+        self, backend: "RemoteFleetBackend", run_one: RunOneFn, emit: EmitFn
     ) -> None:
         self.hosts = []
         seen: dict[str, int] = {}
-        for addr in hosts:
+        for addr in backend.hosts:
             n = seen.get(addr, 0)
             seen[addr] = n + 1
             hid = addr if n == 0 else f"{addr}@{n}"
             self.hosts.append(HostState(hid=hid, addr=addr))
         self._run_one = run_one
         self._emit = emit
-        self.retry = retry
-        self.lease = lease
-        self.plan = plan
-        self.transport = transport
-        self.slots_per_host = max(1, slots_per_host)
-        self.batch_size = batch_size
-        self.batch_cap = max(1, batch_cap)
-        self.probe_timeout_s = probe_timeout_s
-        self.max_quarantines = max_quarantines
-        self._spool_root = spool_root
+        self.retry = backend.retry
+        self.lease = backend.lease
+        self.plan = backend.fault_plan
+        self.transport = Transport()
+        self.slots_per_host = backend.jobs
+        self._spool_root = backend.spool_root
         # Run state (created in run()).
         self._tasks: dict[int, object] = {}
         self._pending: deque[int] = deque()
@@ -216,17 +206,6 @@ class FleetCoordinator:
     async def _notify_all(self) -> None:
         async with self._cond:
             self._cond.notify_all()
-
-    def _task_key(self, index: int) -> str:
-        """Stable identity for backoff jitter: the job's cache key when
-        it has one, else its sweep position."""
-        cache_key = getattr(self._tasks[index], "cache_key", None)
-        if callable(cache_key):
-            try:
-                return str(cache_key())
-            except Exception:
-                pass
-        return f"task:{index}"
 
     async def _fail_sweep(self, exc: ReproError) -> None:
         if self._fatal is None:
@@ -260,14 +239,14 @@ class FleetCoordinator:
             )
             try:
                 out, err = await asyncio.wait_for(
-                    proc.communicate(), self.probe_timeout_s
+                    proc.communicate(), PROBE_TIMEOUT_S
                 )
             except asyncio.TimeoutError:
                 with contextlib.suppress(ProcessLookupError):
                     proc.kill()
                 await proc.wait()
                 raise TransportDown(
-                    f"probe timed out after {self.probe_timeout_s}s"
+                    f"probe timed out after {PROBE_TIMEOUT_S}s"
                 )
             if proc.returncode != 0:
                 tail = err.decode(errors="replace").strip()[-500:]
@@ -312,7 +291,7 @@ class FleetCoordinator:
             host.quarantines += 1
             self._quarantines += 1
             host.consecutive_failures = 0
-            if host.quarantines > self.max_quarantines:
+            if host.quarantines > self.retry.max_quarantines:
                 host.status = "down"
             else:
                 host.status = "quarantined"
@@ -322,17 +301,12 @@ class FleetCoordinator:
     # -- claiming and retrying ----------------------------------------
 
     def _batch_target(self, host: HostState) -> int:
-        if self.batch_size is not None:
-            return max(1, self.batch_size)
         active_slots = sum(
             h.slots for h in self.hosts if h.status == "active"
         ) or host.slots
         return max(
             1,
-            min(
-                math.ceil(len(self._pending) / (active_slots * 2)),
-                self.batch_cap,
-            ),
+            min(math.ceil(len(self._pending) / (active_slots * 2)), BATCH_CAP),
         )
 
     async def _claim_batch(self, host: HostState) -> list[Task] | None:
@@ -363,7 +337,7 @@ class FleetCoordinator:
                 f"(last on host {host.hid}: {reason}); giving up{tail}"
             ))
             return
-        delay = self.retry.backoff_s(count, key=self._task_key(index))
+        delay = self.retry.backoff_s(count, key=f"task:{index}")
         handle = asyncio.create_task(self._requeue_after(index, delay))
         self._retry_handles.add(handle)
         handle.add_done_callback(self._retry_handles.discard)
@@ -654,7 +628,8 @@ class RemoteFleetBackend(SweepBackend):
     count)``).  Chaos is injected through a
     :class:`~repro.fleet.faults.FleetFaultPlan` (``fault_plan=``; none
     by default).  ``spool_root`` names the cache dir whose ``spool/``
-    holds the batch files (``None``: the default cache dir).
+    holds the batch files (``None``: the default cache dir).  The
+    coordinator of each :meth:`execute` is built from these settings.
     """
 
     def __init__(
@@ -664,11 +639,6 @@ class RemoteFleetBackend(SweepBackend):
         retry: RetryPolicy | None = None,
         lease: LeasePolicy | None = None,
         fault_plan: FleetFaultPlan | None = None,
-        transport: Transport | None = None,
-        batch_size: int | None = None,
-        batch_cap: int = 8,
-        probe_timeout_s: float = 120.0,
-        max_quarantines: int = 2,
         spool_root: str | Path | None = None,
     ) -> None:
         self.hosts = tuple(hosts) if hosts else ("local",)
@@ -678,11 +648,6 @@ class RemoteFleetBackend(SweepBackend):
         self.fault_plan = (
             fault_plan if fault_plan is not None else FleetFaultPlan()
         )
-        self.transport = transport or Transport()
-        self.batch_size = batch_size
-        self.batch_cap = batch_cap
-        self.probe_timeout_s = probe_timeout_s
-        self.max_quarantines = max_quarantines
         self.spool_root = spool_root
 
     def execute(
@@ -700,21 +665,7 @@ class RemoteFleetBackend(SweepBackend):
             emitted.add(index)
             emit(index, payload)
 
-        coordinator = FleetCoordinator(
-            hosts=self.hosts,
-            run_one=run_one,
-            emit=emit_once,
-            retry=self.retry,
-            lease=self.lease,
-            plan=self.fault_plan,
-            transport=self.transport,
-            slots_per_host=self.jobs,
-            batch_size=self.batch_size,
-            batch_cap=self.batch_cap,
-            probe_timeout_s=self.probe_timeout_s,
-            max_quarantines=self.max_quarantines,
-            spool_root=self.spool_root,
-        )
+        coordinator = FleetCoordinator(self, run_one, emit_once)
         leftover = asyncio.run(coordinator.run(tasks))
         metrics = coordinator.metrics()
         if leftover:

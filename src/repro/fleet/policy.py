@@ -8,7 +8,7 @@ place those semantics are defined; tests pass tighter instances.
 
 Backoff is deterministic by construction: the delay before attempt *n*
 is ``backoff_base_s * 2**(n-1)`` (capped), plus a jitter slice derived
-from a SHA-256 over the task's identity key and the attempt number —
+from a SHA-256 over the task's sweep position and the attempt number —
 never from a random source.  Two runs of the same sweep therefore retry
 in the same order with the same spacing, which keeps chaos tests
 reproducible and makes "the sweep digest matches serial under every
@@ -31,7 +31,7 @@ class RetryPolicy:
     ``max_retries + 1`` times before the sweep gives up.  ``jitter_frac``
     spreads retries of different tasks apart (avoiding a thundering herd
     onto a recovering host) without sacrificing reproducibility: the
-    jitter is keyed off the task's identity, not a clock or RNG.
+    jitter is keyed off the task's sweep position, not a clock or RNG.
     """
 
     #: Re-dispatches allowed per task after its first attempt.
@@ -46,6 +46,8 @@ class RetryPolicy:
     quarantine_after: int = 2
     #: Seconds a quarantined host sits out before a re-probe.
     cooldown_s: float = 5.0
+    #: Quarantines a host may serve; one more and it is down for the run.
+    max_quarantines: int = 2
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
@@ -64,9 +66,9 @@ class RetryPolicy:
     def backoff_s(self, attempt: int, key: str = "") -> float:
         """Deterministic delay before retry ``attempt`` (1-based).
 
-        ``key`` is the task's stable identity (its cache key when it has
-        one); the jitter slice is a pure function of ``(key, attempt)``,
-        so repeated runs back off identically.
+        ``key`` is the task's stable identity (``task:<index>``, its
+        sweep position); the jitter slice is a pure function of ``(key,
+        attempt)``, so repeated runs back off identically.
         """
         if attempt < 1:
             return 0.0

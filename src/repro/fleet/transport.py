@@ -21,6 +21,10 @@ import sys
 from pathlib import Path
 
 
+#: The interpreter a remote host runs the worker with.
+REMOTE_PYTHON = "python3"
+
+
 class TransportDown(Exception):
     """The host could not be reached (real or injected)."""
 
@@ -28,13 +32,10 @@ class TransportDown(Exception):
 class Transport:
     """Builds and launches worker/probe commands for one address."""
 
-    def __init__(self, remote_python: str = "python3") -> None:
-        self.remote_python = remote_python
-
     def _wrap(self, addr: str, worker_args: list[str]) -> list[str]:
         if addr == "local":
             return [sys.executable, *worker_args]
-        return ["ssh", addr, self.remote_python, *worker_args]
+        return ["ssh", addr, REMOTE_PYTHON, *worker_args]
 
     def worker_command(
         self,

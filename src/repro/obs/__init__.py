@@ -30,12 +30,9 @@ from repro.obs.metrics import (
 )
 from repro.obs.telemetry import (
     DEFAULT_MAX_SAMPLES,
-    NULL_TELEMETRY,
     SAMPLES_LAYOUT,
     TELEMETRY_MAX_SAMPLES_ENV,
-    NullTelemetry,
     Telemetry,
-    active_telemetry,
     decode_samples,
     max_samples_from_env,
     percentile,
@@ -44,14 +41,11 @@ from repro.obs.telemetry import (
 
 __all__ = [
     "DEFAULT_MAX_SAMPLES",
-    "NULL_TELEMETRY",
     "SAMPLES_LAYOUT",
     "SWEEP_TRACE_SCHEMA",
     "TELEMETRY_MAX_SAMPLES_ENV",
-    "NullTelemetry",
     "SweepMetrics",
     "Telemetry",
-    "active_telemetry",
     "decode_samples",
     "latest_trace_path",
     "list_trace_paths",

@@ -9,11 +9,9 @@ high-water marks — so the data is a pure observation of a run the
 telemetry can never perturb: golden hashes and event-vs-epoch digests
 are byte-identical with telemetry on or off.
 
-Zero overhead when off: the engines normalize a disabled (or absent)
-telemetry to ``None`` and the hot path pays exactly one ``is not None``
-test per request.  :data:`NULL_TELEMETRY` (a :class:`NullTelemetry`) is
-the explicit disabled instance for callers that want an object either
-way.
+Zero overhead when off: a run's telemetry is a :class:`Telemetry` or
+``None``, and the hot path pays exactly one ``is not None`` test per
+request.
 
 Sweep workers build their recorder themselves: ``run_sweep(...,
 telemetry=True)`` hands its backend ``execute_job`` with
@@ -43,7 +41,7 @@ from __future__ import annotations
 
 import os
 import sys
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -197,36 +195,6 @@ def decode_samples(field) -> list[list]:
     ]
 
 
-class NullTelemetry:
-    """The disabled recorder: every hook is a no-op.
-
-    ``enabled`` is the engines' contract: anything falsy there (or a
-    plain ``None``) keeps the hot path untouched.  All recording
-    methods exist so code holding "a telemetry" never needs a branch.
-    """
-
-    enabled = False
-
-    def record_request(self, arrive_ns, done_ns, is_write, core_id) -> None:
-        pass
-
-    def record_blackout(self, start_ns, end_ns, kind) -> None:
-        pass
-
-    def record_ref(self, start_ns, end_ns, defenses) -> None:
-        pass
-
-    def summary_dict(self) -> dict | None:
-        return None
-
-    def export(self) -> dict | None:
-        return None
-
-
-#: Shared disabled instance (stateless, safe to reuse everywhere).
-NULL_TELEMETRY = NullTelemetry()
-
-
 class Telemetry:
     """Recording telemetry for one simulation run.
 
@@ -251,8 +219,6 @@ class Telemetry:
     and the worker's :meth:`export` of the same run share it.
     """
 
-    enabled = True
-
     __slots__ = (
         "max_samples", "latencies", "sample_arrive", "sample_is_write",
         "sample_core", "blackout_counts", "blackout_ns", "psq_high_water",
@@ -275,7 +241,7 @@ class Telemetry:
         #: are only ever appended, so the size identifies the population.
         self._latency_summary: tuple[int, dict] | None = None
 
-    # -- engine-facing hooks (hot when enabled) ------------------------
+    # -- engine-facing hooks (hot when recording) ----------------------
     def record_request(self, arrive_ns, done_ns, is_write, core_id) -> None:
         self.latencies.append(done_ns - arrive_ns)
         if len(self.sample_arrive) < self.max_samples:
@@ -346,13 +312,3 @@ def max_samples_from_env() -> int:
     except ValueError:
         return DEFAULT_MAX_SAMPLES
 
-
-def active_telemetry(telemetry) -> "Telemetry | None":
-    """Normalize any telemetry designator to ``None`` when disabled.
-
-    Engines call this once per run so their hot paths test a plain
-    ``is not None`` instead of an attribute.
-    """
-    if telemetry is None or not getattr(telemetry, "enabled", False):
-        return None
-    return telemetry

@@ -6,7 +6,6 @@ An :class:`EngineSpec` names how a simulation executes::
 
     simulate_workload("429.mcf", defense="qprac")                  # event (reference)
     simulate_workload("429.mcf", defense="qprac", engine="epoch")  # batched, ~4x faster
-    simulate_workload("429.mcf", engine="epoch:trefi_chunk=4")
 
 Shipped engines:
 

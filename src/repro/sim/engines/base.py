@@ -10,7 +10,7 @@ everything that can run a simulation is addressable by name, so every
 figure chooses its fidelity/throughput point with a string.
 
 An :class:`EngineSpec` is the serializable selection — ``"event"``,
-``"epoch"``, ``"epoch:trefi_chunk=4"`` — built on the shared
+``"epoch"``, or a plugin's ``"name:key=value"`` — built on the shared
 :class:`~repro.specs.Spec`, so it has the grammar, the
 registry-independent identity and the fail-fast validation of
 :class:`~repro.defenses.DefenseSpec`.  Specs join
@@ -25,7 +25,8 @@ External code plugs in new engines with one decorator::
     class MyEngine(SimEngine):
         def __init__(self, *, chunk: int = 1): ...
         def simulate(self, workload, config, defense_factory,
-                     n_entries, seed, variant_name=None): ...
+                     n_entries, seed, variant_name=None,
+                     telemetry=None): ...
 
     simulate_workload("429.mcf", engine="my-engine:chunk=8")
 """
@@ -46,6 +47,7 @@ from repro.specs import (
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.controller.memctrl import DefenseFactory
     from repro.cpu.system import SystemResult
+    from repro.obs.telemetry import Telemetry
     from repro.params import SystemConfig
     from repro.workloads.synthetic import WorkloadSpec
 
@@ -81,17 +83,15 @@ class SimEngine:
         n_entries: int,
         seed: int = 0,
         variant_name: str | None = None,
-        telemetry=None,
+        telemetry: "Telemetry | None" = None,
     ) -> "SystemResult":
         """Run one fully-resolved simulation job to completion.
 
-        ``telemetry`` is an optional :class:`~repro.obs.Telemetry`
-        recorder.  Engines MUST produce byte-identical results with it
-        enabled, disabled, or absent — it observes the simulated clock,
-        never steers it — and should attach the summary to the result's
-        ``latency`` field when enabled.  Callers only pass the keyword
-        when telemetry is enabled, so engines predating the seam keep
-        working.
+        ``telemetry`` is a :class:`~repro.obs.Telemetry` recorder or
+        ``None``.  Engines MUST produce byte-identical results either
+        way — it observes the simulated clock, never steers it — and
+        should attach its summary to the result's ``latency`` field
+        when one is given.
         """
         raise NotImplementedError
 

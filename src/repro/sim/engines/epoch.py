@@ -6,13 +6,12 @@ Alert Back-Off protocol is rank-scoped bookkeeping — none of it needs a
 nanosecond event loop to stay faithful.  This engine exploits that: the
 whole multi-core access stream is consumed as vectorized trace columns,
 merged once into global front-end order, filtered through the shared
-LLC, and then replayed against flat array-backed bank/rank/bus state in
-tREFI-sized batches (``trefi_chunk`` windows per round) — no event
-queue, no callbacks, no per-event dispatch.  The *same defense objects*
-the event engine builds are driven through the narrowed
-:class:`~repro.core.defense.EpochBankView` interface, so every
-registered defense (QPRAC variants, MOAT, Panopticon, PrIDE, Mithril,
-UPRAC, plugins) runs unmodified.
+LLC, and then replayed against flat array-backed bank/rank/bus state one
+tREFI window per batching round — no event queue, no callbacks, no
+per-event dispatch.  The *same defense objects* the event engine builds
+are driven through the same three :class:`~repro.core.defense.BankDefense`
+hooks, bound once per bank, so every registered defense (QPRAC variants,
+MOAT, Panopticon, PrIDE, Mithril, UPRAC, plugins) runs unmodified.
 
 What is kept exact
     Defense state machines (per-ACT counter/PSQ updates, per-REF
@@ -48,7 +47,7 @@ What is shared
     and no cadence defense.  An eligible full replay that raises no
     Alert stores its hook log (every ACT as flat bank plus row, every
     REF tick as rank, in global order) and its timing outputs on the
-    cached stream, keyed by ``(config.timing, trefi_chunk)``.  A later
+    cached stream, keyed by ``config.timing``.  A later
     eligible run on that stream drives its own fresh defenses through
     the log and takes its timing from the memo; at the first
     ``on_activation`` that asks for an Alert it discards those defenses
@@ -70,13 +69,12 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.controller.memctrl import DefenseFactory, MemStats, rfm_scope_banks
-from repro.core.defense import EpochBankView, MitigationReason
-from repro.obs.telemetry import active_telemetry
+from repro.core.defense import BankDefense, MitigationReason
+from repro.obs.telemetry import Telemetry
 from repro.cpu.core import WRITE_BUFFER_DEPTH
 from repro.cpu.system import SystemResult
 from repro.dram.address import AddressMapper
-from repro.errors import ConfigError
-from repro.params import RfmScope, SystemConfig
+from repro.params import DDR5Timing, RfmScope, SystemConfig
 from repro.sim.engines.base import SimEngine, register_engine
 from repro.workloads.synthetic import WorkloadSpec, generate_trace
 
@@ -85,21 +83,24 @@ class _EpochBank:
     """Array-row of per-bank state (one record per DRAM bank)."""
 
     __slots__ = (
-        "index", "bank", "channel", "rank", "view", "on_activation",
-        "cadence_acts",
+        "index", "bank", "channel", "rank", "defense", "on_activation",
+        "on_rfm", "cadence_acts",
         "open_row", "busy", "blocked", "act_allowed", "pre_allowed",
         "cas_allowed", "cadence_counter",
     )
 
-    def __init__(self, index, bank, channel, view):
+    def __init__(self, index, bank, channel, defense: BankDefense):
         self.index = index
         #: Position within the bank group (SAME_BANK scope key).
         self.bank = bank
         self.channel = channel
-        self.view: EpochBankView = view
-        #: The per-ACT hook, hoisted off the view (one dispatch hop).
-        self.on_activation = view.on_activation
-        self.cadence_acts = view.cadence_acts
+        self.defense = defense
+        #: The defense's hooks, bound once (no attribute lookup per
+        #: call), and its cadence constant, read once as the controller's
+        #: :class:`~repro.dram.bank.BankState` does.
+        self.on_activation = defense.on_activation
+        self.on_rfm = defense.on_rfm
+        self.cadence_acts = defense.rfm_cadence_acts
         self.open_row = -1
         self.busy = 0.0
         self.blocked = 0.0
@@ -126,14 +127,14 @@ class _EpochRank:
         self.index = index
         self.banks = banks
         #: Pre-bound per-bank ``on_ref`` hooks (one REF tick = one pass).
-        self.on_refs = tuple(b.view.on_ref for b in banks)
+        self.on_refs = tuple(b.defense.on_ref for b in banks)
         self.ref_offset = ref_offset
         self.next_ref = ref_offset
         self.alert_busy_until = 0.0
         # Allow the very first Alert without an ABO_Delay debt.
         self.acts_since_rfm = 1 << 30
         self.blackouts: list[tuple[float, float]] = []
-        #: ACTs issued in the current tREFI chunk and the resulting
+        #: ACTs issued in the current tREFI window and the resulting
         #: statistical tRRD queueing wait (see _replay's window roll).
         self.act_acc = 0
         self.act_wait = 0.0
@@ -204,19 +205,6 @@ class EpochEngine(SimEngine):
 
     work_unit_name = "accesses"
 
-    def __init__(self, trefi_chunk: int = 1) -> None:
-        if not isinstance(trefi_chunk, int) or isinstance(trefi_chunk, bool) \
-                or trefi_chunk < 1:
-            raise ConfigError(
-                f"trefi_chunk must be a positive int, got {trefi_chunk!r}"
-            )
-        #: tREFI windows consumed per batching round.  The chunk boundary
-        #: is where idle ranks catch up on REF ticks; active ranks take
-        #: their REFs in-stream, so larger chunks trade a little REF
-        #: timing fidelity on quiet ranks for fewer synchronization
-        #: points.
-        self.trefi_chunk = trefi_chunk
-
     # ------------------------------------------------------------------
     # Entry point
     # ------------------------------------------------------------------
@@ -228,9 +216,8 @@ class EpochEngine(SimEngine):
         n_entries: int,
         seed: int = 0,
         variant_name: str | None = None,
-        telemetry=None,
+        telemetry: Telemetry | None = None,
     ) -> SystemResult:
-        tm = active_telemetry(telemetry)
         banks, ranks = self._build_memory(config, defense_factory)
         stream = _prepare_stream(
             workload, n_entries, seed, config.org, config.cpu
@@ -239,8 +226,8 @@ class EpochEngine(SimEngine):
         # Timing reuse (module docstring, "What is shared"): only runs
         # whose defenses can move timing through Alerts alone take part.
         key = None
-        if tm is None and all(b.cadence_acts is None for b in banks):
-            key = (config.timing, self.trefi_chunk)
+        if telemetry is None and all(b.cadence_acts is None for b in banks):
+            key = config.timing
             memo = stream.timing.get(key)
             if memo is not None:
                 if self._drive(memo.hooks, banks, ranks):
@@ -249,7 +236,7 @@ class EpochEngine(SimEngine):
                     )
                 # The first Alert: the memo's timing stops applying.
                 banks, ranks = self._build_memory(config, defense_factory)
-        timing = self._run(stream, banks, ranks, config, tm,
+        timing = self._run(stream, banks, ranks, config, telemetry,
                            record=key is not None)
         if key is not None and timing.stats.alerts == 0:
             # Threads sharing the stream need no lock: a memo is complete
@@ -257,8 +244,8 @@ class EpochEngine(SimEngine):
             # only swaps it for an identical one.
             stream.timing[key] = timing
         result = self._result(workload, config, variant_name, timing, banks)
-        if tm is not None:
-            result.latency = tm.summary_dict()
+        if telemetry is not None:
+            result.latency = telemetry.summary_dict()
         return result
 
     def _run(self, stream, banks, ranks, config, tm, record):
@@ -286,18 +273,7 @@ class EpochEngine(SimEngine):
         # Tail REFs: the event loop keeps firing per-rank REF ticks (and
         # with them proactive mitigations) until the last core retires.
         for rank in ranks:
-            while rank.next_ref < sim_time:
-                for hook in rank.on_refs:
-                    hook()
-                if hooks is not None:
-                    hooks[0].append(_REF_TICK)
-                    hooks[1].append(rank.index)
-                if tm is not None:
-                    tm.record_ref(
-                        rank.next_ref, rank.next_ref + timing.t_rfc,
-                        (b.view.defense for b in rank.banks),
-                    )
-                rank.next_ref += t_refi
+            _fire_refs(rank, sim_time, False, timing, tm, hooks)
         # The refs statistic is analytic — ticks at or before sim_time —
         # so batch-boundary catch-up can't over-count the final window.
         stats.refs = sum(
@@ -366,8 +342,9 @@ class EpochEngine(SimEngine):
                 rank_banks: list[_EpochBank] = []
                 for _bg in range(org.bankgroups):
                     for bank in range(org.banks_per_group):
-                        view = EpochBankView(defense_factory(flat, config))
-                        record = _EpochBank(flat, bank, channel, view)
+                        record = _EpochBank(
+                            flat, bank, channel, defense_factory(flat, config)
+                        )
                         banks.append(record)
                         rank_banks.append(record)
                         flat += 1
@@ -381,7 +358,7 @@ class EpochEngine(SimEngine):
         return banks, ranks
 
     # ------------------------------------------------------------------
-    # The replay loop (hot): issue-ordered merge in tREFI-chunk batches
+    # The replay loop (hot): issue-ordered merge, one tREFI per batch
     # ------------------------------------------------------------------
     def _replay(self, cores, banks, ranks, config, stats, tm=None,
                 hooks=None):
@@ -401,7 +378,7 @@ class EpochEngine(SimEngine):
         llc_latency = config.cpu.llc_latency_ns
         # Shared short-occupancy resources (channel bus, rank tRRD gate)
         # are modeled as M/D/1-style queueing waits from the previous
-        # chunk's utilization, not as hard reservation frontiers: the
+        # window's utilization, not as hard reservation frontiers: the
         # replay processes requests in issue order, and a hard frontier
         # would let one congested bank's far-future transfer block every
         # other bank's earlier idle slots (head-of-line poison the
@@ -409,7 +386,6 @@ class EpochEngine(SimEngine):
         n_channels = config.org.channels
         bus_acc = [0.0] * n_channels
         bus_wait = [0.0] * n_channels
-        chunk_ns = t_refi * self.trefi_chunk
         rank_avail = self._rank_avail
         # Telemetry is observation-only: one None test per request when
         # off, mirroring the controller's _service_hot slot.
@@ -439,7 +415,7 @@ class EpochEngine(SimEngine):
         # instead.  MSHR and write-buffer stalls do happen at the
         # request's own entry, so those are plain floors.
         live = [core for core in cores if core.n]
-        epoch_end = chunk_ns
+        epoch_end = t_refi
         # Aggregate counters accumulate in locals and flush once after
         # the loop (three attribute stores per request add up).
         n_reads = n_writes = n_acts = n_row_hits = 0
@@ -452,19 +428,19 @@ class EpochEngine(SimEngine):
                     core = other
                     base = other.base
             if base >= epoch_end:
-                # Chunk boundary: ranks whose REF ticks fell due while
+                # Window boundary: ranks whose REF ticks fell due while
                 # they were idle catch up before the next batch (busy
                 # ranks take their ticks in-stream, below), and the
                 # bus/tRRD utilization windows roll over.
-                epoch_end += chunk_ns
+                epoch_end += t_refi
                 for ch in range(n_channels):
-                    rho = bus_acc[ch] / chunk_ns
+                    rho = bus_acc[ch] / t_refi
                     if rho > 0.9:
                         rho = 0.9
                     bus_wait[ch] = rho / (2.0 * (1.0 - rho)) * t_burst
                     bus_acc[ch] = 0.0
                 for rank in ranks:
-                    rho = rank.act_acc * t_rrd / chunk_ns
+                    rho = rank.act_acc * t_rrd / t_refi
                     if rho > 0.9:
                         rho = 0.9
                     rank.act_wait = rho / (2.0 * (1.0 - rho)) * t_rrd
@@ -476,18 +452,8 @@ class EpochEngine(SimEngine):
                         rank.blackouts = [
                             b for b in rank.blackouts if b[1] > base
                         ]
-                    while rank.next_ref < base:
-                        for hook in rank.on_refs:
-                            hook()
-                        if log_target is not None:
-                            log_target(_REF_TICK)
-                            log_arg(rank.index)
-                        if tm is not None:
-                            tm.record_ref(
-                                rank.next_ref, rank.next_ref + t_rfc,
-                                (b.view.defense for b in rank.banks),
-                            )
-                        rank.next_ref += t_refi
+                    if rank.next_ref < base:
+                        _fire_refs(rank, base, False, timing, tm, hooks)
                 continue
             _front, bank_i, row, ch, is_write, demand = core.req
 
@@ -564,18 +530,7 @@ class EpochEngine(SimEngine):
                 # the on_ref/on_activation interleaving the proactive
                 # variants depend on.
                 if rank.next_ref <= act_time:
-                    while rank.next_ref <= act_time:
-                        for hook in rank.on_refs:
-                            hook()
-                        if log_target is not None:
-                            log_target(_REF_TICK)
-                            log_arg(rank.index)
-                        if tm is not None:
-                            tm.record_ref(
-                                rank.next_ref, rank.next_ref + t_rfc,
-                                (b.view.defense for b in rank.banks),
-                            )
-                        rank.next_ref += t_refi
+                    _fire_refs(rank, act_time, True, timing, tm, hooks)
                 rank.acts_since_rfm += 1
                 if log_target is not None:
                     log_target(bank_i)
@@ -656,7 +611,7 @@ class EpochEngine(SimEngine):
         list against the query time: the replay issues queries in
         *issue* order, so a congested bank can query far in the future
         before an idle bank queries inside a still-relevant window.
-        Expired windows are dropped at chunk boundaries instead, against
+        Expired windows are dropped at window boundaries instead, against
         the merge key (a safe lower bound on every future query).
         """
         if not rank.blackouts:
@@ -689,7 +644,7 @@ class EpochEngine(SimEngine):
         blocked = bank.blocked
         bank.blocked = (blocked if blocked > start else start) + timing.t_rfm
         bank.open_row = -1
-        bank.view.on_rfm(True)
+        bank.on_rfm(True)
         stats.cadence_rfms += 1
         if tm is not None:
             tm.record_blackout(start, bank.blocked, "cadence")
@@ -708,7 +663,7 @@ class EpochEngine(SimEngine):
         scope = rfm_scope_banks(prac.rfm_scope, rank.banks, bank)
         for _ in range(prac.n_mit):
             for member in scope:
-                member.view.on_rfm(member is bank)
+                member.on_rfm(member is bank)
         rank.rfm_commands += prac.n_mit
         if tm is not None:
             tm.record_blackout(rfm_start, rfm_end, "abo")
@@ -729,7 +684,7 @@ class EpochEngine(SimEngine):
     def _defense_stats(banks) -> dict[MitigationReason, int]:
         totals = {reason: 0 for reason in MitigationReason}
         for bank in banks:
-            by_reason = bank.view.defense.stats.mitigations_by_reason
+            by_reason = bank.defense.stats.mitigations_by_reason
             for reason, count in by_reason.items():
                 totals[reason] += count
         return totals
@@ -738,6 +693,32 @@ class EpochEngine(SimEngine):
 #: Hook-log target of a REF tick (ACT entries target a flat bank index;
 #: a REF entry's argument is the rank index).
 _REF_TICK = -1
+
+
+def _fire_refs(rank, until, inclusive, timing, tm, hooks) -> None:
+    """Fire ``rank``'s REF ticks due before ``until`` (and at it, when
+    ``inclusive``), in order.
+
+    The replay's one REF path, called at a window boundary (ticks before
+    the merge key), before an ACT (ticks at or before its time, so the
+    proactive variants see the event loop's on_ref/on_activation
+    interleaving) and at the tail (ticks before the last core retires).
+    Each tick calls every bank's ``on_ref``, then lands in the hook log
+    and the telemetry when they are on.
+    """
+    t_refi = timing.t_refi
+    while rank.next_ref < until or (inclusive and rank.next_ref == until):
+        for hook in rank.on_refs:
+            hook()
+        if hooks is not None:
+            hooks[0].append(_REF_TICK)
+            hooks[1].append(rank.index)
+        if tm is not None:
+            tm.record_ref(
+                rank.next_ref, rank.next_ref + timing.t_rfc,
+                (b.defense for b in rank.banks),
+            )
+        rank.next_ref += t_refi
 
 
 class _Timing(NamedTuple):
@@ -900,9 +881,9 @@ class _PreparedStream:
         self.total_instructions: list[int] = []
         self.llc_hits = 0
         self.llc_total = 0
-        #: Alert-free :class:`_Timing` memos by ``(config.timing,
-        #: trefi_chunk)`` (module docstring, "What is shared").
-        self.timing: dict[tuple, _Timing] = {}
+        #: Alert-free :class:`_Timing` memos by ``config.timing``
+        #: (module docstring, "What is shared").
+        self.timing: dict[DDR5Timing, _Timing] = {}
 
 
 @lru_cache(maxsize=8)

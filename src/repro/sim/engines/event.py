@@ -69,8 +69,8 @@ class EventEngine(SimEngine):
         )
         result = system.run(variant_name=variant_name)
         self.work_units = system.events.events_processed
-        # The controller normalized the designator; observed runs carry
-        # their summary out-of-band of the canonical payload.
-        if system.memory.telemetry is not None:
-            result.latency = system.memory.telemetry.summary_dict()
+        # Observed runs carry their summary out-of-band of the canonical
+        # payload.
+        if telemetry is not None:
+            result.latency = telemetry.summary_dict()
         return result

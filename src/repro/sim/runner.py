@@ -20,11 +20,10 @@ and defenses go through :func:`repro.exp.run_sweep`.
 Execution is equally pluggable: ``engine=`` selects a registered
 :class:`~repro.sim.engines.SimEngine` by
 :class:`~repro.sim.engines.EngineSpec` (``"event"`` — the byte-identical
-reference — by default; ``"epoch"`` or ``"epoch:trefi_chunk=4"`` for the
-batched tier).  Every run builds four homogeneous copies of the named
-workload (the paper's methodology) with per-core seeds, executes them to
-completion on the selected engine, and reports a
-:class:`~repro.cpu.system.SystemResult`.
+reference — by default; ``"epoch"`` for the batched tier).  Every run
+builds four homogeneous copies of the named workload (the paper's
+methodology) with per-core seeds, executes them to completion on the
+selected engine, and reports a :class:`~repro.cpu.system.SystemResult`.
 """
 
 from __future__ import annotations
@@ -146,15 +145,10 @@ def simulate_workload(
 
     ``telemetry`` attaches a :class:`~repro.obs.Telemetry` recorder to
     the run (see :mod:`repro.obs`); results are byte-identical with or
-    without one.  The keyword is only forwarded when a recorder is
-    enabled, so externally registered engines that predate the seam
-    keep working untouched.
+    without one.
     """
     spec, config = defense_and_config(defense, config)
     sim = resolve_engine(engine).build()
-    kwargs = {}
-    if telemetry is not None and getattr(telemetry, "enabled", False):
-        kwargs["telemetry"] = telemetry
     return sim.simulate(
         _resolve_workload_or_attack(workload, attack),
         config,
@@ -162,7 +156,7 @@ def simulate_workload(
         n_entries=n_entries,
         seed=seed,
         variant_name=spec.label,
-        **kwargs,
+        telemetry=telemetry,
     )
 
 

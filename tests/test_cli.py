@@ -49,8 +49,8 @@ class TestExactnessPins:
     @pytest.mark.parametrize("command, digest", [
         ("defenses", "34a4f788595ace875f83350d54b92a9f"
                      "ce6da0e8536d2a91689b14b0bed1a5e8"),
-        ("engines", "76b971d86cf69d134ff5afd45878c8a0"
-                    "d4c413a0999c077904f20e57e2a49fc0"),
+        ("engines", "f9b75cff20857bb045227f4fc2d384e3"
+                    "b753d6b50a5e31dc0da72e922d3dabee"),
         ("attacks", "5e1d8832a95dea2cf6e0250ae0fc3a1e"
                     "84806e6c2aa688808ba926f40e70fdf7"),
     ])

@@ -99,7 +99,9 @@ class TestStatsPlumbing:
     def test_bank_for_and_flat_indexing(self):
         system, _ = make_system()
         addr = system.mapper.compose(row=1, bankgroup=1, bank=1)
-        bank = system.bank_for(addr)
+        bank = system.banks[
+            system.mapper.decode(addr).flat_bank(system.cfg.org)
+        ]
         assert bank.bankgroup == 1 and bank.bank == 1
 
     def test_queued_requests_counter(self):
@@ -127,7 +129,9 @@ class TestStatsPlumbing:
         for column in range(4):
             system.enqueue(mapper.compose(row=2, column=column), False, 0.0, None)
         events.run()
-        bank = system.bank_for(mapper.compose(row=2))
+        bank = system.banks[
+            mapper.decode(mapper.compose(row=2)).flat_bank(system.cfg.org)
+        ]
         assert bank.row_buffer_hit_rate == pytest.approx(0.75)
 
     def test_avg_read_latency(self):

@@ -320,7 +320,7 @@ def test_inlined_llc_path_matches_canonical_cache(monkeypatch):
 
 def test_inline_enqueue_decode_matches_mapper(monkeypatch):
     """The bit slicing inlined in MemorySystem.enqueue must agree with
-    AddressMapper.decode_flat for every address a trace can produce."""
+    AddressMapper.decode for every address a trace can produce."""
     import random
 
     from repro.dram.address import AddressMapper
@@ -340,13 +340,15 @@ def test_inline_enqueue_decode_matches_mapper(monkeypatch):
     for _ in range(500):
         addr = rng.randrange(max_addr)
         req = system.enqueue(addr, False, 0.0)
-        channel, rank, bankgroup, bank, row, column, flat = (
-            mapper.decode_flat(addr)
-        )
+        decoded = mapper.decode(addr)
         assert (
             req.channel, req.rank, req.bankgroup, req.bank, req.row,
             req.column,
-        ) == (channel, rank, bankgroup, bank, row, column)
+        ) == (
+            decoded.channel, decoded.rank, decoded.bankgroup, decoded.bank,
+            decoded.row, decoded.column,
+        )
         # Routed to the same bank the mapper names (nothing pops the
         # pending queue until events run).
+        flat = decoded.flat_bank(config.org)
         assert system.banks[flat].pending[-1] is req

@@ -10,8 +10,7 @@ Five layers of guarantees:
   default path (the golden hashes in ``test_determinism_golden.py``
   remain the source of truth for the event engine itself).
 * **Epoch determinism** — two epoch runs are byte-identical, pinned
-  digests under the golden environment, including a ``trefi_chunk``
-  operating point.
+  digests under the golden environment.
 * **Statistical equivalence** — the event-vs-epoch differential matrix:
   seeded random workloads × every registered defense must agree on mean
   slowdown % and alerts/tREFI within the stated tolerance
@@ -22,7 +21,8 @@ Five layers of guarantees:
 * **Epoch exactness of shared work** — a result served from an
   Alert-free run's timing memo is byte-identical to a full replay for
   every registered defense; runs the memo does not cover (cadence
-  defenses, telemetry, another timing key) never read or store one; the
+  defenses, telemetry, another timing key) never read or store one;
+  every hook reaches its defense exactly once on every engine path; the
   vectorized LLC filter matches the canonical cache; and the stream's
   precomputed stall columns match the per-request pointer walk.
 """
@@ -34,6 +34,7 @@ import random
 
 import pytest
 
+from repro.core.defense import BankDefense
 from repro.defenses import registered_defenses
 from repro.errors import ConfigError, ReproError
 from repro.exp import SweepSpec
@@ -41,7 +42,9 @@ from repro.exp.serialize import canonical_json, result_to_dict
 from repro.sim import simulate_workload
 from repro.sim.engines import (
     DEFAULT_ENGINE_SPEC,
+    EngineRegistry,
     EngineSpec,
+    SimEngine,
     registered_engines,
     resolve_engine,
 )
@@ -59,21 +62,34 @@ def result_digest(result) -> str:
 # ----------------------------------------------------------------------
 # EngineSpec identity
 # ----------------------------------------------------------------------
+#: The shipped engines take no parameters, so engine parameters are
+#: covered through this scoped registry's one parameterized engine.
+SCOPED_ENGINES = EngineRegistry()
+
+
+@SCOPED_ENGINES.register("toy", summary="parameterized test engine")
+class ToyEngine(SimEngine):
+    def __init__(self, size: int = 1) -> None:
+        self.size = size
+
+
 @pytest.mark.parametrize("text,name,params", [
     ("event", "event", {}),
     ("epoch", "epoch", {}),
-    ("epoch:trefi_chunk=4", "epoch", {"trefi_chunk": 4}),
-    ("  epoch : trefi_chunk=2 ", "epoch", {"trefi_chunk": 2}),
+    ("toy:size=4", "toy", {"size": 4}),
+    (" toy : size=2 ", "toy", {"size": 2}),
 ])
 def test_engine_spec_from_string(text, name, params):
     spec = EngineSpec.from_string(text)
     assert spec.name == name
     assert spec.params_dict == params
+    registry = SCOPED_ENGINES if name == "toy" else None
+    assert spec.validate(registry).name == name
 
 
 @pytest.mark.parametrize("spec", [
     EngineSpec("event"),
-    EngineSpec.of("epoch", trefi_chunk=4),
+    EngineSpec.of("toy", size=4),
 ])
 def test_engine_spec_roundtrips(spec):
     assert EngineSpec.from_string(spec.to_string()) == spec
@@ -102,8 +118,13 @@ def test_resolve_engine_defaults_and_errors():
         resolve_engine("no-such-engine")
     with pytest.raises(ReproError):
         resolve_engine("epoch:bogus_param=1")
+    assert resolve_engine("toy:size=4", SCOPED_ENGINES).build(
+        SCOPED_ENGINES
+    ).size == 4
     with pytest.raises(ReproError):
-        resolve_engine("epoch:trefi_chunk=maybe")  # type-checked
+        resolve_engine("toy:size=maybe", SCOPED_ENGINES)  # type-checked
+    with pytest.raises(ReproError):
+        resolve_engine("toy")  # registered in the scoped registry only
     with pytest.raises(ConfigError):
         resolve_engine(42)  # type: ignore[arg-type]
 
@@ -112,13 +133,7 @@ def test_builtin_registry_listing():
     names = [entry.name for entry in registered_engines()]
     assert "event" in names and "epoch" in names
     epoch = next(e for e in registered_engines() if e.name == "epoch")
-    assert [p.name for p in epoch.params] == ["trefi_chunk"]
-    assert epoch.params[0].default == 1
-
-
-def test_epoch_rejects_bad_chunk():
-    with pytest.raises(ConfigError):
-        EngineSpec.of("epoch", trefi_chunk=0).build()
+    assert epoch.params == ()
 
 
 # ----------------------------------------------------------------------
@@ -131,18 +146,22 @@ def _sweep(engine):
 
 
 def test_cache_keys_differ_by_engine():
+    import dataclasses
+
     event_jobs = _sweep("event").expand()
     epoch_jobs = _sweep("epoch").expand()
-    chunked_jobs = _sweep("epoch:trefi_chunk=4").expand()
+    # Keys encode the engine's name and parameters, never its registry.
+    toy = resolve_engine("toy:size=4", SCOPED_ENGINES)
+    toy_jobs = [dataclasses.replace(job, engine=toy) for job in epoch_jobs]
     assert [j.label for j in event_jobs] == [j.label for j in epoch_jobs]
-    for a, b, c in zip(event_jobs, epoch_jobs, chunked_jobs):
+    for a, b, c in zip(event_jobs, epoch_jobs, toy_jobs):
         assert len({a.cache_key(), b.cache_key(), c.cache_key()}) == 3
 
 
 def test_sweepspec_normalizes_engine_strings():
-    spec = _sweep("epoch:trefi_chunk=4")
+    spec = _sweep(" epoch ")
     assert isinstance(spec.engine, EngineSpec)
-    assert spec.engine.label == "epoch:trefi_chunk=4"
+    assert spec.engine.label == "epoch"
     assert all(job.engine == spec.engine for job in spec.expand())
     with pytest.raises(ReproError):
         _sweep("not-an-engine")
@@ -203,10 +222,6 @@ GOLDEN_ENGINE_HASHES: dict[str, dict] = {
             "c625f6d50e2ac1a8d7aa9bbcbf8a7f8f733d842edc4db4a8eec24b0a105253c1",
         ("470.lbm", "qprac+proactive", 2000, 0):
             "3784983b5ccc97776d90e5b2f8e1502663322bd7eee7645dd217157336f78ee6",
-    },
-    "epoch:trefi_chunk=4": {
-        ("429.mcf", "qprac", 2000, 0):
-            "5d4c94a03d80d156de31fa608611ac6b36d1920f35cbb652e51b241a8200fb75",
     },
 }
 
@@ -384,7 +399,7 @@ def _memo_configs():
     return (default_config(), default_config().with_prac(n_bo=16))
 
 
-def _memo_stream(workload, seed=0):
+def _memo_stream(workload, seed=0, n_entries=MEMO_ENTRIES):
     """The cached stream the epoch engine replays for this cell."""
     from repro.params import default_config
     from repro.sim.engines.epoch import _prepare_stream
@@ -392,7 +407,7 @@ def _memo_stream(workload, seed=0):
 
     config = default_config()
     return _prepare_stream(
-        lookup_workload(workload), MEMO_ENTRIES, seed, config.org, config.cpu
+        lookup_workload(workload), n_entries, seed, config.org, config.cpu
     )
 
 
@@ -551,8 +566,8 @@ def test_differential_memo_exclusions(epoch_calls):
 
 
 def test_differential_memo_isolated_by_timing_and_chunk(epoch_calls):
-    """``epoch:trefi_chunk=4`` and a timing override never read a memo
-    recorded under another timing key; each stores its own."""
+    """A timing override never reads a memo recorded under another
+    timing key; it stores its own, keyed by ``config.timing`` alone."""
     import dataclasses
 
     from repro.params import default_config
@@ -561,28 +576,129 @@ def test_differential_memo_isolated_by_timing_and_chunk(epoch_calls):
     slower = dataclasses.replace(
         config, timing=dataclasses.replace(config.timing, t_rfc=450.0)
     )
-    cases = (
-        ({"engine": "epoch:trefi_chunk=4"}, (config.timing, 4)),
-        ({"config": slower}, (slower.timing, 1)),
-    )
-    expected = [
-        _full_replay("470.lbm", "qprac+proactive", **kwargs)[0]
-        for kwargs, _ in cases
-    ]
+    expected, _ = _full_replay("470.lbm", "qprac+proactive", config=slower)
     stream = _memo_stream("470.lbm")
     stream.timing.clear()
     _epoch_run("470.lbm", "baseline")
-    assert set(stream.timing) == {(config.timing, 1)}
+    assert set(stream.timing) == {config.timing}
     before = dict(epoch_calls)
-    for (kwargs, key), want in zip(cases, expected):
-        got, _ = _epoch_run("470.lbm", "qprac+proactive", **kwargs)
-        assert got == want
-        assert key in stream.timing
+    got, _ = _epoch_run("470.lbm", "qprac+proactive", config=slower)
+    assert got == expected
+    assert set(stream.timing) == {config.timing, slower.timing}
     assert epoch_calls["served"] == before["served"]
     assert epoch_calls["aborted"] == before["aborted"]
-    assert epoch_calls["replay"] == before["replay"] + 2
-    assert len(stream.timing) == 3
+    assert epoch_calls["replay"] == before["replay"] + 1
     stream.timing.clear()
+
+
+class CountingDefense(BankDefense):
+    """Forwards every hook to a real defense and counts the calls.
+
+    ``on_rfm`` names its parameter differently from every shipped
+    defense, so it works only when the engines pass it positionally.
+    """
+
+    def __init__(self, inner: BankDefense) -> None:
+        self.inner = inner
+        self.stats = inner.stats
+        self.calls = dict.fromkeys(("on_activation", "on_ref", "on_rfm"), 0)
+
+    def on_activation(self, row):
+        self.calls["on_activation"] += 1
+        return self.inner.on_activation(row)
+
+    def wants_alert(self):
+        return self.inner.wants_alert()
+
+    def on_rfm(self, alerting):
+        self.calls["on_rfm"] += 1
+        return self.inner.on_rfm(alerting)
+
+    def on_ref(self):
+        self.calls["on_ref"] += 1
+        return self.inner.on_ref()
+
+    @property
+    def rfm_cadence_acts(self):
+        return self.inner.rfm_cadence_acts
+
+    @property
+    def psq_occupancy(self):
+        return self.inner.psq_occupancy
+
+
+#: The hook-count cells: alert-driven defenses (their memo drives abort
+#: at N_BO 16), a cadence defense (never memo-eligible) and an
+#: Alert-free proactive one (served from the memo).
+HOOK_WORKLOADS = ("429.mcf", "541.leela")
+HOOK_DEFENSES = ("qprac", "moat", "pride:t_rh=256", "qprac+proactive")
+HOOK_ENTRIES = 4000
+
+
+def _counted_run(engine, workload, defense, config):
+    """One run through ``EngineSpec(engine).build().simulate`` with
+    every bank's defense wrapped in a :class:`CountingDefense`: the
+    result, and the hook calls summed over the last defense built for
+    each bank (those behind the result: a memo drive that aborts at an
+    Alert builds a fresh set)."""
+    from repro.defenses import resolve_defense
+    from repro.workloads.suites import workload as lookup_workload
+
+    spec = resolve_defense(defense)
+    factory = spec.factory()
+    behind = {}
+
+    def counting_factory(flat, cfg):
+        behind[flat] = CountingDefense(factory(flat, cfg))
+        return behind[flat]
+
+    result = EngineSpec(engine).build().simulate(
+        lookup_workload(workload), config, counting_factory,
+        n_entries=HOOK_ENTRIES, seed=0, variant_name=spec.label,
+    )
+    calls = {
+        hook: sum(bank.calls[hook] for bank in behind.values())
+        for hook in ("on_activation", "on_ref", "on_rfm")
+    }
+    return result, calls
+
+
+@pytest.mark.parametrize("path", ["event", "epoch-replay", "epoch-memo"])
+def test_differential_hooks_reach_each_defense_once(path, epoch_calls):
+    """Every hook reaches its defense exactly once, on every engine
+    path: the defenses behind a result see one ``on_activation`` per
+    ACT, one ``on_ref`` per bank per REF, and one ``on_rfm`` per bank
+    per RFM command (all-bank scope) plus one per cadence RFM."""
+    from repro.params import default_config
+
+    config = default_config().with_prac(n_bo=16)
+    per_rank = config.org.banks_per_rank
+    engine = "event" if path == "event" else "epoch"
+    for workload in HOOK_WORKLOADS:
+        stream = _memo_stream(workload, n_entries=HOOK_ENTRIES)
+        stream.timing.clear()
+        if path == "epoch-memo":
+            # Baseline raises no Alert: it stores the stream's memo.
+            simulate_workload(
+                workload, defense="baseline", n_entries=HOOK_ENTRIES,
+                engine="epoch",
+            )
+            assert set(stream.timing) == {config.timing}
+        for defense in HOOK_DEFENSES:
+            if path == "epoch-replay":
+                stream.timing.clear()
+            result, calls = _counted_run(engine, workload, defense, config)
+            assert calls == {
+                "on_activation": result.acts,
+                "on_ref": result.refs * per_rank,
+                "on_rfm": result.rfm_commands * per_rank
+                + result.cadence_rfms,
+            }, (path, workload, defense)
+        stream.timing.clear()
+    if path == "epoch-memo":
+        assert epoch_calls["served"] and epoch_calls["aborted"]
+    else:
+        assert epoch_calls["served"] == epoch_calls["aborted"] == 0
 
 
 def test_differential_memo_threads_match_serial():
@@ -713,12 +829,15 @@ def test_epoch_llc_filter_matches_canonical_cache(regime):
     ):
         hit, writeback = llc.access(addr, is_write)
         if not hit:
-            ch, _r, _bg, _b, row, _col, flat = mapper.decode_flat(addr)
-            reference[c].append((flat, row, ch, is_write, True))
+            d = mapper.decode(addr)
+            reference[c].append(
+                (d.flat_bank(org), d.row, d.channel, is_write, True)
+            )
             if writeback is not None:
-                ch, _r, _bg, _b, row, _col, flat = \
-                    mapper.decode_flat(writeback)
-                reference[c].append((flat, row, ch, True, False))
+                d = mapper.decode(writeback)
+                reference[c].append(
+                    (d.flat_bank(org), d.row, d.channel, True, False)
+                )
     if overflow_share == 1.0:
         assert llc.writebacks > 0, "cell must exercise the writeback path"
     assert stream.llc_hits == llc.hits
@@ -1017,4 +1136,4 @@ def test_cli_engines_listing(capsys):
 
     assert main(["engines"]) == 0
     out = capsys.readouterr().out
-    assert "event" in out and "epoch" in out and "trefi_chunk" in out
+    assert "event" in out and "epoch" in out

@@ -12,6 +12,7 @@ rows.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -383,8 +384,9 @@ class TestChaosMatrix:
     @pytest.mark.parametrize("plan,kwargs", [
         # Worker dies before its first job: whole batch re-dispatched.
         ("kill-worker", {}),
-        # Worker dies mid-batch: flushed prefix kept, tail migrated.
-        ("kill-worker:after_jobs=1", {"batch_size": 3}),
+        # Worker dies mid-batch: flushed prefix kept, tail migrated (one
+        # host, so the first batch takes ceil(3 / 2) = 2 jobs).
+        ("kill-worker:after_jobs=1", {"hosts": ["local"]}),
         # Half a result row flushed, then death: torn row == missing.
         ("truncate-result", {}),
         # Garbage row, worker continues: row skipped, job retried.
@@ -426,6 +428,27 @@ class TestChaosMatrix:
         assert backend.metrics["retries"] >= 1
         assert backend.metrics["faults_fired"] == {"kill-worker": 2}
 
+    def test_retry_jitter_never_keys_a_job(
+        self, serial_aggregate, fleet_backend, monkeypatch
+    ):
+        """Backoff jitter is keyed by the task's sweep position, so a
+        faulted run without a store computes no cache key at all."""
+        from repro.exp.spec import Job
+
+        keyed = []
+        cache_key = Job.cache_key
+
+        def spy(self, *args, **kwargs):
+            keyed.append(self.label)
+            return cache_key(self, *args, **kwargs)
+
+        monkeypatch.setattr(Job, "cache_key", spy)
+        backend = fleet_backend("kill-worker:times=2")
+        sweep = run_sweep(mixed_spec(), store=None, backend=backend)
+        assert aggregate_bytes(sweep) == serial_aggregate
+        assert backend.metrics["retries"] >= 1
+        assert keyed == []
+
     def test_failing_host_is_quarantined_then_recovers(
         self, serial_aggregate, fleet_backend
     ):
@@ -445,7 +468,8 @@ class TestChaosMatrix:
         """Every probe fails until the host is retired: the sweep warns
         and finishes on the local pool, same digest."""
         backend = fleet_backend(
-            "drop-host:times=99", hosts=["local"], max_quarantines=1
+            "drop-host:times=99", hosts=["local"],
+            retry=dataclasses.replace(FAST_RETRY, max_quarantines=1),
         )
         sweep = run_sweep(mixed_spec(), store=None, backend=backend)
         assert aggregate_bytes(sweep) == serial_aggregate
@@ -470,9 +494,8 @@ class TestChaosMatrix:
             "kill-worker:host=local,times=99",
             retry=RetryPolicy(
                 max_retries=6, backoff_base_s=0.01, backoff_cap_s=0.05,
-                quarantine_after=1, cooldown_s=0.1,
+                quarantine_after=1, cooldown_s=0.1, max_quarantines=0,
             ),
-            max_quarantines=0,
         )
         sweep = run_sweep(mixed_spec(), store=None, backend=backend)
         assert aggregate_bytes(sweep) == serial_aggregate

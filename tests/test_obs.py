@@ -29,12 +29,9 @@ from test_determinism_golden import (
 
 from repro.exp import ResultStore, SweepBackend, SweepSpec, run_sweep
 from repro.obs import (
-    NULL_TELEMETRY,
     SAMPLES_LAYOUT,
-    NullTelemetry,
     SweepMetrics,
     Telemetry,
-    active_telemetry,
     decode_samples,
     percentile,
     read_trace,
@@ -235,23 +232,6 @@ def test_one_latency_summary_per_telemetry_job(engine, monkeypatch,
     assert sweep.executed == len(sweep.outcomes) > 2
     assert len(calls) == sweep.executed
     assert all(o.result.latency["count"] > 0 for o in sweep.outcomes)
-
-
-def test_null_telemetry_is_inert():
-    null = NullTelemetry()
-    assert not null.enabled
-    null.record_request(0.0, 10.0, False, 0)
-    null.record_blackout(0.0, 100.0, "abo")
-    null.record_ref(0.0, 100.0, ())
-    assert null.summary_dict() is None
-    assert null.export() is None
-
-
-def test_active_telemetry_gates_on_enabled():
-    assert active_telemetry(None) is None
-    assert active_telemetry(NULL_TELEMETRY) is None
-    recorder = Telemetry()
-    assert active_telemetry(recorder) is recorder
 
 
 def test_telemetry_sample_cap_keeps_full_percentiles():

@@ -10,9 +10,9 @@ specifications:
   (scan per call) over randomized geometries, policies and op mixes —
   including adversarial shapes the fixed vectors never reach (count
   *decreases* on hit, churn at capacity 1, clears mid-stream).
-* :meth:`~repro.dram.address.AddressMapper.decode_flat` (memoized bit
-  slicing) vs an independent reference decoder written from the
-  documented layout, plus encode/decode round-trip laws, over random
+* :meth:`~repro.dram.address.AddressMapper.decode` (bit slicing) and
+  the flat bank index vs an independent reference decoder written from
+  the documented layout, plus encode/decode round-trip laws, over random
   DRAM organizations.
 
 Everything is seeded ``random.Random`` — failures reproduce exactly
@@ -140,7 +140,7 @@ def test_psq_always_full_invariant_under_random_streams(seed):
 
 
 # ----------------------------------------------------------------------
-# decode_flat: independent reference decoder + round-trip laws
+# decode: independent reference decoder + round-trip laws
 # ----------------------------------------------------------------------
 
 
@@ -180,36 +180,29 @@ def _random_org(rng: random.Random) -> DRAMOrganization:
 
 @pytest.mark.parametrize("seed", range(12))
 def test_decode_flat_matches_independent_reference(seed):
-    """Random organizations x random addresses: the memoized bit slicer
-    agrees with div/mod arithmetic on every field, and the flat bank
-    index agrees with the canonical DramAddress.flat_bank."""
+    """Random organizations x random addresses: the bit slicer agrees
+    with div/mod arithmetic on every field, and the flat bank index
+    agrees with the vectorized decode's."""
+    import numpy as np
+
     rng = random.Random(90_000 + seed)
     org = _random_org(rng)
     mapper = AddressMapper(org)
     max_addr = 1 << mapper.address_bits
-    for _ in range(300):
-        addr = rng.randrange(max_addr)
-        channel, rank, bankgroup, bank, row, column, flat = (
-            mapper.decode_flat(addr)
+    addrs = [rng.randrange(max_addr) for _ in range(300)]
+    flats = mapper.decode_arrays(np.array(addrs, dtype=np.int64))[6]
+    for addr, flat in zip(addrs, flats.tolist()):
+        decoded = mapper.decode(addr)
+        assert decoded == DramAddress(*_reference_decode(org, addr)), (
+            f"seed {seed}: decode({addr:#x}) diverged"
         )
-        assert (channel, rank, bankgroup, bank, row, column) == (
-            _reference_decode(org, addr)
-        ), f"seed {seed}: decode_flat({addr:#x}) diverged"
-        decoded = DramAddress(
-            channel=channel, rank=rank, bankgroup=bankgroup,
-            bank=bank, row=row, column=column,
-        )
-        assert flat == decoded.flat_bank(org)
-        # Memo hit must return the identical tuple.
-        assert mapper.decode_flat(addr) == (
-            channel, rank, bankgroup, bank, row, column, flat
-        )
+        assert decoded.flat_bank(org) == flat
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_encode_decode_roundtrip_random_coordinates(seed):
-    """compose(coords) -> decode_flat is the identity on coordinates,
-    and decode -> encode is the identity on line-aligned addresses."""
+    """compose(coords) -> decode is the identity on coordinates, and
+    decode -> encode is the identity on line-aligned addresses."""
     rng = random.Random(91_000 + seed)
     org = _random_org(rng)
     mapper = AddressMapper(org)
@@ -223,11 +216,5 @@ def test_encode_decode_roundtrip_random_coordinates(seed):
             bank=rng.randrange(org.banks_per_group),
         )
         addr = mapper.compose(**coords)
-        channel, rank, bankgroup, bank, row, column, _flat = (
-            mapper.decode_flat(addr)
-        )
-        assert dict(
-            row=row, column=column, channel=channel, rank=rank,
-            bankgroup=bankgroup, bank=bank,
-        ) == coords
+        assert mapper.decode(addr) == DramAddress(**coords)
         assert mapper.encode(mapper.decode(addr)) == addr
