@@ -12,7 +12,8 @@ Note the stream-cache asterisk: ``_prepare_stream`` is memoized on
 (workload, entries, seed, geometry) exactly like trace generation, so
 the steady-state epoch cost a defense sweep pays is ``build + replay``;
 the cold first cell also pays ``prepare`` once.  Both cold and warm
-timings are printed.
+timings are printed.  Every timed run is a full one: the Alert-free
+timing memo (:mod:`repro.sim.engines.memo`) is cleared before each.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import time
 from repro.controller.memctrl import MemStats
 from repro.defenses import resolve_defense
 from repro.params import default_config
-from repro.sim.engines import EngineSpec
+from repro.sim.engines import EngineSpec, memo
 from repro.sim.engines.epoch import EpochEngine, _EpochCore, _prepare_stream
 from repro.workloads.suites import workload as lookup_workload
 
@@ -43,6 +44,7 @@ def main() -> None:
         best = float("inf")
         for _ in range(REPEATS):
             sim = EngineSpec.from_string(engine).build()
+            memo.clear()
             started = time.perf_counter()
             sim.simulate(
                 workload, config, spec.factory(),
@@ -53,6 +55,7 @@ def main() -> None:
 
     # Cold: include one fresh stream preparation in the first epoch run.
     _prepare_stream.cache_clear()
+    memo.clear()
     cold = float("inf")
     sim = EpochEngine()
     started = time.perf_counter()
@@ -65,7 +68,9 @@ def main() -> None:
     # Phase breakdown (warm stream cache).
     engine = EpochEngine()
     t0 = time.perf_counter()
-    banks, ranks = engine._build_memory(config, spec.factory())
+    banks, ranks = engine._build_memory(
+        config, memo.build_defenses(config, spec.factory())
+    )
     t1 = time.perf_counter()
     stream = _prepare_stream(
         workload, N_ENTRIES, 0, config.org, config.cpu

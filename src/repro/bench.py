@@ -227,26 +227,17 @@ def _measure_cell(
     directly so its work-unit counter is observable.  ``telemetry`` is
     a :class:`~repro.obs.Telemetry` recorder or ``None``.
     """
-    from repro.defenses import resolve_defense
-    from repro.params import default_config
-    from repro.sim.engines import EpochEngine, resolve_engine
-    from repro.sim.engines.epoch import _prepare_stream
+    from repro.sim.engines import memo, resolve_engine
+    from repro.sim.runner import defense_and_config
     from repro.workloads.suites import workload as lookup_workload
 
+    # Time a full run, never one served from the Alert-free timing memo
+    # an earlier run left behind.
+    memo.clear()
     started = time.perf_counter()
-    spec = resolve_defense(defense)
-    config = default_config()
-    if spec.variant is not None:
-        config = config.with_variant(spec.variant)
+    spec, config = defense_and_config(defense)
     sim = resolve_engine(engine).build()
     workload_spec = lookup_workload(workload)
-    if isinstance(sim, EpochEngine):
-        # Time a full replay, never one served from the Alert-free timing
-        # memo an earlier run left on the cached stream.  The stream
-        # stays cached; a cold run builds it here instead of in simulate.
-        _prepare_stream(
-            workload_spec, n_entries, seed, config.org, config.cpu
-        ).timing.clear()
     result = sim.simulate(
         workload_spec,
         config,

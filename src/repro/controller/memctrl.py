@@ -165,6 +165,9 @@ class MemorySystem:
         self.mapper = AddressMapper(config.org)
         self.enable_refresh = enable_refresh
         self.telemetry = telemetry
+        #: The run's :class:`~repro.sim.engines.memo.HookLog` when it
+        #: records one for the Alert-free timing memo, else ``None``.
+        self.hook_log = None
         self.stats = MemStats()
         org = config.org
         # REF-window constants, read by _rank_avail on every timing
@@ -442,6 +445,9 @@ class MemorySystem:
             bank.acts += 1
             stats.acts += 1
             rank.acts_since_rfm += 1
+            hook_log = self.hook_log
+            if hook_log is not None:
+                hook_log.act(bank.index, row)
             wants_alert = bank.defense.on_activation(row)
             cadence = bank.cadence_acts
             if cadence is not None:
@@ -590,6 +596,8 @@ class MemorySystem:
         self.stats.refs += 1
         for bank in rank.banks:
             bank.defense.on_ref()
+        if self.hook_log is not None:
+            self.hook_log.ref(rank.index)
         if self.telemetry is not None:
             # Sample PSQ occupancy *after* the defenses' on_ref drain,
             # matching the epoch engine's observation point.

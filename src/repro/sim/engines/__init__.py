@@ -20,6 +20,12 @@ Shipped engines:
     within the tolerance asserted by ``tests/test_engines.py``.  Use it
     for wide sweeps, smoke runs and interactive exploration.
 
+Both serve a job that raises no Alert from the Alert-free timing memo
+(:mod:`repro.sim.engines.memo`) when an earlier job on the same request
+stream and timing recorded one: a run without Alerts has exactly the
+timing of any other, so only its defenses are driven, through the
+recorded hook log.  A served result is byte-identical to a full run.
+
 Importing this package registers both; plugins add more with
 :func:`register_engine`.
 """

@@ -92,6 +92,19 @@ class SimEngine:
         way — it observes the simulated clock, never steers it — and
         should attach its summary to the result's ``latency`` field
         when one is given.
+
+        The shipped engines may *serve* a run from the Alert-free timing
+        memo (:mod:`repro.sim.engines.memo`): a run with no telemetry
+        and no cadence defense, on a request stream and timing where an
+        earlier run raised no Alert, only drives its own defenses
+        through that run's hook log and returns its result, relabeled
+        and with its own mitigations — byte-identical to a full run.
+        A served ``event`` run simulates no events, so it reports 0
+        :attr:`work_units`, and event rates summed over runs (such as
+        perfbench's per-layer ``event.events_per_s``) read lower when
+        runs are served; that is expected.  A served ``epoch`` run still
+        reports its stream's accesses.  A plugin engine need not use the
+        memo.
         """
         raise NotImplementedError
 

@@ -39,20 +39,10 @@ What is shared
     which MSHR, ROB and write-buffer entry binds each request is stream
     data too, computed once per stream, and a run only reads the
     completion times those entries point at.  Request *timing* is shared
-    too, for runs that cannot move it: a defense changes timing only
-    through Alerts and cadence RFMs (proactive ``on_ref`` mitigations
-    happen in the REF shadow, and ``on_ref``'s return value is
-    ignored), and defense state depends only on the ordered hook calls
-    it receives.  A run is *eligible* when it has no telemetry recorder
-    and no cadence defense.  An eligible full replay that raises no
-    Alert stores its hook log (every ACT as flat bank plus row, every
-    REF tick as rank, in global order) and its timing outputs on the
-    cached stream, keyed by ``config.timing``.  A later
-    eligible run on that stream drives its own fresh defenses through
-    the log and takes its timing from the memo; at the first
-    ``on_activation`` that asks for an Alert it discards those defenses
-    and replays in full, since from there on its timing differs.  A
-    result served this way is byte-identical to a full replay.
+    too, for runs that cannot move it, through the Alert-free timing
+    memo both engines use (:mod:`repro.sim.engines.memo`): a replay
+    records its hook log, and a later run on the stream that raises no
+    Alert is served from it, byte-identical to a full replay.
 
 Determinism: everything is a fixed-order loop over deterministic
 arrays — two runs are byte-identical, pinned by the epoch golden
@@ -69,12 +59,13 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.controller.memctrl import DefenseFactory, MemStats, rfm_scope_banks
-from repro.core.defense import BankDefense, MitigationReason
+from repro.core.defense import BankDefense
 from repro.obs.telemetry import Telemetry
 from repro.cpu.core import WRITE_BUFFER_DEPTH
 from repro.cpu.system import SystemResult
 from repro.dram.address import AddressMapper
-from repro.params import DDR5Timing, RfmScope, SystemConfig
+from repro.params import RfmScope, SystemConfig
+from repro.sim.engines import memo
 from repro.sim.engines.base import SimEngine, register_engine
 from repro.workloads.synthetic import WorkloadSpec, generate_trace
 
@@ -218,39 +209,31 @@ class EpochEngine(SimEngine):
         variant_name: str | None = None,
         telemetry: Telemetry | None = None,
     ) -> SystemResult:
-        banks, ranks = self._build_memory(config, defense_factory)
         stream = _prepare_stream(
             workload, n_entries, seed, config.org, config.cpu
         )
         self.work_units = stream.llc_total
-        # Timing reuse (module docstring, "What is shared"): only runs
-        # whose defenses can move timing through Alerts alone take part.
-        key = None
-        if telemetry is None and all(b.cadence_acts is None for b in banks):
-            key = config.timing
-            memo = stream.timing.get(key)
-            if memo is not None:
-                if self._drive(memo.hooks, banks, ranks):
-                    return self._result(
-                        workload, config, variant_name, memo, banks
-                    )
-                # The first Alert: the memo's timing stops applying.
-                banks, ranks = self._build_memory(config, defense_factory)
-        timing = self._run(stream, banks, ranks, config, telemetry,
-                           record=key is not None)
-        if key is not None and timing.stats.alerts == 0:
-            # Threads sharing the stream need no lock: a memo is complete
-            # before it is stored, and a racing store of the same key
-            # only swaps it for an identical one.
-            stream.timing[key] = timing
-        result = self._result(workload, config, variant_name, timing, banks)
+        run = memo.lookup(self, workload, n_entries, seed, config,
+                          defense_factory, telemetry, variant_name)
+        if run.served is not None:
+            return run.served
+        banks, ranks = self._build_memory(config, run.defenses)
+        outputs = self._run(stream, banks, ranks, config, telemetry, run.log)
+        result = SystemResult.from_stats(
+            workload=workload.name,
+            variant=variant_name or config.variant.value,
+            mitigations=memo.defense_stats(run.defenses),
+            **outputs,
+        )
+        memo.remember(run, result)
         if telemetry is not None:
             result.latency = telemetry.summary_dict()
         return result
 
-    def _run(self, stream, banks, ranks, config, tm, record):
-        """One full replay of ``stream``; its timing, plus the hook log
-        when ``record`` is set."""
+    def _run(self, stream, banks, ranks, config, tm, log) -> dict:
+        """One full replay of ``stream``, recording into ``log`` when one
+        is given: its timing outputs, as ``SystemResult.from_stats``
+        keywords."""
         stats = MemStats()
         cores = [
             _EpochCore(
@@ -262,8 +245,7 @@ class EpochEngine(SimEngine):
             )
             for c in range(len(stream.reqs))
         ]
-        hooks = ([], []) if record else None
-        self._replay(cores, banks, ranks, config, stats, tm, hooks)
+        self._replay(cores, banks, ranks, config, stats, tm, log)
 
         timing = config.timing
         t_refi = timing.t_refi
@@ -273,7 +255,7 @@ class EpochEngine(SimEngine):
         # Tail REFs: the event loop keeps firing per-rank REF ticks (and
         # with them proactive mitigations) until the last core retires.
         for rank in ranks:
-            _fire_refs(rank, sim_time, False, timing, tm, hooks)
+            _fire_refs(rank, sim_time, False, timing, tm, log)
         # The refs statistic is analytic — ticks at or before sim_time —
         # so batch-boundary catch-up can't over-count the final window.
         stats.refs = sum(
@@ -285,52 +267,23 @@ class EpochEngine(SimEngine):
 
         freq = config.cpu.freq_ghz
         llc_total = stream.llc_total
-        return _Timing(
-            hooks=hooks,
-            sim_time=sim_time,
-            core_ipcs=tuple(
+        return dict(
+            sim_time_ns=sim_time,
+            core_ipcs=[
                 (core.total_instructions / (core.finish * freq))
                 if core.finish > 0 else 0.0
                 for core in cores
-            ),
+            ],
             instructions=sum(c.total_instructions for c in cores),
-            llc_hit_rate=stream.llc_hits / llc_total if llc_total else 0.0,
             stats=stats,
-        )
-
-    @staticmethod
-    def _drive(hooks, banks, ranks) -> bool:
-        """Feed a stored hook log to fresh defenses, in order.
-
-        Returns False at the first ACT whose defense asks for an Alert
-        (the log stops describing this run there), True at the end.
-        """
-        on_acts = [bank.on_activation for bank in banks]
-        on_refs = [rank.on_refs for rank in ranks]
-        for target, arg in zip(*hooks):
-            if target == _REF_TICK:
-                for hook in on_refs[arg]:
-                    hook()
-            elif on_acts[target](arg):
-                return False
-        return True
-
-    def _result(self, workload, config, variant_name, timing, banks):
-        return SystemResult.from_stats(
-            workload=workload.name,
-            variant=variant_name or config.variant.value,
-            sim_time_ns=timing.sim_time,
-            core_ipcs=list(timing.core_ipcs),
-            instructions=timing.instructions,
-            stats=timing.stats,
-            llc_hit_rate=timing.llc_hit_rate,
-            mitigations=self._defense_stats(banks),
+            llc_hit_rate=stream.llc_hits / llc_total if llc_total else 0.0,
         )
 
     # ------------------------------------------------------------------
     # Setup: banks, ranks, defenses
     # ------------------------------------------------------------------
-    def _build_memory(self, config, defense_factory):
+    def _build_memory(self, config, defenses):
+        """Bank and rank records over ``defenses`` (flat bank order)."""
         org = config.org
         banks: list[_EpochBank] = []
         ranks: list[_EpochRank] = []
@@ -342,9 +295,7 @@ class EpochEngine(SimEngine):
                 rank_banks: list[_EpochBank] = []
                 for _bg in range(org.bankgroups):
                     for bank in range(org.banks_per_group):
-                        record = _EpochBank(
-                            flat, bank, channel, defense_factory(flat, config)
-                        )
+                        record = _EpochBank(flat, bank, channel, defenses[flat])
                         banks.append(record)
                         rank_banks.append(record)
                         flat += 1
@@ -361,7 +312,7 @@ class EpochEngine(SimEngine):
     # The replay loop (hot): issue-ordered merge, one tREFI per batch
     # ------------------------------------------------------------------
     def _replay(self, cores, banks, ranks, config, stats, tm=None,
-                hooks=None):
+                log=None):
         timing = config.timing
         prac = config.prac
         t_rp = timing.t_rp
@@ -390,11 +341,12 @@ class EpochEngine(SimEngine):
         # Telemetry is observation-only: one None test per request when
         # off, mirroring the controller's _service_hot slot.
         tm_record = tm.record_request if tm is not None else None
-        # The hook log (see _Timing): one None test per ACT when off.
-        if hooks is not None:
-            log_target, log_arg = hooks[0].append, hooks[1].append
+        # The memo's hook log (HookLog.act, inlined: two list appends
+        # per ACT): one None test per ACT when off.
+        if log is not None:
+            log_bank, log_row = log.targets.append, log.args.append
         else:
-            log_target = log_arg = None
+            log_bank = log_row = None
 
         # The merge frontier: every live core's next issue time.  Four
         # cores, so a linear argmin beats a heap; requests are processed
@@ -453,7 +405,7 @@ class EpochEngine(SimEngine):
                             b for b in rank.blackouts if b[1] > base
                         ]
                     if rank.next_ref < base:
-                        _fire_refs(rank, base, False, timing, tm, hooks)
+                        _fire_refs(rank, base, False, timing, tm, log)
                 continue
             _front, bank_i, row, ch, is_write, demand = core.req
 
@@ -530,11 +482,11 @@ class EpochEngine(SimEngine):
                 # the on_ref/on_activation interleaving the proactive
                 # variants depend on.
                 if rank.next_ref <= act_time:
-                    _fire_refs(rank, act_time, True, timing, tm, hooks)
+                    _fire_refs(rank, act_time, True, timing, tm, log)
                 rank.acts_since_rfm += 1
-                if log_target is not None:
-                    log_target(bank_i)
-                    log_arg(row)
+                if log_bank is not None:
+                    log_bank(bank_i)
+                    log_row(row)
                 wants_alert = bank.on_activation(row)
                 cadence = bank.cadence_acts
                 if cadence is not None:
@@ -677,25 +629,8 @@ class EpochEngine(SimEngine):
                     member.blocked = rfm_end
                 member.open_row = -1
 
-    # ------------------------------------------------------------------
-    # Result assembly helpers
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _defense_stats(banks) -> dict[MitigationReason, int]:
-        totals = {reason: 0 for reason in MitigationReason}
-        for bank in banks:
-            by_reason = bank.defense.stats.mitigations_by_reason
-            for reason, count in by_reason.items():
-                totals[reason] += count
-        return totals
 
-
-#: Hook-log target of a REF tick (ACT entries target a flat bank index;
-#: a REF entry's argument is the rank index).
-_REF_TICK = -1
-
-
-def _fire_refs(rank, until, inclusive, timing, tm, hooks) -> None:
+def _fire_refs(rank, until, inclusive, timing, tm, log) -> None:
     """Fire ``rank``'s REF ticks due before ``until`` (and at it, when
     ``inclusive``), in order.
 
@@ -710,32 +645,14 @@ def _fire_refs(rank, until, inclusive, timing, tm, hooks) -> None:
     while rank.next_ref < until or (inclusive and rank.next_ref == until):
         for hook in rank.on_refs:
             hook()
-        if hooks is not None:
-            hooks[0].append(_REF_TICK)
-            hooks[1].append(rank.index)
+        if log is not None:
+            log.ref(rank.index)
         if tm is not None:
             tm.record_ref(
                 rank.next_ref, rank.next_ref + timing.t_rfc,
                 (b.defense for b in rank.banks),
             )
         rank.next_ref += t_refi
-
-
-class _Timing(NamedTuple):
-    """Timing outputs of one full replay, plus its defense-hook log.
-
-    ``hooks`` is a pair of parallel lists ``(targets, args)``: an ACT
-    is ``(flat bank, row)``, a REF tick ``(_REF_TICK, rank)``, in the
-    global order the replay called them.  Stored on a
-    :class:`_PreparedStream` as an Alert-free memo, it is never mutated.
-    """
-
-    hooks: tuple[list[int], list[int]] | None
-    sim_time: float
-    core_ipcs: tuple[float, ...]
-    instructions: int
-    llc_hit_rate: float
-    stats: MemStats
 
 
 class _StallColumns(NamedTuple):
@@ -871,7 +788,7 @@ class _PreparedStream:
     """Defense-independent replay input for one (workload, geometry) cell."""
 
     __slots__ = ("reqs", "stall", "front_total", "total_instructions",
-                 "llc_hits", "llc_total", "timing")
+                 "llc_hits", "llc_total")
 
     def __init__(self):
         self.reqs: list[list[tuple]] = []
@@ -881,9 +798,6 @@ class _PreparedStream:
         self.total_instructions: list[int] = []
         self.llc_hits = 0
         self.llc_total = 0
-        #: Alert-free :class:`_Timing` memos by ``config.timing``
-        #: (module docstring, "What is shared").
-        self.timing: dict[DDR5Timing, _Timing] = {}
 
 
 @lru_cache(maxsize=8)
@@ -899,8 +813,7 @@ def _prepare_stream(workload, n_entries, seed, org, cpu) -> _PreparedStream:
     re-simulating one workload under many defenses pays for the LLC
     filter and the stall columns (:func:`_stall_columns`) once.  Request
     tuples carry the flat bank *index* (banks are per-run objects);
-    everything cached here except the ``timing`` memo table is treated
-    as immutable by the replay loop.
+    everything cached here is treated as immutable by the replay loop.
     """
     per_inst_ns = cpu.cycle_ns / cpu.issue_width
     traces = [

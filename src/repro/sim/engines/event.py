@@ -7,6 +7,14 @@ instances through a shared LLC into the
 :class:`~repro.sim.engines.base.SimEngine` seam.  It is the *reference*
 engine: its results are pinned byte-for-byte by the golden-hash tests,
 and every other engine's aggregates are judged against it.
+
+A job that raises no Alert has exactly the request timing of any other
+such job on the same stream, so ``simulate`` goes through the Alert-free
+timing memo (:mod:`repro.sim.engines.memo`), as ``epoch`` does: a run
+with no telemetry and no cadence defense records its defenses' hook
+calls, and a later run on the same stream and timing that raises no
+Alert drives its own defenses through that log instead of building the
+trace and the event system.  Its result is byte-identical to a full run.
 """
 
 from __future__ import annotations
@@ -14,6 +22,7 @@ from __future__ import annotations
 from repro.controller.memctrl import DefenseFactory
 from repro.cpu.system import MulticoreSystem, SystemResult
 from repro.params import SystemConfig
+from repro.sim.engines import memo
 from repro.sim.engines.base import SimEngine, register_engine
 from repro.workloads.synthetic import WorkloadSpec, generate_trace
 
@@ -63,12 +72,19 @@ class EventEngine(SimEngine):
         variant_name: str | None = None,
         telemetry=None,
     ) -> SystemResult:
+        run = memo.lookup(self, workload, n_entries, seed, config,
+                          defense_factory, telemetry, variant_name)
+        if run.served is not None:
+            self.work_units = 0
+            return run.served
         system = build_event_system(
-            workload, config, defense_factory, n_entries, seed,
+            workload, config, run.factory, n_entries, seed,
             telemetry=telemetry,
         )
+        system.memory.hook_log = run.log
         result = system.run(variant_name=variant_name)
         self.work_units = system.events.events_processed
+        memo.remember(run, result)
         # Observed runs carry their summary out-of-band of the canonical
         # payload.
         if telemetry is not None:

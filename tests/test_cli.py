@@ -46,6 +46,8 @@ class TestExactnessPins:
             "c5723266a3378f9b7f0c26c6212fba2f"
         )
 
+    # The command alone names each case, so a deliberate listing change
+    # moves only its pin.
     @pytest.mark.parametrize("command, digest", [
         ("defenses", "34a4f788595ace875f83350d54b92a9f"
                      "ce6da0e8536d2a91689b14b0bed1a5e8"),
@@ -53,7 +55,7 @@ class TestExactnessPins:
                     "b753d6b50a5e31dc0da72e922d3dabee"),
         ("attacks", "5e1d8832a95dea2cf6e0250ae0fc3a1e"
                     "84806e6c2aa688808ba926f40e70fdf7"),
-    ])
+    ], ids=["defenses", "engines", "attacks"])
     def test_listing_pin(self, capsys, command, digest):
         assert main([command]) == 0
         out = capsys.readouterr().out

@@ -18,13 +18,15 @@ Five layers of guarantees:
   the contract quoted in the README).  A registry-completeness guard
   fails loudly when an engine is registered without a golden digest or
   without appearing in the differential matrix.
-* **Epoch exactness of shared work** — a result served from an
-  Alert-free run's timing memo is byte-identical to a full replay for
+* **Exactness of shared work** — on both engines, a result served from
+  an Alert-free run's timing memo is byte-identical to a full run for
   every registered defense; runs the memo does not cover (cadence
-  defenses, telemetry, another timing key) never read or store one;
-  every hook reaches its defense exactly once on every engine path; the
-  vectorized LLC filter matches the canonical cache; and the stream's
-  precomputed stall columns match the per-request pointer walk.
+  defenses, telemetry, another timing key) never read or store one; a
+  served result shares nothing with the memo; the table is bounded; and
+  every hook reaches its defense exactly once on every engine path.
+  For ``epoch``, the vectorized LLC filter matches the canonical cache,
+  and the stream's precomputed stall columns match the per-request
+  pointer walk.
 """
 
 from __future__ import annotations
@@ -381,11 +383,14 @@ def test_differential_headline_cell():
 
 
 # ----------------------------------------------------------------------
-# Alert-free timing reuse: memo-served results vs full replays
+# Alert-free timing reuse: memo-served results vs full runs
 # ----------------------------------------------------------------------
-#: Entries per core for the memo tests: short runs, whose Alerts come
-#: from the lowered N_BO of the second PRAC setting.
-MEMO_ENTRIES = 1500
+#: Entries per core for the memo tests, per engine: short runs, whose
+#: Alerts come from the lowered N_BO of the second PRAC setting.  Each
+#: test runs on both engines; ``event`` is the slower one, so its runs
+#: are shorter.
+MEMO_ENTRIES = {"epoch": 1500, "event": 800}
+MEMO_ENGINES = tuple(MEMO_ENTRIES)
 MEMO_WORKLOADS = ("429.mcf", "470.lbm", "ycsb-a", "541.leela")
 MEMO_SEEDS = (0, 3)
 
@@ -399,35 +404,31 @@ def _memo_configs():
     return (default_config(), default_config().with_prac(n_bo=16))
 
 
-def _memo_stream(workload, seed=0, n_entries=MEMO_ENTRIES):
-    """The cached stream the epoch engine replays for this cell."""
-    from repro.params import default_config
-    from repro.sim.engines.epoch import _prepare_stream
-    from repro.workloads.suites import workload as lookup_workload
+def _memo_timings() -> set:
+    """The ``config.timing`` of every memo the table holds."""
+    from repro.sim.engines import memo
 
-    config = default_config()
-    return _prepare_stream(
-        lookup_workload(workload), n_entries, seed, config.org, config.cpu
-    )
+    return {timing for (_stream, timing), _ in memo.TABLE.items()}
 
 
-def _epoch_run(workload, defense, seed=0, engine="epoch", **kwargs):
-    """One epoch run at MEMO_ENTRIES: (canonical JSON, result)."""
+def _memo_run(engine, workload, defense, seed=0, **kwargs):
+    """One run at the engine's MEMO_ENTRIES: (canonical JSON, result)."""
     result = simulate_workload(
-        workload, defense=defense, n_entries=MEMO_ENTRIES, seed=seed,
-        engine=engine, **kwargs,
+        workload, defense=defense, n_entries=MEMO_ENTRIES[engine],
+        seed=seed, engine=engine, **kwargs,
     )
     return canonical_json(result_to_dict(result)), result
 
 
-def _full_replay(workload, defense, seed=0, **kwargs):
+def _full_run(engine, workload, defense, seed=0, **kwargs):
     """A run with no memo to read, and none left behind."""
-    stream = _memo_stream(workload, seed)
-    stream.timing.clear()
+    from repro.sim.engines import memo
+
+    memo.clear()
     try:
-        return _epoch_run(workload, defense, seed, **kwargs)
+        return _memo_run(engine, workload, defense, seed, **kwargs)
     finally:
-        stream.timing.clear()
+        memo.clear()
 
 
 def _is_cadence(defense):
@@ -439,135 +440,156 @@ def _is_cadence(defense):
 
 
 @pytest.fixture
-def epoch_calls(monkeypatch):
-    """Counts full replays (``EpochEngine._replay``) and memo drives by
-    outcome: ``served`` ran the whole log, ``aborted`` met an Alert."""
+def memo_calls(monkeypatch):
+    """Counts full runs (``EpochEngine._replay``, ``MulticoreSystem.run``)
+    and memo drives by outcome: ``served`` ran the whole log,
+    ``aborted`` met an Alert."""
+    from repro.cpu.system import MulticoreSystem
+    from repro.sim.engines import memo
     from repro.sim.engines.epoch import EpochEngine
 
-    calls = {"replay": 0, "served": 0, "aborted": 0}
-    replay, drive = EpochEngine._replay, EpochEngine._drive
+    calls = {"full": 0, "served": 0, "aborted": 0}
+    replay, run, drive = EpochEngine._replay, MulticoreSystem.run, memo.drive
 
     def counting_replay(self, *args, **kwargs):
-        calls["replay"] += 1
+        calls["full"] += 1
         return replay(self, *args, **kwargs)
 
-    def counting_drive(hooks, banks, ranks):
-        served = drive(hooks, banks, ranks)
+    def counting_run(self, *args, **kwargs):
+        calls["full"] += 1
+        return run(self, *args, **kwargs)
+
+    def counting_drive(*args):
+        served = drive(*args)
         calls["served" if served else "aborted"] += 1
         return served
 
     monkeypatch.setattr(EpochEngine, "_replay", counting_replay)
-    monkeypatch.setattr(EpochEngine, "_drive", staticmethod(counting_drive))
-    return calls
+    monkeypatch.setattr(MulticoreSystem, "run", counting_run)
+    monkeypatch.setattr(memo, "drive", counting_drive)
+    memo.clear()
+    yield calls
+    memo.clear()
 
 
 @pytest.mark.parametrize("workload", MEMO_WORKLOADS)
-def test_differential_timing_memo_matches_full_replay(workload, epoch_calls):
-    """Every registered defense, under two PRAC settings and two seeds:
-    the result served after a recording run is byte-identical to a full
-    replay.  Baseline first, then reversed (baseline last), so every
-    Alert-free defense runs both after baseline (served from its memo)
-    and before it (recording, or served from another defense's)."""
+def test_differential_timing_memo_matches_full_replay(workload, memo_calls):
+    """On both engines, every registered defense under two PRAC settings
+    and two seeds: the result served after a recording run is
+    byte-identical to a full run.  Baseline first, then reversed
+    (baseline last), so every Alert-free defense runs both after
+    baseline (served from its memo) and before it (recording, or served
+    from another defense's)."""
+    from repro.sim.engines import memo
+
     defenses = ["baseline", *_matrix_defenses()]
     cells = [
         (defense, config)
         for defense in defenses for config in _memo_configs()
     ]
-    for seed in MEMO_SEEDS:
-        full = {
-            (defense, config): _full_replay(
-                workload, defense, seed, config=config
-            )
-            for defense, config in cells
-        }
-        alert_free = [
-            cell for cell in cells
-            if not _is_cadence(cell[0]) and full[cell][1].alerts == 0
-        ]
-        alerting = [
-            cell for cell in cells
-            if not _is_cadence(cell[0]) and cell not in alert_free
-        ]
-        assert len(alert_free) > 2
-        for order in (cells, cells[::-1]):
-            _memo_stream(workload, seed).timing.clear()
-            before = dict(epoch_calls)
-            for defense, config in order:
-                served, _ = _epoch_run(workload, defense, seed, config=config)
-                assert served == full[(defense, config)][0], (
-                    workload, seed, defense, config.prac.n_bo,
+    cadence = {cell for cell in cells if _is_cadence(cell[0])}
+    for engine in MEMO_ENGINES:
+        for seed in MEMO_SEEDS:
+            full = {
+                (defense, config): _full_run(
+                    engine, workload, defense, seed, config=config
                 )
-            # The first Alert-free run records; every later eligible run
-            # drives its memo, to the end or to its first Alert.
-            first = next(
-                i for i, cell in enumerate(order) if cell in alert_free
-            )
-            assert epoch_calls["served"] - before["served"] == \
-                len(alert_free) - 1
-            assert epoch_calls["aborted"] - before["aborted"] == \
-                sum(cell in alerting for cell in order[first:])
-        _memo_stream(workload, seed).timing.clear()
+                for defense, config in cells
+            }
+            alert_free = [
+                cell for cell in cells
+                if cell not in cadence and full[cell][1].alerts == 0
+            ]
+            alerting = [
+                cell for cell in cells
+                if cell not in cadence and cell not in alert_free
+            ]
+            assert len(alert_free) > 2
+            for order in (cells, cells[::-1]):
+                memo.clear()
+                before = dict(memo_calls)
+                for defense, config in order:
+                    served, _ = _memo_run(
+                        engine, workload, defense, seed, config=config
+                    )
+                    assert served == full[(defense, config)][0], (
+                        engine, workload, seed, defense, config.prac.n_bo,
+                    )
+                # The first Alert-free run records; every later eligible
+                # run drives its memo, to the end or to its first Alert.
+                first = next(
+                    i for i, cell in enumerate(order) if cell in alert_free
+                )
+                assert memo_calls["served"] - before["served"] == \
+                    len(alert_free) - 1
+                assert memo_calls["aborted"] - before["aborted"] == \
+                    sum(cell in alerting for cell in order[first:])
 
 
-def test_differential_memo_abort_matches_full_replay(epoch_calls):
-    """An alerting run after a stored memo drives it to its first
-    Alert, then replays in full and matches a plain full replay; an
+def test_differential_memo_abort_matches_full_replay(memo_calls):
+    """On both engines, an alerting run after a stored memo drives it to
+    its first Alert, then runs in full and matches a plain full run; an
     alerting run never stores a memo."""
+    from repro.sim.engines import memo
+
     _, alerting = _memo_configs()
-    expected, result = _full_replay("429.mcf", "qprac", config=alerting)
-    assert result.alerts > 0
-    stream = _memo_stream("429.mcf")
-    stream.timing.clear()
-    _epoch_run("429.mcf", "baseline")
-    stored = dict(stream.timing)
-    assert len(stored) == 1
-    before = dict(epoch_calls)
-    served, _ = _epoch_run("429.mcf", "qprac", config=alerting)
-    assert served == expected
-    assert epoch_calls["aborted"] == before["aborted"] + 1
-    assert epoch_calls["replay"] == before["replay"] + 1
-    assert stream.timing == stored
-    stream.timing.clear()
-    _epoch_run("429.mcf", "qprac", config=alerting)
-    assert stream.timing == {}
+    for engine in MEMO_ENGINES:
+        expected, result = _full_run(
+            engine, "429.mcf", "qprac", config=alerting
+        )
+        assert result.alerts > 0
+        _memo_run(engine, "429.mcf", "baseline")
+        stored = memo.TABLE.items()
+        assert len(stored) == 1
+        before = dict(memo_calls)
+        served, _ = _memo_run(engine, "429.mcf", "qprac", config=alerting)
+        assert served == expected
+        assert memo_calls["aborted"] == before["aborted"] + 1
+        assert memo_calls["full"] == before["full"] + 1
+        assert memo.TABLE.items() == stored
+        memo.clear()
+        _memo_run(engine, "429.mcf", "qprac", config=alerting)
+        assert memo.TABLE.items() == []
 
 
-def test_differential_memo_exclusions(epoch_calls):
-    """Cadence defenses and telemetry-on runs neither store nor read a
-    memo, and a recorded run's telemetry summary does not depend on
-    whether a memo was present."""
+def test_differential_memo_exclusions(memo_calls):
+    """On both engines, cadence defenses and telemetry-on runs neither
+    store nor read a memo, and a recorded run's telemetry summary does
+    not depend on whether a memo was present."""
     from repro.obs import Telemetry
+    from repro.sim.engines import memo
 
     cadence = ("pride:t_rh=256", "mithril:t_rh=256")
-    stream = _memo_stream("470.lbm")
-    stream.timing.clear()
-    expected = {defense: _epoch_run("470.lbm", defense)[0]
-                for defense in cadence}
-    bare_json, bare = _epoch_run(
-        "470.lbm", "qprac+proactive", telemetry=Telemetry()
-    )
-    assert stream.timing == {}
-    _epoch_run("470.lbm", "baseline")
-    stored = dict(stream.timing)
-    assert len(stored) == 1
-    before = dict(epoch_calls)
-    for defense in cadence:
-        assert _epoch_run("470.lbm", defense)[0] == expected[defense]
-    memo_json, memo = _epoch_run(
-        "470.lbm", "qprac+proactive", telemetry=Telemetry()
-    )
-    assert memo_json == bare_json
-    assert memo.latency == bare.latency
-    assert epoch_calls["replay"] == before["replay"] + 3
-    assert epoch_calls["served"] == before["served"]
-    assert epoch_calls["aborted"] == before["aborted"]
-    assert stream.timing == stored
-    stream.timing.clear()
+    for engine in MEMO_ENGINES:
+        memo.clear()
+        expected = {defense: _memo_run(engine, "470.lbm", defense)[0]
+                    for defense in cadence}
+        bare_json, bare = _memo_run(
+            engine, "470.lbm", "qprac+proactive", telemetry=Telemetry()
+        )
+        assert memo.TABLE.items() == []
+        _memo_run(engine, "470.lbm", "baseline")
+        stored = memo.TABLE.items()
+        assert len(stored) == 1
+        before = dict(memo_calls)
+        for defense in cadence:
+            assert _memo_run(engine, "470.lbm", defense)[0] == \
+                expected[defense]
+        memo_json, recorded = _memo_run(
+            engine, "470.lbm", "qprac+proactive", telemetry=Telemetry()
+        )
+        assert memo_json == bare_json
+        assert recorded.latency == bare.latency
+        assert memo_calls["full"] == before["full"] + 3
+        assert memo_calls["served"] == before["served"]
+        assert memo_calls["aborted"] == before["aborted"]
+        assert memo.TABLE.items() == stored
 
 
-def test_differential_memo_isolated_by_timing_and_chunk(epoch_calls):
-    """A timing override never reads a memo recorded under another
-    timing key; it stores its own, keyed by ``config.timing`` alone."""
+def test_differential_memo_isolated_by_timing(memo_calls):
+    """On both engines, a timing override never reads a memo recorded
+    under another timing key; it stores its own, keyed by
+    ``config.timing`` alone."""
     import dataclasses
 
     from repro.params import default_config
@@ -576,19 +598,115 @@ def test_differential_memo_isolated_by_timing_and_chunk(epoch_calls):
     slower = dataclasses.replace(
         config, timing=dataclasses.replace(config.timing, t_rfc=450.0)
     )
-    expected, _ = _full_replay("470.lbm", "qprac+proactive", config=slower)
-    stream = _memo_stream("470.lbm")
-    stream.timing.clear()
-    _epoch_run("470.lbm", "baseline")
-    assert set(stream.timing) == {config.timing}
-    before = dict(epoch_calls)
-    got, _ = _epoch_run("470.lbm", "qprac+proactive", config=slower)
-    assert got == expected
-    assert set(stream.timing) == {config.timing, slower.timing}
-    assert epoch_calls["served"] == before["served"]
-    assert epoch_calls["aborted"] == before["aborted"]
-    assert epoch_calls["replay"] == before["replay"] + 1
-    stream.timing.clear()
+    for engine in MEMO_ENGINES:
+        expected, _ = _full_run(
+            engine, "470.lbm", "qprac+proactive", config=slower
+        )
+        _memo_run(engine, "470.lbm", "baseline")
+        assert _memo_timings() == {config.timing}
+        before = dict(memo_calls)
+        got, _ = _memo_run(
+            engine, "470.lbm", "qprac+proactive", config=slower
+        )
+        assert got == expected
+        assert _memo_timings() == {config.timing, slower.timing}
+        assert memo_calls["served"] == before["served"]
+        assert memo_calls["aborted"] == before["aborted"]
+        assert memo_calls["full"] == before["full"] + 1
+
+
+def test_memo_served_results_share_nothing(memo_calls):
+    """On both engines, editing a recorded or a served result's
+    ``core_ipcs`` or ``mitigations`` does not change what the memo
+    serves next."""
+    from repro.core.defense import MitigationReason
+
+    for engine in MEMO_ENGINES:
+        expected, _ = _full_run(engine, "470.lbm", "qprac+proactive")
+        _, recorded = _memo_run(engine, "470.lbm", "baseline")
+        before = memo_calls["served"]
+        for _ in range(2):
+            served_json, served = _memo_run(
+                engine, "470.lbm", "qprac+proactive"
+            )
+            assert served_json == expected
+            for result in (recorded, served):
+                result.core_ipcs.append(1.0)
+                result.core_ipcs[0] = -1.0
+                result.mitigations[MitigationReason.PROACTIVE] += 7
+        assert memo_calls["served"] == before + 2
+
+
+def test_memo_table_keeps_at_most_its_bound(memo_calls):
+    """The table holds at most ``MAX_STREAMS`` streams and drops the one
+    used longest ago, where a served run counts as a use: a run on a
+    dropped stream runs in full and records again."""
+    from repro.sim.engines import memo
+
+    def run(defense, seed):
+        simulate_workload("429.mcf", defense=defense, n_entries=300,
+                          seed=seed, engine="epoch")
+
+    def seeds():
+        return [stream[3] for (stream, _), _ in memo.TABLE.items()]
+
+    for seed in range(memo.MAX_STREAMS):
+        run("baseline", seed)
+    before = dict(memo_calls)
+    run("qprac+proactive", 0)  # served: seed 0 is now the newest
+    assert memo_calls == dict(before, served=before["served"] + 1)
+    run("baseline", memo.MAX_STREAMS)
+    assert len(memo.TABLE) == memo.MAX_STREAMS
+    assert seeds() == [*range(2, memo.MAX_STREAMS), 0, memo.MAX_STREAMS]
+    before = dict(memo_calls)
+    run("qprac+proactive", 1)
+    assert memo_calls == dict(before, full=before["full"] + 1)
+    assert seeds()[-1] == 1
+
+
+def test_memo_builds_each_defense_once(memo_calls):
+    """On both engines, a run calls the defense factory once per bank —
+    recording, served or excluded alike — and once more per bank only
+    after a drive that met an Alert."""
+    from repro.defenses import resolve_defense
+    from repro.obs import Telemetry
+    from repro.sim.engines import memo
+    from repro.workloads.suites import workload as lookup_workload
+
+    default, alerting = _memo_configs()
+    banks = default.org.total_banks
+
+    def calls(engine, defense, config, **kwargs):
+        spec = resolve_defense(defense)
+        factory = spec.factory()
+        flats = []
+
+        def counting_factory(flat, cfg):
+            flats.append(flat)
+            return factory(flat, cfg)
+
+        EngineSpec(engine).build().simulate(
+            lookup_workload("429.mcf"), config, counting_factory,
+            n_entries=MEMO_ENTRIES[engine], seed=0,
+            variant_name=spec.label, **kwargs,
+        )
+        return flats
+
+    for engine in MEMO_ENGINES:
+        memo.clear()
+        aborted = memo_calls["aborted"]
+        cells = (
+            ("baseline", default, {}),  # records
+            ("qprac+proactive", default, {}),  # served
+            ("pride:t_rh=256", default, {}),  # cadence: excluded
+            ("qprac", default, {"telemetry": Telemetry()}),  # excluded
+            ("qprac", alerting, {}),  # aborted drive, then a full run
+        )
+        for defense, config, kwargs in cells:
+            builds = 2 if config is alerting else 1
+            assert calls(engine, defense, config, **kwargs) == \
+                list(range(banks)) * builds, (engine, defense)
+        assert memo_calls["aborted"] == aborted + 1
 
 
 class CountingDefense(BankDefense):
@@ -663,30 +781,33 @@ def _counted_run(engine, workload, defense, config):
     return result, calls
 
 
-@pytest.mark.parametrize("path", ["event", "epoch-replay", "epoch-memo"])
-def test_differential_hooks_reach_each_defense_once(path, epoch_calls):
+@pytest.mark.parametrize(
+    "path", ["event", "event-memo", "epoch-replay", "epoch-memo"]
+)
+def test_differential_hooks_reach_each_defense_once(path, memo_calls):
     """Every hook reaches its defense exactly once, on every engine
     path: the defenses behind a result see one ``on_activation`` per
     ACT, one ``on_ref`` per bank per REF, and one ``on_rfm`` per bank
     per RFM command (all-bank scope) plus one per cadence RFM."""
     from repro.params import default_config
+    from repro.sim.engines import memo
 
     config = default_config().with_prac(n_bo=16)
     per_rank = config.org.banks_per_rank
-    engine = "event" if path == "event" else "epoch"
+    engine = path.split("-")[0]
+    served = path.endswith("-memo")
     for workload in HOOK_WORKLOADS:
-        stream = _memo_stream(workload, n_entries=HOOK_ENTRIES)
-        stream.timing.clear()
-        if path == "epoch-memo":
+        memo.clear()
+        if served:
             # Baseline raises no Alert: it stores the stream's memo.
             simulate_workload(
                 workload, defense="baseline", n_entries=HOOK_ENTRIES,
-                engine="epoch",
+                engine=engine,
             )
-            assert set(stream.timing) == {config.timing}
+            assert _memo_timings() == {config.timing}
         for defense in HOOK_DEFENSES:
-            if path == "epoch-replay":
-                stream.timing.clear()
+            if not served:
+                memo.clear()
             result, calls = _counted_run(engine, workload, defense, config)
             assert calls == {
                 "on_activation": result.acts,
@@ -694,60 +815,63 @@ def test_differential_hooks_reach_each_defense_once(path, epoch_calls):
                 "on_rfm": result.rfm_commands * per_rank
                 + result.cadence_rfms,
             }, (path, workload, defense)
-        stream.timing.clear()
-    if path == "epoch-memo":
-        assert epoch_calls["served"] and epoch_calls["aborted"]
+    if served:
+        assert memo_calls["served"] and memo_calls["aborted"]
     else:
-        assert epoch_calls["served"] == epoch_calls["aborted"] == 0
+        assert memo_calls["served"] == memo_calls["aborted"] == 0
 
 
 def test_differential_memo_threads_match_serial():
-    """Eight threads race mixed defenses on one shared stream (memo
-    stores and reads interleaved at a tiny switch interval): every
-    result equals its serial full replay."""
+    """On both engines, eight threads race mixed defenses on one shared
+    stream (memo stores and reads interleaved at a tiny switch
+    interval): every result equals its serial full run."""
     import sys
     import threading
+
+    from repro.sim.engines import memo
 
     _, alerting = _memo_configs()
     cells = (
         ("baseline", None), ("qprac+proactive", None), ("qprac", alerting),
         ("moat", None), ("pride:t_rh=256", None), ("qprac-noop", alerting),
     )
-    serial = {
-        cell: _full_replay("429.mcf", cell[0], config=cell[1])[0]
-        for cell in cells
-    }
-    _memo_stream("429.mcf").timing.clear()
-    results: list[dict | None] = [None] * 8
-    errors: list[Exception] = []
+    for engine in MEMO_ENGINES:
+        serial = {
+            cell: _full_run(engine, "429.mcf", cell[0], config=cell[1])[0]
+            for cell in cells
+        }
+        results: list[dict | None] = [None] * 8
+        errors: list[Exception] = []
 
-    def worker(index):
+        def worker(index):
+            try:
+                shift = index % len(cells)
+                results[index] = {
+                    cell: _memo_run(
+                        engine, "429.mcf", cell[0], config=cell[1]
+                    )[0]
+                    for cell in cells[shift:] + cells[:shift]
+                }
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=worker, args=(i,), daemon=True)
+            for i in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
         try:
-            shift = index % len(cells)
-            results[index] = {
-                cell: _epoch_run("429.mcf", cell[0], config=cell[1])[0]
-                for cell in cells[shift:] + cells[:shift]
-            }
-        except Exception as exc:  # reported by the main thread
-            errors.append(exc)
-
-    threads = [
-        threading.Thread(target=worker, args=(i,), daemon=True)
-        for i in range(8)
-    ]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert not errors, errors
-    assert all(result == serial for result in results)
-    _memo_stream("429.mcf").timing.clear()
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+            memo.clear()
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert all(result == serial for result in results), engine
 
 
 #: LLC parity regimes: (workload, entries/core, LLC bytes or None for
@@ -1056,6 +1180,17 @@ def test_bench_repeats_time_full_replays(monkeypatch):
             "n_entries": QUICK_ENTRIES, "repeats": 3, "engine": "epoch",
         })
     assert len(replays) == 6
+
+
+def test_bench_times_full_runs_on_the_event_engine():
+    """An Alert-free ``event`` cell measured twice in a row is simulated
+    both times: the second is not served from the first's memo."""
+    from repro.bench import _measure_cell
+
+    first = _measure_cell("429.mcf", "baseline", 400, engine="event")
+    second = _measure_cell("429.mcf", "baseline", 400, engine="event")
+    assert first[1] == second[1] > 0
+    assert first[2] == second[2]
 
 
 def test_bench_comparison_never_pairs_engines():
