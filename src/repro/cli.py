@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from typing import Sequence
 
 from repro.analysis.report import render_series, render_table
@@ -386,7 +387,15 @@ def _print_service_snapshot(snapshot: dict,
 def _cmd_submit(args: argparse.Namespace) -> int:
     from repro.serve import client
 
-    snapshot = client.submit(args.url, _submission_payload(args))
+    # The POST itself long-polls, so a sweep that finishes within its
+    # wait costs one exchange; --timeout caps that wait as it caps the
+    # later polls, and --no-wait sends none.
+    started = time.monotonic()
+    wait_s = None if args.no_wait else client.POLL_WAIT_S
+    if wait_s is not None and args.timeout is not None:
+        wait_s = min(wait_s, args.timeout)
+    snapshot = client.submit(args.url, _submission_payload(args),
+                             wait_s=wait_s)
     state = snapshot.get("state", "?")
     if args.no_wait or state in ("done", "failed"):
         _print_service_snapshot(snapshot, print_digest=args.print_digest)
@@ -395,7 +404,8 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     print(f"submitted sweep {sweep_id[:12]} "
           f"({snapshot.get('total_jobs', '?')} jobs, {state})",
           file=sys.stderr)
-    final = client.wait_done(args.url, sweep_id, timeout=args.timeout)
+    final = client.wait_done(args.url, sweep_id, timeout=args.timeout,
+                             started=started)
     _print_service_snapshot(final, print_digest=args.print_digest)
     return 0 if final.get("state") == "done" else 1
 
@@ -898,8 +908,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-wait", action="store_true",
                    help="print the sweep id and return without waiting")
     p.add_argument("--timeout", type=float, default=None,
-                   help="max seconds to wait for completion "
-                   "(default: wait forever)")
+                   help="max seconds to wait for completion, the "
+                   "submission's own wait included (default: wait "
+                   "forever)")
     p.set_defaults(func=_cmd_submit)
 
     p = sub.add_parser(

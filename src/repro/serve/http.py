@@ -6,13 +6,21 @@ A :class:`ThreadingHTTPServer` shell over
 * ``POST /sweeps`` — submit a JSON :mod:`~repro.serve.protocol`
   request.  202 queued/attached, 200 replayed from the store (zero
   jobs executed), 400 invalid, 429 queue full, 503 draining.
+  ``?wait=<s>`` then holds an accepted submission until its sweep is
+  terminal and answers 200 with that snapshot, so a short sweep costs
+  one exchange; when the wait runs out the answer is the submission's
+  own 202 with the latest snapshot.  The sweep runs on a service
+  worker either way, and rejections answer at once.
 * ``GET /sweeps`` — all known sweeps.
 * ``GET /sweeps/<id>`` — one status snapshot; ``?wait=<s>`` blocks
-  until terminal (capped), ``?stream=1`` switches to NDJSON: one
+  until terminal, ``?stream=1`` switches to NDJSON: one
   ``{"type": "job", ...}`` line per completed job as it happens, then
   one final ``{"type": "status", ...}`` line.
 * ``GET /healthz`` — liveness, drain state, request-level
   :class:`~repro.obs.metrics.ServiceMetrics` counters.
+
+Both endpoints read ``?wait=`` through one parser: a number of
+seconds, capped at :data:`MAX_WAIT_S`; anything else is a 400.
 
 Connections speak HTTP/1.0 with ``Connection: close`` so the NDJSON
 stream needs no chunked framing; per-connection socket timeouts keep a
@@ -24,6 +32,7 @@ before the listener closes.
 from __future__ import annotations
 
 import json
+import math
 import signal
 import sys
 import threading
@@ -70,11 +79,28 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _send_json(self, code: int, payload) -> None:
         body = json.dumps(payload, sort_keys=True).encode()
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        try:
+            self.send_response(code)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+        except ConnectionError:
+            pass  # the client hung up, e.g. during a long-poll
+
+    def _wait_s(self, query: dict) -> float | None:
+        """The ``?wait=`` of a request in seconds (0 when absent),
+        capped at :data:`MAX_WAIT_S`; ``None`` after answering 400."""
+        if "wait" not in query:
+            return 0.0
+        try:
+            wait_s = float(query["wait"][0])
+        except ValueError:
+            wait_s = math.nan
+        if math.isnan(wait_s):
+            self._send_json(400, {"error": "bad wait= value"})
+            return None
+        return min(wait_s, MAX_WAIT_S)
 
     def _read_body(self) -> dict | None:
         try:
@@ -98,10 +124,15 @@ class _Handler(BaseHTTPRequestHandler):
         if url.path.rstrip("/") != "/sweeps":
             self._send_json(404, {"error": f"no such endpoint: {url.path}"})
             return
+        # The body is read first: closing with it unread could reset
+        # the connection before the client reads the 400.
         payload = self._read_body()
         if payload is None:
             return
-        snapshot, code = self.server.service.submit(payload)
+        wait_s = self._wait_s(parse_qs(url.query))
+        if wait_s is None:
+            return
+        snapshot, code = self.server.service.submit_and_wait(payload, wait_s)
         self._send_json(code, snapshot)
 
     def do_GET(self) -> None:  # noqa: N802 - stdlib dispatch name
@@ -128,13 +159,9 @@ class _Handler(BaseHTTPRequestHandler):
             if "stream" in query:
                 self._stream(sweep_id)
                 return
-            wait_s = 0.0
-            if "wait" in query:
-                try:
-                    wait_s = min(float(query["wait"][0]), MAX_WAIT_S)
-                except ValueError:
-                    self._send_json(400, {"error": "bad wait= value"})
-                    return
+            wait_s = self._wait_s(query)
+            if wait_s is None:
+                return
             snapshot = service.status(sweep_id, wait_s=wait_s)
             if snapshot is None:
                 self._send_json(

@@ -4,7 +4,10 @@
 content identity (:func:`~repro.obs.sweep_id_for`) and a small pool of
 worker threads that drain it through the ordinary orchestrator.  The
 HTTP front-end (:mod:`repro.serve.http`) is a thin shell over this
-class; tests drive it directly.
+class; tests drive it directly.  :meth:`SweepService.submit` only
+accepts; :meth:`SweepService.submit_and_wait` (``POST /sweeps?wait=``)
+then blocks on the same wait as a status long-poll, so a short sweep's
+submitter gets the answer without a status request.
 
 Dedup and replay semantics:
 
@@ -17,7 +20,8 @@ Dedup and replay semantics:
   ``cache_hits=total``, the same digest.  After a service restart the
   record is gone but the store is not: the sweep re-runs and every job
   cache-hits, reporting the same numbers the replay would.
-* A failed record re-queues on resubmission.
+* A failed record re-queues on resubmission, within the queue bound
+  like a new sweep (429 past it, and the record stays failed).
 * Finished records are capped (:data:`MAX_FINISHED_RECORDS`, oldest
   finished first; queued and running records are never dropped).  A
   resubmitted evicted sweep re-runs with every job a cache hit, exactly
@@ -229,51 +233,81 @@ class SweepService:
         sweep_id = spec.sweep_id
         with self._cond:
             record = self._records.get(sweep_id)
-            if record is not None:
+            if record is not None and record.state != "failed":
                 record.submissions += 1
                 if record.state == "done":
                     self.metrics.replays += 1
                     return record.snapshot(replay=True), 200
-                if record.state == "failed":
-                    # A failed sweep re-queues: the store kept whatever
-                    # completed, so the retry resumes from there.
-                    record.state = "queued"
-                    record.error = None
-                    record.completed = 0
-                    record.request = request
-                    del self._finished[sweep_id]
-                    self._queue.append(sweep_id)
-                    self._cond.notify_all()
-                    return record.snapshot(), 202
                 self.metrics.attached += 1
                 return record.snapshot(), 202
+            # A new sweep and a failed one both join the queue, so both
+            # meet its bound; a rejected failed record stays failed.
             if len(self._queue) >= self.queue_limit:
                 self.metrics.rejected += 1
                 return {"error": "submission queue is full"}, 429
-            record = SweepRecord(
-                sweep_id=sweep_id, request=request, total_jobs=total
-            )
-            self._records[sweep_id] = record
+            if record is not None:
+                # A failed sweep re-queues: the store kept whatever
+                # completed, so the retry resumes from there.
+                record.submissions += 1
+                record.state = "queued"
+                record.error = None
+                record.completed = 0
+                record.request = request
+                del self._finished[sweep_id]
+            else:
+                record = SweepRecord(
+                    sweep_id=sweep_id, request=request, total_jobs=total
+                )
+                self._records[sweep_id] = record
             self._queue.append(sweep_id)
             self._cond.notify_all()
             return record.snapshot(), 202
+
+    def submit_and_wait(self, payload: dict,
+                        wait_s: float) -> tuple[dict, int]:
+        """:meth:`submit`, then block up to ``wait_s`` for the accepted
+        sweep to reach a terminal state (``POST /sweeps?wait=``).
+
+        A sweep that gets there answers ``(terminal snapshot, 200)``;
+        when the wait runs out the submission keeps its own code with
+        the latest snapshot.  Answers other than 202 (a replay, a
+        rejection) and a ``wait_s`` of 0 return :meth:`submit`'s answer
+        at once.  The sweep still runs on a worker thread, and the wait
+        is not a status request.
+        """
+        snapshot, code = self.submit(payload)
+        if code != 202 or wait_s <= 0:
+            return snapshot, code
+        with self._cond:
+            record = self._records.get(snapshot["sweep_id"])
+            if record is None:  # finished and evicted meanwhile
+                return snapshot, code
+            self._wait_terminal(record, wait_s)
+            if record.state in DONE_STATES:
+                return record.snapshot(), 200
+            return record.snapshot(), code
 
     # -- status --------------------------------------------------------
     def status(self, sweep_id: str, wait_s: float = 0.0) -> dict | None:
         """Status snapshot by (prefix of a) sweep id; ``wait_s`` blocks
         until the record is terminal or the wait expires."""
-        deadline = time.monotonic() + max(0.0, wait_s)
         with self._cond:
             self.metrics.status_requests += 1
             record = self._lookup(sweep_id)
             if record is None:
                 return None
-            while record.state not in DONE_STATES:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                self._cond.wait(timeout=remaining)
+            self._wait_terminal(record, wait_s)
             return record.snapshot()
+
+    def _wait_terminal(self, record: SweepRecord, wait_s: float) -> None:
+        """Block up to ``wait_s`` until ``record`` is terminal.  Caller
+        holds the lock."""
+        deadline = time.monotonic() + max(0.0, wait_s)
+        while record.state not in DONE_STATES:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                return
+            self._cond.wait(timeout=remaining)
 
     def list_sweeps(self) -> list[dict]:
         with self._cond:

@@ -8,11 +8,13 @@ jobs and report the same digest.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import subprocess
 import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 from pathlib import Path
@@ -20,6 +22,7 @@ from pathlib import Path
 import pytest
 
 import repro
+import repro.serve.http as http_module
 import repro.serve.service as service_module
 from repro.errors import ReproError
 from repro.exp import ResultStore, run_sweep, sweep_digest
@@ -69,6 +72,32 @@ def scratch_rows(directory: Path, payload: dict) -> tuple[list[str], str]:
     return store.path.read_text().splitlines(), digest
 
 
+def post(base: str, payload: dict, query: str = "") -> tuple[int, dict]:
+    """A raw ``POST /sweeps<query>``: the HTTP code and the JSON answer."""
+    request = urllib.request.Request(
+        f"{base}/sweeps{query}", data=json.dumps(payload).encode(),
+        headers={"Content-Type": "application/json"},
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=120) as response:
+            return response.status, json.loads(response.read())
+    except urllib.error.HTTPError as exc:
+        return exc.code, json.loads(exc.read())
+
+
+@contextlib.contextmanager
+def listening(svc: SweepService):
+    """``svc`` behind a live HTTP listener; yields its base URL."""
+    server = SweepHTTPServer(("127.0.0.1", 0), svc)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
 @pytest.fixture
 def service(tmp_path):
     svc = SweepService(cache_dir=tmp_path / "cache", workers=2).start()
@@ -79,15 +108,19 @@ def service(tmp_path):
 @pytest.fixture
 def http_service(tmp_path):
     svc = SweepService(cache_dir=tmp_path / "cache", workers=2)
-    server = SweepHTTPServer(("127.0.0.1", 0), svc)
-    svc.start()
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    base = f"http://127.0.0.1:{server.server_address[1]}"
-    yield svc, base
-    svc.stop(timeout=30.0)
-    server.shutdown()
-    server.server_close()
+    with listening(svc) as base:
+        svc.start()
+        yield svc, base
+        svc.stop(timeout=30.0)
+
+
+@pytest.fixture
+def idle_http_service(tmp_path):
+    """A listening service whose workers never start: every sweep it
+    accepts stays queued."""
+    svc = SweepService(cache_dir=tmp_path / "cache")
+    with listening(svc) as base:
+        yield svc, base
 
 
 class TestProtocol:
@@ -300,6 +333,54 @@ class TestService:
         )
         assert code == 429
         assert "full" in overflow["error"]
+
+    def test_failed_resubmission_meets_the_queue_limit(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.exp
+
+        real_run_sweep = repro.exp.run_sweep
+        running, release = threading.Event(), threading.Event()
+        calls = {"n": 0}
+
+        def flaky(*args, **kwargs):
+            calls["n"] += 1
+            if calls["n"] == 1:
+                raise RuntimeError("coordinator died")
+            if calls["n"] == 2:  # hold the worker: later sweeps queue
+                running.set()
+                release.wait(timeout=120.0)
+            return real_run_sweep(*args, **kwargs)
+
+        monkeypatch.setattr(repro.exp, "run_sweep", flaky)
+        svc = SweepService(cache_dir=tmp_path / "cache", queue_limit=1)
+        svc.start()
+        try:
+            failed = run_to_end(svc, GRID)
+            assert failed["state"] == "failed"
+            assert svc.submit(OTHER)[1] == 202
+            assert running.wait(timeout=60.0)
+            queued, code = svc.submit(THIRD)  # the queue is full now
+            assert code == 202
+            rejected, code = svc.submit(GRID)
+            assert code == 429
+            assert "full" in rejected["error"]
+            assert svc.metrics.rejected == 1
+            kept = svc.status(failed["sweep_id"])
+            assert kept["state"] == "failed"
+            assert kept["submissions"] == 1
+            assert "coordinator died" in kept["error"]
+            assert [s["state"] for s in svc.list_sweeps()].count(
+                "queued") == 1
+            release.set()
+            assert svc.status(queued["sweep_id"],
+                              wait_s=120.0)["state"] == "done"
+            assert svc.submit(GRID)[1] == 202  # room again: it retries
+            assert svc.status(failed["sweep_id"],
+                              wait_s=120.0)["state"] == "done"
+        finally:
+            release.set()
+            svc.stop(timeout=30.0)
 
     def test_draining_rejects_with_503(self, service):
         service.drain(timeout=30.0)
@@ -716,6 +797,101 @@ class TestHTTP:
             client.submit(base, GRID)
         assert exc.value.status == 503
 
+    def test_waited_post_answers_done_in_one_exchange(
+        self, http_service, tmp_path
+    ):
+        _svc, base = http_service
+        code, snapshot = post(base, GRID, "?wait=60")
+        assert code == 200
+        assert snapshot["state"] == "done"
+        assert snapshot["replay"] is False
+        assert snapshot["digest"] == serial_digest(tmp_path)
+        # The POST carried the answer: no status request was made.
+        assert client.healthz(base)["metrics"]["status_requests"] == 0
+
+    def test_waited_post_answers_202_when_the_wait_runs_out(
+        self, idle_http_service
+    ):
+        svc, base = idle_http_service
+        started = time.monotonic()
+        code, snapshot = post(base, GRID, "?wait=0.5")
+        elapsed = time.monotonic() - started
+        assert code == 202
+        assert snapshot["state"] == "queued"
+        assert snapshot["total_jobs"] == 2
+        assert 0.5 <= elapsed < 10.0
+        assert svc.metrics.status_requests == 0
+
+    @pytest.mark.parametrize("value", ["nope", "nan"])
+    def test_bad_wait_is_400_and_queues_nothing(
+        self, idle_http_service, value
+    ):
+        svc, base = idle_http_service
+        code, answer = post(base, GRID, f"?wait={value}")
+        assert code == 400
+        assert "wait" in answer["error"]
+        assert svc.sweep_count() == 0
+        assert svc.metrics.submissions == 0
+        # GET reads the same parameter through the same parser.
+        with pytest.raises(urllib.error.HTTPError) as exc:
+            urllib.request.urlopen(f"{base}/sweeps/abc?wait={value}",
+                                   timeout=10)
+        assert exc.value.code == 400
+
+    def test_waited_post_is_capped(self, idle_http_service, monkeypatch):
+        monkeypatch.setattr(http_module, "MAX_WAIT_S", 0.3)
+        _svc, base = idle_http_service
+        started = time.monotonic()
+        code, snapshot = post(base, GRID, "?wait=60")
+        elapsed = time.monotonic() - started
+        assert code == 202
+        assert snapshot["state"] == "queued"
+        assert 0.3 <= elapsed < 10.0
+
+    def test_client_hanging_up_mid_wait_leaves_no_traceback(
+        self, idle_http_service, capsys
+    ):
+        import socket
+
+        svc, base = idle_http_service
+        port = int(base.rsplit(":", 1)[1])
+        body = json.dumps(GRID).encode()
+        with socket.create_connection(("127.0.0.1", port)) as sock:
+            sock.sendall(
+                b"POST /sweeps?wait=0.3 HTTP/1.0\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Content-Length: %d\r\n\r\n" % len(body) + body
+            )
+        # The handler answers into the closed socket once the wait ends.
+        time.sleep(1.0)
+        assert "Traceback" not in capsys.readouterr().err
+        assert svc.metrics.submissions == 1
+        assert client.healthz(base)["status"] == "ok"
+
+    def test_draining_waited_post_is_503_at_once(self, http_service):
+        svc, base = http_service
+        svc.drain(timeout=30.0)
+        started = time.monotonic()
+        code, answer = post(base, GRID, "?wait=60")
+        assert code == 503
+        assert "drain" in answer["error"]
+        assert time.monotonic() - started < 10.0
+
+    def test_post_without_wait_answers_the_queued_snapshot(
+        self, http_service
+    ):
+        svc, base = http_service
+        code, snapshot = post(base, GRID)
+        assert code == 202
+        assert snapshot["state"] == "queued"
+        assert snapshot["sweep_id"] == sweep_id_for(build_spec(
+            GRID["workloads"], defenses=GRID["defenses"],
+            entries=GRID["entries"],
+        ))
+        final = client.wait_done(base, snapshot["sweep_id"], timeout=120.0)
+        assert final["state"] == "done"
+        assert svc.metrics.status_requests >= 1
+
     def test_chaos_fleet_through_the_service(self, http_service, tmp_path):
         # The PR-8 chaos harness must keep passing through the service
         # path: faults fire, the fleet recovers, the digest still
@@ -781,3 +957,38 @@ class TestCli:
                    next(iter(_svc._records))])
         assert rc == 0
         assert digest in capsys.readouterr().out
+
+    def test_submit_no_wait_returns_the_queued_snapshot(
+        self, idle_http_service, capsys
+    ):
+        from repro.cli import main
+
+        _svc, base = idle_http_service
+        started = time.monotonic()
+        rc = main([
+            "submit", "429.mcf", "--defenses", "qprac",
+            "--entries", "150", "--url", base, "--no-wait",
+        ])
+        elapsed = time.monotonic() - started
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert elapsed < 5.0
+        assert " queued: 0/2 jobs" in captured.out
+        assert "submitted sweep" not in captured.err
+
+    def test_submit_timeout_caps_the_wait(self, idle_http_service, capsys):
+        from repro.cli import main
+
+        svc, base = idle_http_service
+        started = time.monotonic()
+        rc = main([
+            "submit", "429.mcf", "--defenses", "qprac",
+            "--entries", "150", "--url", base, "--timeout", "0.5",
+        ])
+        elapsed = time.monotonic() - started
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert 0.5 <= elapsed < 5.0
+        assert "(2 jobs, queued)" in err  # the POST's answer: not terminal
+        assert "still 'queued' after 0.5s" in err
+        assert svc.metrics.submissions == 1
