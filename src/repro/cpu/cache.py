@@ -4,17 +4,30 @@ A plain set-associative write-back, write-allocate cache with LRU
 replacement.  The LLC filters the CPU's access stream into the DRAM row
 activations that drive every QPRAC result; hit latency and miss traffic
 are what matter, so no coherence or inclusion machinery is modelled.
+
+Sets are plain ``dict`` objects built on their first access (see
+:class:`SetAssociativeCache`): a run touches well under half of the
+paper LLC's 16,384 sets, and the cyclic garbage collector does not
+track a dict of ints and bools.  The same set protocol runs inlined in
+:meth:`~repro.cpu.system.MulticoreSystem._issue_access` and in the
+epoch engine's ``_llc_filter``.
 """
 
 from __future__ import annotations
-
-from collections import OrderedDict
 
 from repro.errors import ConfigError
 
 
 class SetAssociativeCache:
-    """LRU set-associative cache keyed by line address."""
+    """LRU set-associative cache keyed by line address.
+
+    ``_sets[i]`` is ``None`` until set ``i`` is first accessed, then a
+    ``dict`` of ``{tag: dirty}`` in LRU order: a hit pops its tag and
+    re-inserts it at the end, a miss into a full set evicts the first
+    key.  :meth:`drop_lines` empties the cache and keeps the counters;
+    :class:`~repro.cpu.system.MulticoreSystem` calls it once a run's
+    result is assembled.
+    """
 
     def __init__(self, size_bytes: int, ways: int, line_size: int) -> None:
         if size_bytes <= 0 or ways <= 0 or line_size <= 0:
@@ -33,10 +46,7 @@ class SetAssociativeCache:
         self._offset_bits = line_size.bit_length() - 1
         self._set_mask = self.num_sets - 1
         self._set_bits = self.num_sets.bit_length() - 1
-        # One OrderedDict per set: {tag: dirty}; LRU = insertion order.
-        self._sets: list[OrderedDict[int, bool]] = [
-            OrderedDict() for _ in range(self.num_sets)
-        ]
+        self._sets: list[dict[int, bool] | None] = [None] * self.num_sets
         self.hits = 0
         self.misses = 0
         self.writebacks = 0
@@ -52,22 +62,32 @@ class SetAssociativeCache:
         set_index = line & self._set_mask
         tag = line >> self._set_bits
         ways = self._sets[set_index]
-        if tag in ways:
+        if ways is None:
+            ways = self._sets[set_index] = {}
+        elif tag in ways:
             self.hits += 1
-            ways.move_to_end(tag)
-            if is_write:
-                ways[tag] = True
+            ways[tag] = ways.pop(tag) or is_write
             return True, None
         self.misses += 1
         writeback = None
         if len(ways) >= self.ways:
-            victim_tag, dirty = ways.popitem(last=False)
-            if dirty:
+            victim_tag = next(iter(ways))
+            if ways.pop(victim_tag):
                 self.writebacks += 1
                 victim_line = (victim_tag << self._set_bits) | set_index
                 writeback = victim_line << self._offset_bits
         ways[tag] = is_write
         return False, writeback
+
+    def drop_lines(self) -> None:
+        """Forget every resident line, dirty ones included (no writeback
+        is issued); the hit, miss and writeback counters stay.
+
+        Empties ``_sets`` in place, so a caller that holds the list
+        itself (the system's inlined issue path) sees the empty cache
+        and the sets' storage is freed at once.
+        """
+        self._sets[:] = [None] * self.num_sets
 
     @property
     def hit_rate(self) -> float:
@@ -77,4 +97,4 @@ class SetAssociativeCache:
     @property
     def occupancy(self) -> int:
         """Number of resident lines (tests use this)."""
-        return sum(len(ways) for ways in self._sets)
+        return sum(len(ways) for ways in self._sets if ways is not None)

@@ -188,11 +188,11 @@ class MulticoreSystem:
         tag = line >> set_bits
         ways = sets[set_index]
         llc_done = time + llc_latency
-        if tag in ways:
+        if ways is None:
+            ways = sets[set_index] = {}
+        elif tag in ways:
             llc.hits += 1
-            ways.move_to_end(tag)
-            if is_write:
-                ways[tag] = True
+            ways[tag] = ways.pop(tag) or is_write
             if callback is not None:
                 # events.schedule_future, inlined (hottest event source).
                 seq = events._seq
@@ -204,8 +204,8 @@ class MulticoreSystem:
         llc.misses += 1
         writeback = None
         if len(ways) >= n_ways:
-            victim_tag, dirty = ways.popitem(last=False)
-            if dirty:
+            victim_tag = next(iter(ways))
+            if ways.pop(victim_tag):
                 llc.writebacks += 1
                 writeback = (
                     (victim_tag << set_bits) | set_index
@@ -226,12 +226,14 @@ class MulticoreSystem:
         The loop stops exactly when the last core retires (cores report
         completion through ``on_finish``); it never polls every core per
         event, and never processes an event beyond the finishing one.
+        The LLC is emptied once the result is assembled (its hit, miss
+        and writeback counters stay), so a system runs once.
         """
         for core in self.cores:
             core.start()
         self.events.drain_until(self._cores_done, len(self.cores), MAX_EVENTS)
         sim_time = max(core.finish_time for core in self.cores)
-        return SystemResult.from_stats(
+        result = SystemResult.from_stats(
             workload=self.workload_name,
             variant=variant_name or self.cfg.variant.value,
             sim_time_ns=sim_time,
@@ -241,3 +243,8 @@ class MulticoreSystem:
             llc_hit_rate=self.llc.hit_rate,
             mitigations=self.memory.defense_stats(),
         )
+        # The finished system is cyclic garbage (cores hold bound
+        # methods of it), freed only by a full collection: free the
+        # LLC's sets now.
+        self.llc.drop_lines()
+        return result

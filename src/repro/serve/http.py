@@ -176,20 +176,18 @@ class _Handler(BaseHTTPRequestHandler):
         """NDJSON progress: job events as they complete, then the final
         status snapshot.  Ends by connection close (HTTP/1.0)."""
         service = self.server.service
-        if service.status(sweep_id) is None:
+        # The first poll, which does not wait, is the existence check:
+        # only the closing snapshot goes through status(), so a stream
+        # counts as one status request.
+        polled = service.events_since(sweep_id, 0)
+        if polled is None:
             self._send_json(404, {"error": f"unknown sweep {sweep_id!r}"})
             return
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
         self.end_headers()
-        seq = 0
         try:
             while True:
-                polled = service.events_since(
-                    sweep_id, seq, wait_s=min(5.0, SOCKET_TIMEOUT_S / 2)
-                )
-                if polled is None:
-                    return
                 events, seq, terminal = polled
                 for event in events:
                     self.wfile.write(
@@ -205,6 +203,11 @@ class _Handler(BaseHTTPRequestHandler):
                     # flag under one lock, and terminal records gain no
                     # events — everything to the end was in this batch.
                     break
+                polled = service.events_since(
+                    sweep_id, seq, wait_s=min(5.0, SOCKET_TIMEOUT_S / 2)
+                )
+                if polled is None:
+                    return
             snapshot = service.status(sweep_id)
             if snapshot is not None:
                 snapshot = dict(snapshot, type="status")

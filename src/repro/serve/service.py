@@ -177,7 +177,9 @@ class SweepService:
         """Stop accepting work, finish what is queued/running.
 
         Returns ``True`` when everything reached a terminal state
-        within ``timeout`` (``None`` waits indefinitely).
+        within ``timeout`` (``None`` waits indefinitely), and ``False``
+        at once while work is left and no worker thread is alive (a
+        service that was never started) to finish it.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
@@ -189,6 +191,8 @@ class SweepService:
                 )
                 if not busy:
                     return True
+                if not any(thread.is_alive() for thread in self._threads):
+                    return False
                 remaining = None
                 if deadline is not None:
                     remaining = deadline - time.monotonic()

@@ -52,7 +52,6 @@ digests next to the event engine's.
 from __future__ import annotations
 
 from array import array
-from collections import OrderedDict
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -913,8 +912,14 @@ def _llc_filter(addr, is_write, org, cpu):
     there hits iff its line was seen before, and nothing is written
     back.  Only the accesses of sets that overflow run the sequential
     LRU — :meth:`~repro.cpu.cache.SetAssociativeCache.access`, inlined
-    (keep in sync; ``tests/test_engines.py`` asserts parity against the
-    canonical cache over real merged streams).
+    with its set protocol: a set is a plain ``dict`` of ``{tag: dirty}``
+    in LRU order, built on its first access; a hit pops and re-inserts
+    its tag, an eviction takes the first key.  Keep in sync (as with
+    the event engine's copy in
+    :meth:`~repro.cpu.system.MulticoreSystem._issue_access`):
+    ``tests/test_engines.py`` asserts parity against the canonical
+    cache over real merged streams, and ``tests/test_cache.py`` checks
+    both against a list-based LRU.
     """
     offset_bits = org.line_size_bytes.bit_length() - 1
     n_sets = cpu.llc_bytes // (cpu.llc_ways * org.line_size_bytes)
@@ -933,8 +938,6 @@ def _llc_filter(addr, is_write, org, cpu):
 
     seq = np.nonzero(overflowing[set_of])[0]
     ways_of: list = [None] * n_sets
-    for set_i in np.nonzero(overflowing)[0].tolist():
-        ways_of[set_i] = OrderedDict()
     seq_miss: list[int] = []
     wb_at: list[int] = []
     wb_addr: list[int] = []
@@ -943,15 +946,15 @@ def _llc_filter(addr, is_write, org, cpu):
         (line[seq] >> np.int64(set_bits)).tolist(), is_write[seq].tolist(),
     ):
         ways = ways_of[set_i]
-        if tag in ways:
-            ways.move_to_end(tag)
-            if dirty_access:
-                ways[tag] = True
+        if ways is None:
+            ways = ways_of[set_i] = {}
+        elif tag in ways:
+            ways[tag] = ways.pop(tag) or dirty_access
             continue
         seq_miss.append(j)
         if len(ways) >= n_ways:
-            victim, dirty = ways.popitem(last=False)
-            if dirty:
+            victim = next(iter(ways))
+            if ways.pop(victim):
                 wb_at.append(j)
                 wb_addr.append(((victim << set_bits) | set_i) << offset_bits)
         ways[tag] = dirty_access

@@ -121,6 +121,7 @@ def idle_http_service(tmp_path):
     svc = SweepService(cache_dir=tmp_path / "cache")
     with listening(svc) as base:
         yield svc, base
+        svc.stop()
 
 
 class TestProtocol:
@@ -268,7 +269,22 @@ class TestService:
         assert second["sweep_id"] == first["sweep_id"]
         assert second["submissions"] == 2
         assert svc.metrics.attached == 1
-        svc._stopped = True  # never started; nothing to drain
+        assert not svc.stop()  # never started: the sweep stays queued
+
+    @pytest.mark.parametrize("call", ["drain", "stop"])
+    def test_no_live_worker_returns_at_once(self, tmp_path, call):
+        """With work queued and no worker thread alive, drain() and
+        stop() answer False at once instead of waiting out the
+        timeout."""
+        svc = SweepService(cache_dir=tmp_path / "cache")
+        assert svc.submit(GRID)[1] == 202
+        started = time.monotonic()
+        assert getattr(svc, call)(timeout=1.5) is False
+        assert time.monotonic() - started < 0.5
+        assert svc.draining
+        # Nothing queued: a never-started service drains at once too.
+        idle = SweepService(cache_dir=tmp_path / "idle")
+        assert getattr(idle, call)(timeout=1.5) is True
 
     def test_invalid_submission_is_400(self, service):
         snapshot, code = service.submit({"workloads": ["no.such"]})
@@ -732,6 +748,21 @@ class TestHTTP:
         assert lines[-1]["state"] == "done"
         jobs = [l for l in lines if l.get("type") == "job"]
         assert len(jobs) == snapshot["total_jobs"]
+
+    def test_one_stream_is_one_status_request(self, http_service):
+        svc, base = http_service
+        code, done = post(base, GRID, "?wait=60")
+        assert code == 200
+        assert svc.metrics.status_requests == 0
+        lines = list(client.stream(base, done["sweep_id"], timeout=120.0))
+        assert lines[-1]["type"] == "status"
+        assert lines[-1]["digest"] == done["digest"]
+        assert svc.metrics.status_requests == 1
+        with pytest.raises(urllib.error.HTTPError) as exc:
+            urllib.request.urlopen(f"{base}/sweeps/feedface?stream=1",
+                                   timeout=10)
+        assert exc.value.code == 404
+        assert svc.metrics.status_requests == 1
 
     def test_unknown_sweep_404(self, http_service):
         _svc, base = http_service
