@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import time
 
-from repro.controller.memctrl import MemStats
+from repro.controller.memctrl import MemStats, build_ranks
 from repro.defenses import resolve_defense
 from repro.params import default_config
 from repro.sim.engines import EngineSpec, memo
@@ -68,9 +68,7 @@ def main() -> None:
     # Phase breakdown (warm stream cache).
     engine = EpochEngine()
     t0 = time.perf_counter()
-    banks, ranks = engine._build_memory(
-        config, memo.build_defenses(config, spec.factory())
-    )
+    banks, ranks = build_ranks(config, spec.factory())
     t1 = time.perf_counter()
     stream = _prepare_stream(
         workload, N_ENTRIES, 0, config.org, config.cpu

@@ -16,6 +16,11 @@ system:
   which banks stall and which banks get opportunistic mitigations,
 * cadence RFMs for controller-driven mitigations (PrIDE / Mithril).
 
+Both simulation engines run this one DRAM protocol: the records
+:func:`build_ranks` builds, and the Alert, cadence-RFM and REF-tick
+routines :func:`raise_alert`, :func:`cadence_rfm` and :func:`ref_tick`,
+which count straight into :class:`MemStats`.
+
 The model does not simulate individual command-bus slots; command bandwidth
 is never the bottleneck for the experiments reproduced here (the paper's
 overheads are entirely RFM/REF blackout effects), and the data bus *is*
@@ -35,31 +40,28 @@ pays two float compares instead of a modulo per timing query.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.controller.request import Request
-from repro.core.defense import BankDefense, MitigationReason
+from repro.core.defense import BankDefense
 from repro.obs.telemetry import Telemetry
 from repro.dram.address import AddressMapper
 from repro.dram.bank import BankState
 from repro.errors import ConfigError
-from repro.params import RfmScope, SystemConfig
+from repro.params import DDR5Timing, PRACParams, RfmScope, SystemConfig
 from repro.engine import EventQueue, _heappush
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+    from repro.sim.engines.memo import HookLog
 
 DefenseFactory = Callable[[int, SystemConfig], BankDefense]
 
 _new_request = object.__new__
 
 
-def rfm_scope_banks(scope: RfmScope, banks: list, alerting) -> list:
-    """Banks one Alert's RFMs land on, per Section VI-E scope semantics.
-
-    Shared policy of the simulation-engine tier: the event-driven
-    controller and the batched epoch engine resolve Alert scope through
-    this one function, over their own bank records (anything with a
-    ``.bank`` field works — :class:`~repro.dram.bank.BankState` here,
-    the epoch engine's bank rows there).
-    """
+def rfm_scope_banks(scope: RfmScope, banks: list[BankState],
+                    alerting: BankState) -> list[BankState]:
+    """Banks one Alert's RFMs land on, per Section VI-E scope semantics."""
     if scope is RfmScope.ALL_BANK:
         return banks
     if scope is RfmScope.SAME_BANK:
@@ -69,24 +71,39 @@ def rfm_scope_banks(scope: RfmScope, banks: list, alerting) -> list:
     raise ConfigError(f"unhandled RFM scope {scope}")
 
 
+def run_label(config: SystemConfig, defense_factory: DefenseFactory,
+              variant_name: str | None = None) -> str:
+    """A run's result label: ``variant_name`` when given, else the label
+    of the spec a ``DefenseSpec.factory()`` carries, else (a bare
+    callable) ``config.variant``'s."""
+    if variant_name:
+        return variant_name
+    spec = getattr(defense_factory, "spec", None)
+    return spec.label if spec is not None else config.variant.value
+
+
 class RankState:
-    """Rank-scoped protocol and blackout state (one ``__slots__`` record)."""
+    """Rank-scoped protocol and blackout state (one ``__slots__`` record).
+
+    Both engines share the Alert Back-Off state, the RFMab blackouts and
+    the cached REF-free interval; each times tRRD and REF its own way.
+    """
 
     __slots__ = (
         "index",
         "banks",
+        "on_refs",
         "ref_offset",
         "blackouts",
         "acts_since_rfm",
         "alert_busy_until",
-        "next_act_allowed",
-        "alerts",
-        "rfm_commands",
-        "refs",
-        "blocked_ns",
         "ref_free_start",
         "ref_free_end",
+        "next_act_allowed",
         "ref_handler",
+        "next_ref",
+        "act_acc",
+        "act_wait",
     )
 
     def __init__(
@@ -97,24 +114,56 @@ class RankState:
     ) -> None:
         self.index = index
         self.banks = banks
+        for bank in banks:
+            bank.rank_state = self
+        #: Pre-bound per-bank ``on_ref`` hooks (one REF tick = one pass).
+        self.on_refs = tuple(bank.defense.on_ref for bank in banks)
         self.ref_offset = ref_offset
         #: Dynamic blackout intervals (RFMab service), sorted by start.
         self.blackouts: list[tuple[float, float]] = []
+        # Allow the very first Alert without an ABO_Delay debt.
         self.acts_since_rfm = 1 << 30
         self.alert_busy_until = 0.0
-        #: Rank-level ACT-to-ACT gate (tRRD).
-        self.next_act_allowed = 0.0
-        self.alerts = 0
-        self.rfm_commands = 0
-        self.refs = 0
-        self.blocked_ns = 0.0
         #: Cached REF-free interval [start, end): instants in it are
-        #: provably outside this rank's periodic REF blackout, so
-        #: ``_rank_avail`` can skip the modulo.  Empty until first use.
+        #: provably outside this rank's periodic REF blackout, so the
+        #: engines' ``_rank_avail`` can skip the modulo.  Empty until
+        #: first use.
         self.ref_free_start = 0.0
         self.ref_free_end = 0.0
-        #: Pre-bound periodic REF callback (set by the controller).
+        #: Event controller: rank-level ACT-to-ACT gate (tRRD) and the
+        #: pre-bound periodic REF callback.
+        self.next_act_allowed = 0.0
         self.ref_handler: Callable[[float], None] | None = None
+        #: Batched replay: the next REF tick, and the ACTs issued in the
+        #: current tREFI window with their statistical tRRD wait.
+        self.next_ref = ref_offset
+        self.act_acc = 0
+        self.act_wait = 0.0
+
+
+def build_ranks(config: SystemConfig, defense_for: DefenseFactory
+                ) -> tuple[list[BankState], list[RankState]]:
+    """The bank and rank records of one run: every bank in flat order,
+    holding ``defense_for(flat, config)``, and every rank, its REF
+    offset staggered by ``tREFI / ranks``."""
+    org = config.org
+    banks: list[BankState] = []
+    ranks: list[RankState] = []
+    stagger = config.timing.t_refi / max(1, org.channels * org.ranks)
+    for channel in range(org.channels):
+        for rank in range(org.ranks):
+            lo = len(banks)
+            for bankgroup in range(org.bankgroups):
+                for bank in range(org.banks_per_group):
+                    flat = len(banks)
+                    banks.append(BankState(
+                        flat, channel, rank, bankgroup, bank,
+                        defense_for(flat, config),
+                    ))
+            ranks.append(
+                RankState(len(ranks), banks[lo:], stagger * len(ranks))
+            )
+    return banks, ranks
 
 
 class MemStats:
@@ -148,6 +197,77 @@ class MemStats:
         return self.total_read_latency_ns / self.reads if self.reads else 0.0
 
 
+# ----------------------------------------------------------------------
+# The DRAM protocol, as both engines run it
+# ----------------------------------------------------------------------
+def raise_alert(bank: BankState, act_time: float, prac: PRACParams,
+                timing: DDR5Timing, stats: MemStats,
+                telemetry: Telemetry | None) -> None:
+    """The Alert Back-Off protocol at an ACT whose defense asks for one.
+
+    No Alert while an earlier one's RFMs are due or fewer than ABO_Delay
+    ACTs followed them.  Otherwise N_mit RFMs start after the ABO window,
+    each reaching every bank of the scope (:func:`rfm_scope_banks`), and
+    leave them precharged: an all-bank scope blacks the rank out, a
+    narrower one blocks only its own banks.
+    """
+    rank = bank.rank_state
+    if act_time < rank.alert_busy_until:
+        return
+    if rank.acts_since_rfm < prac.abo_delay:
+        return
+    stats.alerts += 1
+    rank.acts_since_rfm = 0
+    rfm_start = act_time + prac.abo_window_ns
+    rfm_end = rfm_start + prac.n_mit * timing.t_rfm
+    rank.alert_busy_until = rfm_end
+    scope = rfm_scope_banks(prac.rfm_scope, rank.banks, bank)
+    for _ in range(prac.n_mit):
+        for member in scope:
+            member.on_rfm(member is bank)
+    stats.rfm_commands += prac.n_mit
+    if telemetry is not None:
+        telemetry.record_blackout(rfm_start, rfm_end, "abo")
+    all_bank = prac.rfm_scope is RfmScope.ALL_BANK
+    if all_bank:
+        rank.blackouts.append((rfm_start, rfm_end))
+    for member in scope:
+        member.open_row = -1
+        if not all_bank and rfm_end > member.blocked_until:
+            member.blocked_until = rfm_end
+
+
+def cadence_rfm(bank: BankState, act_time: float, timing: DDR5Timing,
+                stats: MemStats, telemetry: Telemetry | None) -> None:
+    """A controller-scheduled RFM to one bank (PrIDE / Mithril cadence):
+    it starts tRC after the ACT that completed the cadence, or when the
+    bank's current block ends, blocks the bank for tRFM and leaves it
+    precharged."""
+    start = act_time + timing.t_rc
+    blocked = bank.blocked_until
+    bank.blocked_until = (blocked if blocked > start else start) + timing.t_rfm
+    bank.open_row = -1
+    bank.on_rfm(True)
+    stats.cadence_rfms += 1
+    if telemetry is not None:
+        telemetry.record_blackout(start, bank.blocked_until, "cadence")
+
+
+def ref_tick(rank: RankState, now: float, t_rfc: float,
+             hook_log: HookLog | None, telemetry: Telemetry | None) -> None:
+    """One REF of ``rank`` at ``now``: every bank's ``on_ref``, then the
+    tick lands in the hook log and the telemetry when they are on."""
+    for hook in rank.on_refs:
+        hook()
+    if hook_log is not None:
+        hook_log.ref(rank.index)
+    if telemetry is not None:
+        # PSQ occupancy is sampled after the defenses' on_ref drain.
+        telemetry.record_ref(
+            now, now + t_rfc, (bank.defense for bank in rank.banks)
+        )
+
+
 class MemorySystem:
     """Event-driven DDR5 memory system with pluggable per-bank defenses."""
 
@@ -177,41 +297,11 @@ class MemorySystem:
         self._t_refi = t.t_refi
         self._t_rfc = t.t_rfc
 
-        self.banks: list[BankState] = []
-        self.ranks: list[RankState] = []
-        rank_count = org.channels * org.ranks
-        stagger = self.timing.t_refi / max(1, rank_count)
-        flat = 0
-        for channel in range(org.channels):
-            for rank in range(org.ranks):
-                rank_banks: list[BankState] = []
-                for bg in range(org.bankgroups):
-                    for bank in range(org.banks_per_group):
-                        state = BankState(
-                            index=flat,
-                            channel=channel,
-                            rank=rank,
-                            bankgroup=bg,
-                            bank=bank,
-                            defense=defense_factory(flat, config),
-                        )
-                        state.consider_handler = partial(
-                            self._consider_bank, state
-                        )
-                        self.banks.append(state)
-                        rank_banks.append(state)
-                        flat += 1
-                rank_index = channel * org.ranks + rank
-                rank_state = RankState(
-                    index=rank_index,
-                    banks=rank_banks,
-                    ref_offset=stagger * rank_index,
-                )
-                rank_state.ref_handler = partial(self._ref_tick, rank_state)
-                for state in rank_banks:
-                    state.rank_state = rank_state
-                # Allow the very first Alert without an ABO_Delay debt.
-                self.ranks.append(rank_state)
+        self.banks, self.ranks = build_ranks(config, defense_factory)
+        for bank in self.banks:
+            bank.consider_handler = partial(self._consider_bank, bank)
+        for rank_state in self.ranks:
+            rank_state.ref_handler = partial(self._ref_tick, rank_state)
         self.bus_free = [0.0] * org.channels
         self._schedule_future = self.events.schedule_future
         # Decode constants for the inline decode in enqueue(), packed so
@@ -325,14 +415,6 @@ class MemorySystem:
             _heappush(events._heap, (t, seq, bank.consider_handler))
         return req
 
-    def defense_stats(self) -> dict[MitigationReason, int]:
-        """Total mitigations by reason, summed over all banks."""
-        totals = {reason: 0 for reason in MitigationReason}
-        for bank in self.banks:
-            for reason, count in bank.defense.stats.mitigations_by_reason.items():
-                totals[reason] += count
-        return totals
-
     @property
     def queued_requests(self) -> int:
         return sum(len(bank.pending) for bank in self.banks)
@@ -382,21 +464,19 @@ class MemorySystem:
             start = bank.blocked_until
         row = req.row
         open_row = bank.open_row
-        if open_row == row and open_row is not None:
+        if open_row == row:
             cas = bank.cas_allowed
             if start > cas:
                 cas = start
             if not (rank.ref_free_start <= cas < rank.ref_free_end) or rank.blackouts:
                 cas = self._rank_avail(rank, cas)
-            bank.row_hits += 1
             stats.row_hits += 1
             act_time = None
         else:
-            if open_row is None:
+            if open_row < 0:
                 act_ready = bank.act_allowed
                 if start > act_ready:
                     act_ready = start
-                bank.row_misses += 1
             else:
                 pre = bank.pre_allowed
                 if start > pre:
@@ -406,7 +486,6 @@ class MemorySystem:
                 act_ready = pre + t_rp
                 if bank.act_allowed > act_ready:
                     act_ready = bank.act_allowed
-                bank.row_conflicts += 1
             if rank.next_act_allowed > act_ready:
                 act_ready = rank.next_act_allowed
             act_time = act_ready
@@ -442,21 +521,25 @@ class MemorySystem:
         if act_time is not None:
             # Activation-side protocol, inline (once per ACT): counter
             # and PSQ updates via the defense, cadence RFMs, Alerts.
-            bank.acts += 1
             stats.acts += 1
             rank.acts_since_rfm += 1
             hook_log = self.hook_log
             if hook_log is not None:
                 hook_log.act(bank.index, row)
-            wants_alert = bank.defense.on_activation(row)
+            wants_alert = bank.on_activation(row)
             cadence = bank.cadence_acts
             if cadence is not None:
                 bank.cadence_act_counter += 1
                 if bank.cadence_act_counter >= cadence:
                     bank.cadence_act_counter = 0
-                    self._issue_cadence_rfm(bank, act_time)
+                    cadence_rfm(
+                        bank, act_time, self.timing, stats, self.telemetry
+                    )
             if wants_alert:
-                self._maybe_alert(bank, rank, act_time)
+                raise_alert(
+                    bank, act_time, self.cfg.prac, self.timing, stats,
+                    self.telemetry,
+                )
         req.complete_time = done
         if tm_record is not None:
             tm_record(req.arrive, done, req.is_write, req.core_id)
@@ -531,78 +614,10 @@ class MemorySystem:
                 return t
 
     # ------------------------------------------------------------------
-    # Activation-side protocol: alerts, RFMs, cadence mitigations
-    # (the per-ACT dispatch itself is inlined in _service)
-    # ------------------------------------------------------------------
-    def _issue_cadence_rfm(self, bank: BankState, act_time: float) -> None:
-        """Controller-scheduled per-bank RFM (PrIDE / Mithril cadence)."""
-        t = self.timing
-        start = act_time + t.t_rc
-        bank.blocked_until = max(bank.blocked_until, start) + t.t_rfm
-        bank.act_allowed = max(bank.act_allowed, bank.blocked_until)
-        bank.open_row = None
-        bank.defense.on_rfm(True)
-        self.stats.cadence_rfms += 1
-        if self.telemetry is not None:
-            self.telemetry.record_blackout(start, bank.blocked_until, "cadence")
-
-    def _maybe_alert(
-        self, bank: BankState, rank: RankState, act_time: float
-    ) -> None:
-        prac = self.cfg.prac
-        assert prac.abo_delay is not None
-        if act_time < rank.alert_busy_until:
-            return
-        if rank.acts_since_rfm < prac.abo_delay:
-            return
-        rank.alerts += 1
-        self.stats.alerts += 1
-        rank.acts_since_rfm = 0
-        rfm_start = act_time + prac.abo_window_ns
-        rfm_end = rfm_start + prac.n_mit * self.timing.t_rfm
-        rank.alert_busy_until = rfm_end
-        scope = self._rfm_scope_banks(rank, bank)
-        for _ in range(prac.n_mit):
-            for member in scope:
-                member.defense.on_rfm(member is bank)
-        rank.rfm_commands += prac.n_mit
-        self.stats.rfm_commands += prac.n_mit
-        if self.telemetry is not None:
-            self.telemetry.record_blackout(rfm_start, rfm_end, "abo")
-        if prac.rfm_scope is RfmScope.ALL_BANK:
-            rank.blackouts.append((rfm_start, rfm_end))
-            rank.blocked_ns += rfm_end - rfm_start
-            for member in scope:
-                # RFM leaves banks precharged.
-                member.open_row = None
-        else:
-            for member in scope:
-                member.blocked_until = max(member.blocked_until, rfm_end)
-                member.open_row = None
-                member.act_allowed = max(member.act_allowed, rfm_end)
-            rank.blocked_ns += (rfm_end - rfm_start) * len(scope) / len(rank.banks)
-
-    def _rfm_scope_banks(
-        self, rank: RankState, alerting: BankState
-    ) -> list[BankState]:
-        return rfm_scope_banks(self.cfg.prac.rfm_scope, rank.banks, alerting)
-
-    # ------------------------------------------------------------------
     # Refresh
     # ------------------------------------------------------------------
     def _ref_tick(self, rank: RankState, now: float) -> None:
-        """Periodic per-rank REF: defense hooks plus self-rescheduling."""
-        rank.refs += 1
+        """Periodic per-rank REF: the shared tick, then self-rescheduling."""
         self.stats.refs += 1
-        for bank in rank.banks:
-            bank.defense.on_ref()
-        if self.hook_log is not None:
-            self.hook_log.ref(rank.index)
-        if self.telemetry is not None:
-            # Sample PSQ occupancy *after* the defenses' on_ref drain,
-            # matching the epoch engine's observation point.
-            self.telemetry.record_ref(
-                now, now + self._t_rfc,
-                (bank.defense for bank in rank.banks),
-            )
-        self.events.schedule_future(now + self.timing.t_refi, rank.ref_handler)
+        ref_tick(rank, now, self._t_rfc, self.hook_log, self.telemetry)
+        self._schedule_future(now + self._t_refi, rank.ref_handler)

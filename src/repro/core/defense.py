@@ -26,6 +26,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+from typing import Iterable
 
 from repro.core.prac_counters import PRACCounterBank
 from repro.core.psq import PriorityServiceQueue
@@ -59,6 +60,17 @@ class DefenseStats:
     @property
     def total_mitigations(self) -> int:
         return sum(self.mitigations_by_reason.values())
+
+
+def defense_stats(
+    defenses: Iterable[BankDefense],
+) -> dict[MitigationReason, int]:
+    """Total mitigations by reason, summed over ``defenses``."""
+    totals = {reason: 0 for reason in MitigationReason}
+    for defense in defenses:
+        for reason, count in defense.stats.mitigations_by_reason.items():
+            totals[reason] += count
+    return totals
 
 
 def blast_radius_victims(row: int, radius: int, num_rows: int) -> list[int]:

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.controller.memctrl import DefenseFactory, MemorySystem
-from repro.core.defense import MitigationReason
+from repro.controller.memctrl import DefenseFactory, MemorySystem, run_label
+from repro.core.defense import MitigationReason, defense_stats
 from repro.cpu.cache import SetAssociativeCache
 from repro.cpu.core import TraceCore
 from repro.cpu.trace import Trace
@@ -134,6 +134,7 @@ class MulticoreSystem:
             )
         self.cfg = config
         self.workload_name = workload_name
+        self.defense_factory = defense_factory
         self.events = EventQueue()
         self.memory = MemorySystem(
             config, self.events, defense_factory, telemetry=telemetry
@@ -221,7 +222,8 @@ class MulticoreSystem:
     # Execution
     # ------------------------------------------------------------------
     def run(self, variant_name: str | None = None) -> SystemResult:
-        """Run all cores to completion and return aggregate results.
+        """Run all cores to completion and return aggregate results,
+        labelled by :func:`~repro.controller.memctrl.run_label`.
 
         The loop stops exactly when the last core retires (cores report
         completion through ``on_finish``); it never polls every core per
@@ -235,13 +237,15 @@ class MulticoreSystem:
         sim_time = max(core.finish_time for core in self.cores)
         result = SystemResult.from_stats(
             workload=self.workload_name,
-            variant=variant_name or self.cfg.variant.value,
+            variant=run_label(self.cfg, self.defense_factory, variant_name),
             sim_time_ns=sim_time,
             core_ipcs=[core.ipc() for core in self.cores],
             instructions=sum(core.total_instructions for core in self.cores),
             stats=self.memory.stats,
             llc_hit_rate=self.llc.hit_rate,
-            mitigations=self.memory.defense_stats(),
+            mitigations=defense_stats(
+                bank.defense for bank in self.memory.banks
+            ),
         )
         # The finished system is cyclic garbage (cores hold bound
         # methods of it), freed only by a full collection: free the

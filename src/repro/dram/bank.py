@@ -1,9 +1,11 @@
-"""Per-bank DRAM timing state.
+"""Per-bank DRAM timing and protocol state.
 
 Each bank tracks its open row and the earliest instants at which the next
 ACT / CAS / PRE may legally start, derived from the DDR5 constraints in
-:class:`repro.params.DDR5Timing`.  The memory controller composes these
-with rank-level blackouts (REF, RFM, Alert servicing) when scheduling.
+:class:`repro.params.DDR5Timing`.  Both simulation engines schedule
+against these records (built by
+:func:`repro.controller.memctrl.build_ranks`) and compose them with
+rank-level blackouts (REF, RFM, Alert servicing).
 """
 
 from __future__ import annotations
@@ -20,8 +22,10 @@ class BankState:
     """Mutable scheduling state of one DRAM bank.
 
     A ``__slots__`` class: every request service touches half a dozen of
-    these fields, and the controller holds one instance per bank of the
-    whole memory — attribute access and memory locality both matter.
+    these fields, and each run holds one instance per bank of the whole
+    memory — attribute access and memory locality both matter.  The
+    request queue and its wake-up fields serve the event controller's
+    FR-FCFS scheduling; the batched replay leaves them empty.
     """
 
     __slots__ = (
@@ -31,21 +35,19 @@ class BankState:
         "bankgroup",
         "bank",
         "defense",
+        "on_activation",
+        "on_rfm",
+        "cadence_acts",
+        "cadence_act_counter",
         "open_row",
         "act_allowed",
         "pre_allowed",
         "cas_allowed",
         "blocked_until",
         "ready_at",
+        "rank_state",
         "pending",
         "consider_scheduled",
-        "acts",
-        "row_hits",
-        "row_misses",
-        "row_conflicts",
-        "cadence_act_counter",
-        "cadence_acts",
-        "rank_state",
         "consider_handler",
     )
 
@@ -62,10 +64,18 @@ class BankState:
         self.channel = channel
         self.rank = rank
         self.bankgroup = bankgroup
+        #: Position within the bank group (the SAME_BANK RFM scope key).
         self.bank = bank
         self.defense = defense
+        #: The defense's ACT and RFM hooks, bound once, and its RFM
+        #: cadence (a per-design constant): both run per activation.
+        self.on_activation = defense.on_activation
+        self.on_rfm = defense.on_rfm
+        self.cadence_acts: int | None = defense.rfm_cadence_acts
+        self.cadence_act_counter = 0
 
-        self.open_row: int | None = None
+        #: The open row, or -1 while the bank is precharged.
+        self.open_row = -1
         #: Earliest start for the next ACT (tRC after the previous ACT).
         self.act_allowed = 0.0
         #: Earliest start for the next PRE (tRAS / tRTP / tWR constraints).
@@ -76,23 +86,11 @@ class BankState:
         self.blocked_until = 0.0
         #: The bank is considered occupied by its current request until here.
         self.ready_at = 0.0
+        #: The owning :class:`~repro.controller.memctrl.RankState`.
+        self.rank_state: Any = None
 
         self.pending: deque = deque()
         self.consider_scheduled = False
-
-        # Statistics
-        self.acts = 0
-        self.row_hits = 0
-        self.row_misses = 0
-        self.row_conflicts = 0
-        self.cadence_act_counter = 0
-        #: The defense's RFM cadence, cached by the controller at
-        #: construction (it is a per-design constant; reading the
-        #: property on every activation is measurable).
-        self.cadence_acts: int | None = defense.rfm_cadence_acts
-
-        #: Back-reference to the owning rank, set by the controller.
-        self.rank_state: Any = None
         #: Pre-bound wake-up callback, set by the controller; scheduling a
         #: consider event must not allocate a fresh closure per event.
         self.consider_handler: Any = None
@@ -101,7 +99,7 @@ class BankState:
         """FR-FCFS: oldest row-hit first, otherwise the oldest request."""
         open_row = self.open_row
         pending = self.pending
-        if open_row is not None:
+        if open_row >= 0:
             for i, req in enumerate(pending):
                 if req.row == open_row:
                     if i:
@@ -109,8 +107,3 @@ class BankState:
                         return req
                     break
         return pending.popleft()
-
-    @property
-    def row_buffer_hit_rate(self) -> float:
-        total = self.row_hits + self.row_misses + self.row_conflicts
-        return self.row_hits / total if total else 0.0

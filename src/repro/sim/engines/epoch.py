@@ -6,21 +6,21 @@ Alert Back-Off protocol is rank-scoped bookkeeping — none of it needs a
 nanosecond event loop to stay faithful.  This engine exploits that: the
 whole multi-core access stream is consumed as vectorized trace columns,
 merged once into global front-end order, filtered through the shared
-LLC, and then replayed against flat array-backed bank/rank/bus state one
-tREFI window per batching round — no event queue, no callbacks, no
-per-event dispatch.  The *same defense objects* the event engine builds
-are driven through the same three :class:`~repro.core.defense.BankDefense`
-hooks, bound once per bank, so every registered defense (QPRAC variants,
-MOAT, Panopticon, PrIDE, Mithril, UPRAC, plugins) runs unmodified.
+LLC, and then replayed one tREFI window per batching round — no event
+queue, no callbacks, no per-event dispatch — on the event controller's
+own bank and rank records, which hold the *same defense objects*, so
+every registered defense (QPRAC variants, MOAT, Panopticon, PrIDE,
+Mithril, UPRAC, plugins) runs unmodified.
 
 What is kept exact
     Defense state machines (per-ACT counter/PSQ updates, per-REF
-    proactive mitigations, per-RFM servicing), the Alert Back-Off
-    protocol (ABO window, ABO_Delay debt, N_mit RFMs, scope semantics
-    via the shared :func:`~repro.controller.memctrl.rfm_scope_banks`),
-    REF blackout windows (analytic, same cached-interval trick as the
-    controller), cadence RFMs, and DDR5 first-order service timing
-    (row hit/miss/conflict paths, tRRD, channel bus occupancy).
+    proactive mitigations, per-RFM servicing), the DRAM protocol around
+    them, run by the controller's own routines (the Alert Back-Off
+    protocol, cadence RFMs and REF ticks of
+    :mod:`repro.controller.memctrl`), REF blackout windows (analytic,
+    same cached-interval trick as the controller), and DDR5 first-order
+    service timing (row hit/miss/conflict paths, tRRD, channel bus
+    occupancy).
 
 What is approximated
     Event interleaving.  Requests are serviced in unstalled front-end
@@ -57,81 +57,24 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.controller.memctrl import DefenseFactory, MemStats, rfm_scope_banks
-from repro.core.defense import BankDefense
+from repro.controller.memctrl import (
+    DefenseFactory,
+    MemStats,
+    build_ranks,
+    cadence_rfm,
+    raise_alert,
+    ref_tick,
+    run_label,
+)
+from repro.core.defense import defense_stats
 from repro.obs.telemetry import Telemetry
 from repro.cpu.core import WRITE_BUFFER_DEPTH
 from repro.cpu.system import SystemResult
 from repro.dram.address import AddressMapper
-from repro.params import RfmScope, SystemConfig
+from repro.params import SystemConfig
 from repro.sim.engines import memo
 from repro.sim.engines.base import SimEngine, register_engine
 from repro.workloads.synthetic import WorkloadSpec, generate_trace
-
-
-class _EpochBank:
-    """Array-row of per-bank state (one record per DRAM bank)."""
-
-    __slots__ = (
-        "index", "bank", "channel", "rank", "defense", "on_activation",
-        "on_rfm", "cadence_acts",
-        "open_row", "busy", "blocked", "act_allowed", "pre_allowed",
-        "cas_allowed", "cadence_counter",
-    )
-
-    def __init__(self, index, bank, channel, defense: BankDefense):
-        self.index = index
-        #: Position within the bank group (SAME_BANK scope key).
-        self.bank = bank
-        self.channel = channel
-        self.defense = defense
-        #: The defense's hooks, bound once (no attribute lookup per
-        #: call), and its cadence constant, read once as the controller's
-        #: :class:`~repro.dram.bank.BankState` does.
-        self.on_activation = defense.on_activation
-        self.on_rfm = defense.on_rfm
-        self.cadence_acts = defense.rfm_cadence_acts
-        self.open_row = -1
-        self.busy = 0.0
-        self.blocked = 0.0
-        #: DDR5 per-bank floors, maintained exactly like BankState's
-        #: (tRC ACT-to-ACT, tRAS/tWR/tRTP precharge, tRCD CAS).
-        self.act_allowed = 0.0
-        self.pre_allowed = 0.0
-        self.cas_allowed = 0.0
-        self.cadence_counter = 0
-        self.rank: _EpochRank | None = None
-
-
-class _EpochRank:
-    """Rank-scoped protocol state (mirrors the controller's RankState)."""
-
-    __slots__ = (
-        "index", "banks", "on_refs", "ref_offset", "next_ref",
-        "alert_busy_until", "acts_since_rfm", "blackouts",
-        "act_acc", "act_wait", "alerts", "rfm_commands",
-        "ref_free_start", "ref_free_end",
-    )
-
-    def __init__(self, index, banks, ref_offset):
-        self.index = index
-        self.banks = banks
-        #: Pre-bound per-bank ``on_ref`` hooks (one REF tick = one pass).
-        self.on_refs = tuple(b.defense.on_ref for b in banks)
-        self.ref_offset = ref_offset
-        self.next_ref = ref_offset
-        self.alert_busy_until = 0.0
-        # Allow the very first Alert without an ABO_Delay debt.
-        self.acts_since_rfm = 1 << 30
-        self.blackouts: list[tuple[float, float]] = []
-        #: ACTs issued in the current tREFI window and the resulting
-        #: statistical tRRD queueing wait (see _replay's window roll).
-        self.act_acc = 0
-        self.act_wait = 0.0
-        self.alerts = 0
-        self.rfm_commands = 0
-        self.ref_free_start = 0.0
-        self.ref_free_end = 0.0
 
 
 class _EpochCore:
@@ -191,7 +134,7 @@ class _EpochCore:
     "approximate timing, several times faster than event)",
 )
 class EpochEngine(SimEngine):
-    """Batched engine: whole tREFI windows per step, array-backed state."""
+    """Batched engine: whole tREFI windows per step, no event queue."""
 
     work_unit_name = "accesses"
 
@@ -212,16 +155,17 @@ class EpochEngine(SimEngine):
             workload, n_entries, seed, config.org, config.cpu
         )
         self.work_units = stream.llc_total
+        label = run_label(config, defense_factory, variant_name)
         run = memo.lookup(self, workload, n_entries, seed, config,
-                          defense_factory, telemetry, variant_name)
+                          defense_factory, telemetry, label)
         if run.served is not None:
             return run.served
-        banks, ranks = self._build_memory(config, run.defenses)
+        banks, ranks = build_ranks(config, run.factory)
         outputs = self._run(stream, banks, ranks, config, telemetry, run.log)
         result = SystemResult.from_stats(
             workload=workload.name,
-            variant=variant_name or config.variant.value,
-            mitigations=memo.defense_stats(run.defenses),
+            variant=label,
+            mitigations=defense_stats(run.defenses),
             **outputs,
         )
         memo.remember(run, result)
@@ -261,8 +205,6 @@ class EpochEngine(SimEngine):
             int((sim_time - rank.ref_offset) // t_refi) + 1
             for rank in ranks if sim_time >= rank.ref_offset
         )
-        stats.alerts = sum(rank.alerts for rank in ranks)
-        stats.rfm_commands = sum(rank.rfm_commands for rank in ranks)
 
         freq = config.cpu.freq_ghz
         llc_total = stream.llc_total
@@ -277,35 +219,6 @@ class EpochEngine(SimEngine):
             stats=stats,
             llc_hit_rate=stream.llc_hits / llc_total if llc_total else 0.0,
         )
-
-    # ------------------------------------------------------------------
-    # Setup: banks, ranks, defenses
-    # ------------------------------------------------------------------
-    def _build_memory(self, config, defenses):
-        """Bank and rank records over ``defenses`` (flat bank order)."""
-        org = config.org
-        banks: list[_EpochBank] = []
-        ranks: list[_EpochRank] = []
-        rank_count = org.channels * org.ranks
-        stagger = config.timing.t_refi / max(1, rank_count)
-        flat = 0
-        for channel in range(org.channels):
-            for rank in range(org.ranks):
-                rank_banks: list[_EpochBank] = []
-                for _bg in range(org.bankgroups):
-                    for bank in range(org.banks_per_group):
-                        record = _EpochBank(flat, bank, channel, defenses[flat])
-                        banks.append(record)
-                        rank_banks.append(record)
-                        flat += 1
-                rank_index = channel * org.ranks + rank
-                rank_state = _EpochRank(
-                    rank_index, rank_banks, stagger * rank_index
-                )
-                for record in rank_banks:
-                    record.rank = rank_state
-                ranks.append(rank_state)
-        return banks, ranks
 
     # ------------------------------------------------------------------
     # The replay loop (hot): issue-ordered merge, one tREFI per batch
@@ -410,12 +323,12 @@ class EpochEngine(SimEngine):
 
             t0 = base + llc_latency
             bank = banks[bank_i]
-            rank = bank.rank
+            rank = bank.rank_state
             start = t0
-            if bank.busy > start:
-                start = bank.busy
-            if bank.blocked > start:
-                start = bank.blocked
+            if bank.ready_at > start:
+                start = bank.ready_at
+            if bank.blocked_until > start:
+                start = bank.blocked_until
             if bank.open_row == row:
                 cas = bank.cas_allowed
                 if start > cas:
@@ -453,7 +366,7 @@ class EpochEngine(SimEngine):
             data_start = cas + t_cl + bus_wait[ch]
             bus_acc[ch] += t_burst
             done = data_start + t_burst
-            bank.busy = data_start
+            bank.ready_at = data_start
             if is_write:
                 pre_floor = done + t_wr
                 if pre_floor > bank.pre_allowed:
@@ -489,12 +402,12 @@ class EpochEngine(SimEngine):
                 wants_alert = bank.on_activation(row)
                 cadence = bank.cadence_acts
                 if cadence is not None:
-                    bank.cadence_counter += 1
-                    if bank.cadence_counter >= cadence:
-                        bank.cadence_counter = 0
-                        self._cadence_rfm(bank, act_time, timing, stats, tm)
+                    bank.cadence_act_counter += 1
+                    if bank.cadence_act_counter >= cadence:
+                        bank.cadence_act_counter = 0
+                        cadence_rfm(bank, act_time, timing, stats, tm)
                 if wants_alert:
-                    self._maybe_alert(bank, rank, act_time, prac, timing, tm)
+                    raise_alert(bank, act_time, prac, timing, stats, tm)
 
             # Advance: stage the next request and compute its issue time
             # (front-end schedule + ROB/MSHR/write-buffer floors; see the
@@ -586,48 +499,6 @@ class EpochEngine(SimEngine):
             if not moved:
                 return t
 
-    # ------------------------------------------------------------------
-    # Activation-side protocol (same sequencing as the controller)
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _cadence_rfm(bank, act_time, timing, stats, tm=None):
-        start = act_time + timing.t_rc
-        blocked = bank.blocked
-        bank.blocked = (blocked if blocked > start else start) + timing.t_rfm
-        bank.open_row = -1
-        bank.on_rfm(True)
-        stats.cadence_rfms += 1
-        if tm is not None:
-            tm.record_blackout(start, bank.blocked, "cadence")
-
-    @staticmethod
-    def _maybe_alert(bank, rank, act_time, prac, timing, tm=None):
-        if act_time < rank.alert_busy_until:
-            return
-        if rank.acts_since_rfm < prac.abo_delay:
-            return
-        rank.alerts += 1
-        rank.acts_since_rfm = 0
-        rfm_start = act_time + prac.abo_window_ns
-        rfm_end = rfm_start + prac.n_mit * timing.t_rfm
-        rank.alert_busy_until = rfm_end
-        scope = rfm_scope_banks(prac.rfm_scope, rank.banks, bank)
-        for _ in range(prac.n_mit):
-            for member in scope:
-                member.on_rfm(member is bank)
-        rank.rfm_commands += prac.n_mit
-        if tm is not None:
-            tm.record_blackout(rfm_start, rfm_end, "abo")
-        if prac.rfm_scope is RfmScope.ALL_BANK:
-            rank.blackouts.append((rfm_start, rfm_end))
-            for member in scope:
-                member.open_row = -1
-        else:
-            for member in scope:
-                if rfm_end > member.blocked:
-                    member.blocked = rfm_end
-                member.open_row = -1
-
 
 def _fire_refs(rank, until, inclusive, timing, tm, log) -> None:
     """Fire ``rank``'s REF ticks due before ``until`` (and at it, when
@@ -637,20 +508,11 @@ def _fire_refs(rank, until, inclusive, timing, tm, log) -> None:
     the merge key), before an ACT (ticks at or before its time, so the
     proactive variants see the event loop's on_ref/on_activation
     interleaving) and at the tail (ticks before the last core retires).
-    Each tick calls every bank's ``on_ref``, then lands in the hook log
-    and the telemetry when they are on.
+    Each tick is the controller's :func:`~repro.controller.memctrl.ref_tick`.
     """
     t_refi = timing.t_refi
     while rank.next_ref < until or (inclusive and rank.next_ref == until):
-        for hook in rank.on_refs:
-            hook()
-        if log is not None:
-            log.ref(rank.index)
-        if tm is not None:
-            tm.record_ref(
-                rank.next_ref, rank.next_ref + timing.t_rfc,
-                (b.defense for b in rank.banks),
-            )
+        ref_tick(rank, rank.next_ref, timing.t_rfc, log, tm)
         rank.next_ref += t_refi
 
 

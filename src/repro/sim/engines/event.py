@@ -19,7 +19,7 @@ trace and the event system.  Its result is byte-identical to a full run.
 
 from __future__ import annotations
 
-from repro.controller.memctrl import DefenseFactory
+from repro.controller.memctrl import DefenseFactory, run_label
 from repro.cpu.system import MulticoreSystem, SystemResult
 from repro.params import SystemConfig
 from repro.sim.engines import memo
@@ -72,8 +72,9 @@ class EventEngine(SimEngine):
         variant_name: str | None = None,
         telemetry=None,
     ) -> SystemResult:
+        label = run_label(config, defense_factory, variant_name)
         run = memo.lookup(self, workload, n_entries, seed, config,
-                          defense_factory, telemetry, variant_name)
+                          defense_factory, telemetry, label)
         if run.served is not None:
             self.work_units = 0
             return run.served
@@ -82,7 +83,7 @@ class EventEngine(SimEngine):
             telemetry=telemetry,
         )
         system.memory.hook_log = run.log
-        result = system.run(variant_name=variant_name)
+        result = system.run(variant_name=label)
         self.work_units = system.events.events_processed
         memo.remember(run, result)
         # Observed runs carry their summary out-of-band of the canonical

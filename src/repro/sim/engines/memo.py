@@ -37,9 +37,9 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import replace
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from repro.core.defense import BankDefense, MitigationReason
+from repro.core.defense import BankDefense, defense_stats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.controller.memctrl import DefenseFactory
@@ -180,10 +180,10 @@ def lookup(
     config: "SystemConfig",
     defense_factory: "DefenseFactory",
     telemetry: "Telemetry | None",
-    variant_name: str | None,
+    label: str,
 ) -> Lookup:
-    """Build the run's defenses and serve it from the memo if it can be
-    (module docstring)."""
+    """Build the run's defenses and serve it from the memo, labelled
+    ``label``, if it can be (module docstring)."""
     defenses = build_defenses(config, defense_factory)
     if telemetry is not None or any(
         defense.rfm_cadence_acts is not None for defense in defenses
@@ -197,7 +197,7 @@ def lookup(
     if drive(memo.log, defenses, config.org.banks_per_rank):
         served = replace(
             memo.result,
-            variant=variant_name or config.variant.value,
+            variant=label,
             core_ipcs=list(memo.result.core_ipcs),
             mitigations=defense_stats(defenses),
         )
@@ -236,14 +236,3 @@ def drive(
         elif on_acts[target](arg):
             return False
     return True
-
-
-def defense_stats(
-    defenses: Iterable[BankDefense],
-) -> dict[MitigationReason, int]:
-    """Total mitigations by reason, summed over ``defenses``."""
-    totals = {reason: 0 for reason in MitigationReason}
-    for defense in defenses:
-        for reason, count in defense.stats.mitigations_by_reason.items():
-            totals[reason] += count
-    return totals

@@ -8,9 +8,11 @@ Five layers of guarantees:
   can never collide in the result store).
 * **Reference integrity** — ``engine="event"`` is byte-identical to the
   default path (the golden hashes in ``test_determinism_golden.py``
-  remain the source of truth for the event engine itself).
+  remain the source of truth for the event engine itself), and a run
+  handed no label carries its defense's label on either engine.
 * **Epoch determinism** — two epoch runs are byte-identical, pinned
-  digests under the golden environment.
+  digests under the golden environment.  Every RFM scope × N_mit is
+  pinned on both engines too: the Alert Back-Off protocol they share.
 * **Statistical equivalence** — the event-vs-epoch differential matrix:
   seeded random workloads × every registered defense must agree on mean
   slowdown % and alerts/tREFI within the stated tolerance
@@ -252,6 +254,184 @@ def test_every_registered_engine_has_golden_coverage():
     pinned = {name.split(":")[0] for name in GOLDEN_ENGINE_HASHES}
     assert registered == pinned
     assert registered == set(DIFFERENTIAL_ENGINES)
+
+
+#: Alert Back-Off pins: 429.mcf at N_BO = 16, 1500 entries, seed 0, on
+#: each engine, per RFM scope (``RfmScope`` value) and N_mit ->
+#: defense -> sha256 of the result's canonical JSON.  The alerting
+#: defenses raise 1-22 Alerts a run, so every scope's RFM fan-out,
+#: rank blackout and per-bank block runs on both engines; Mithril's
+#: cadence RFMs do not depend on the scope, so its digest repeats.
+SCOPED_RFM_DEFENSES = (
+    "qprac-noop", "qprac", "moat", "uprac", "mithril:t_rh=256",
+)
+SCOPED_RFM_HASHES: dict[tuple, dict[str, str]] = {
+    ("event", "ab", 1): {
+        "qprac-noop":
+            "7227e27d9854899140592e5d7a6dbe0e7cf74b8ca8ef9406261a09801bb0ce88",
+        "qprac":
+            "5290502d6ab0affa1a753cf6634ec2c125e8d61c06e2a450720506c3c6983b94",
+        "moat":
+            "56537875033f4f1a67f24e66822abd8ff534c1a7e42e88292ace55858c3b467a",
+        "uprac":
+            "42e8bf68b85f66e45ed8b9454a750282f1fdb642b076489b6b1e7b50cc1645fe",
+        "mithril:t_rh=256":
+            "b6eea9faf188c7416afb6d99119e4758102a8243b154a8946050eef28ab7ba39",
+    },
+    ("event", "ab", 2): {
+        "qprac-noop":
+            "653900e683a6151e64966d7bf1aca0df0b5a8ff0f89d46f874ac853db880468b",
+        "qprac":
+            "27f59bdc1968c757e54eb80703f9a254d41a7f2fba42f9f269bf48729fae66a3",
+        "moat":
+            "40f15862790edce23c6dc0bff18240faf90d000798fbb39ae61d8cc9610ec11b",
+        "uprac":
+            "7ab0615ea030b4cbffcb2af37737b5ba8f5d75c4f94b904b3854caecd1065818",
+        "mithril:t_rh=256":
+            "b6eea9faf188c7416afb6d99119e4758102a8243b154a8946050eef28ab7ba39",
+    },
+    ("event", "sb", 1): {
+        "qprac-noop":
+            "6b03ef7ecb520a7cdd5692c92f0da9d321d1e59e49da0baac6f6afe4c1c994b1",
+        "qprac":
+            "cdf150dfa18939e0ac3aab15700d1e8fd13853a6d495e75c6f459b4f44b0df88",
+        "moat":
+            "be7592cf79a6ddf0f437f1b4d44c026eb84aa03573cb00d0b3025108dfa6e98d",
+        "uprac":
+            "636ffd476b7b325f72b917bb07bb1a56eac811516ce8c593dc0b9fcef5bbf444",
+        "mithril:t_rh=256":
+            "b6eea9faf188c7416afb6d99119e4758102a8243b154a8946050eef28ab7ba39",
+    },
+    ("event", "sb", 2): {
+        "qprac-noop":
+            "b23193bbae114743b5de27329423ac76537a52ee9df86aac8e50167fff464d37",
+        "qprac":
+            "2101455b7120786251ebdb59cfda9063ec1802e932ad4a035bb7eef2330c1ad1",
+        "moat":
+            "80256059b87355849c12c823f5978530a809be9cc5987dead63c090050e44482",
+        "uprac":
+            "6f983ad5b1835f3683f54dacf4df82ddf3d36b4227aea0394a8870dfb602adf3",
+        "mithril:t_rh=256":
+            "b6eea9faf188c7416afb6d99119e4758102a8243b154a8946050eef28ab7ba39",
+    },
+    ("event", "pb", 1): {
+        "qprac-noop":
+            "e13ef42467e9d15404f551625cfdc15aa5969308e733fc78bf32dbbf8a905824",
+        "qprac":
+            "95a938062eccea3d205bc3897efc2e0bd74f565763ff4cea2a927423ffa4e4df",
+        "moat":
+            "ec85ca0d1d8830ce6bc3d844fcd9178e9724bb056bd764a37f91e14226f9573c",
+        "uprac":
+            "a4e32bc78057bdfd63b6eb0a683d427dc9e385c93e77d651a74e6bc6b9f014d3",
+        "mithril:t_rh=256":
+            "b6eea9faf188c7416afb6d99119e4758102a8243b154a8946050eef28ab7ba39",
+    },
+    ("event", "pb", 2): {
+        "qprac-noop":
+            "1529debbbb1d77a3482d664aa08f1fd9a851d49a3228db2a692651ba74159902",
+        "qprac":
+            "3e5821dfb2a4c2fa04285340c4d759884a7923f966e9c35aa9eb6864de28c70e",
+        "moat":
+            "2c7656adefe3a27f5b439159a8aabe7d9828ceb7316b53f318c1ba3d70ce4944",
+        "uprac":
+            "ac8732080d075898231ec091209c0d4b2ed82e721b42f636415d6aede136fb22",
+        "mithril:t_rh=256":
+            "b6eea9faf188c7416afb6d99119e4758102a8243b154a8946050eef28ab7ba39",
+    },
+    ("epoch", "ab", 1): {
+        "qprac-noop":
+            "f95a4a34d20772598df0cd452602d4b34b623263f5a973ba43b3429e20754503",
+        "qprac":
+            "442d1eec736a274276e789f1bdc02d04ebff198c5232cc6cbae37d581f52a3e8",
+        "moat":
+            "e0a94bb96528df2ce09a8a9d509caa5e21cac60dd53e9f80202c22d43f3707f2",
+        "uprac":
+            "3934d16db6738e3a0737a24de286c3310fb71b7381cfca25a79bde4587060235",
+        "mithril:t_rh=256":
+            "04f05542ec5bd8e56f0a08415c4426dacf6bab442ff84d53f9c9ad090fdb8d99",
+    },
+    ("epoch", "ab", 2): {
+        "qprac-noop":
+            "62f49e758152ef601c84dbe9a7ea7b23531ce9cfd15783a80dcd875a207d5e53",
+        "qprac":
+            "b4c60e4da2416c661e1111b861785d0ffe7b33dbc53e6478534140348dc58784",
+        "moat":
+            "3c3da448a76288a8bee3abbc3a2433b88a2c80c7b093baaf5c055a0051c2508f",
+        "uprac":
+            "51544196b1929baaf209de9d859a3cece8c45bc77bc9112cf5721e3be34d2e66",
+        "mithril:t_rh=256":
+            "04f05542ec5bd8e56f0a08415c4426dacf6bab442ff84d53f9c9ad090fdb8d99",
+    },
+    ("epoch", "sb", 1): {
+        "qprac-noop":
+            "820aab12aaf9bf4e2683f775feea51c418ed12c0aaedc99d9671b0aa47b2bce3",
+        "qprac":
+            "9b5905a810c8eccf57fe165c2a58813a9e8bbc43898dff07e2773f29909d30ad",
+        "moat":
+            "8eca72fea99b7bd9a2bbf7990359f5f5d51a21e66f9b37815457d4fdbafc76bf",
+        "uprac":
+            "ed166f803182386e0ced99b852c1062b4cbc03c9b9fb8070df90ab594fa6ac06",
+        "mithril:t_rh=256":
+            "04f05542ec5bd8e56f0a08415c4426dacf6bab442ff84d53f9c9ad090fdb8d99",
+    },
+    ("epoch", "sb", 2): {
+        "qprac-noop":
+            "1b50923d7de51db702b310141e9e7760a2245cfc9dba5a8749d3c61c6a5463ca",
+        "qprac":
+            "ca6a2c81e70ac9ff9d1dde9123345f827a71e164c5506d566a6257fa2eb19509",
+        "moat":
+            "8f04a0a4d583db89aa170e3a359792a7542d4c5f921c1957c80c7ce41a656cd4",
+        "uprac":
+            "75934c830845e7736b6f303734c455b0fbf3eff30774a5c86b44ce523d7bb26d",
+        "mithril:t_rh=256":
+            "04f05542ec5bd8e56f0a08415c4426dacf6bab442ff84d53f9c9ad090fdb8d99",
+    },
+    ("epoch", "pb", 1): {
+        "qprac-noop":
+            "60db0261696e07475daae83550b21772b16321ba2a94f851886c5fe36c437768",
+        "qprac":
+            "65b41ec88fabed1f1ac3bc7f295684ec87d258f4c1b975d5eb27309894391bdd",
+        "moat":
+            "59747df1cad38a57928d7e2a38a710af3110e609ae58810345f45d7c9bc6d1f2",
+        "uprac":
+            "a26555567a372f3b2a287ec5a70144cedc0cfb4322e483a5a4656c33894de897",
+        "mithril:t_rh=256":
+            "04f05542ec5bd8e56f0a08415c4426dacf6bab442ff84d53f9c9ad090fdb8d99",
+    },
+    ("epoch", "pb", 2): {
+        "qprac-noop":
+            "584c68cc7f4c052456ba98a19f5d81f880085e022afdc4ce417f4b410f06d8a7",
+        "qprac":
+            "89025c255382a5d97ecbf894ba70e39c10e74ad9469c39194cbe0d871862be27",
+        "moat":
+            "755850ae4e2d502766b41877f233672965ac5baac676c05cfb25da92afe3ffcb",
+        "uprac":
+            "93ed22d9bfa14cffcf3a27f9c1e8c82ccc01d3b5304c46c31e13d09e7fc5550c",
+        "mithril:t_rh=256":
+            "04f05542ec5bd8e56f0a08415c4426dacf6bab442ff84d53f9c9ad090fdb8d99",
+    },
+}
+
+
+@needs_golden_env
+@pytest.mark.parametrize(
+    "engine,scope,n_mit", sorted(SCOPED_RFM_HASHES),
+    ids=lambda v: str(v),
+)
+def test_scoped_rfm_matches_pinned_digest(engine, scope, n_mit):
+    from repro.params import RfmScope, default_config
+
+    config = default_config().with_prac(
+        n_bo=16, n_mit=n_mit, rfm_scope=RfmScope(scope)
+    )
+    digests = {
+        defense: result_digest(simulate_workload(
+            "429.mcf", config=config, defense=defense, n_entries=1500,
+            engine=engine,
+        ))
+        for defense in SCOPED_RFM_DEFENSES
+    }
+    assert digests == SCOPED_RFM_HASHES[engine, scope, n_mit]
 
 
 # ----------------------------------------------------------------------
@@ -707,6 +887,38 @@ def test_memo_builds_each_defense_once(memo_calls):
             assert calls(engine, defense, config, **kwargs) == \
                 list(range(banks)) * builds, (engine, defense)
         assert memo_calls["aborted"] == aborted + 1
+
+
+@pytest.mark.parametrize("engine", DIFFERENTIAL_ENGINES)
+def test_unlabelled_runs_carry_their_defense_label(engine, memo_calls):
+    """A run handed no label reports the defense its factory's spec
+    names, on a full run and on a memo-served one; only a bare callable
+    falls back to ``config.variant``."""
+    from repro.core.null_defense import NullDefense
+    from repro.defenses import DefenseSpec
+    from repro.params import default_config
+    from repro.workloads.suites import workload as lookup_workload
+
+    config = default_config()
+    sim = EngineSpec(engine).build()
+
+    def label(factory):
+        return sim.simulate(
+            lookup_workload("429.mcf"), config, factory, n_entries=400,
+        ).variant
+
+    assert label(DefenseSpec("baseline").factory()) == "baseline"
+    assert memo_calls == {"full": 1, "served": 0, "aborted": 0}
+    assert label(DefenseSpec("moat").factory()) == "moat"
+    assert label(lambda _i, _c: NullDefense()) == config.variant.value
+    assert memo_calls == {"full": 1, "served": 2, "aborted": 0}
+
+
+def test_built_system_run_carries_its_defense_label():
+    from repro.sim import build_system
+
+    system = build_system("429.mcf", defense="moat", n_entries=300)
+    assert system.run().variant == "moat"
 
 
 class CountingDefense(BankDefense):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.controller.memctrl import MemorySystem
-from repro.core.defense import BankDefense
+from repro.core.defense import BankDefense, defense_stats
 from repro.core.null_defense import NullDefense
 from repro.engine import EventQueue
 from repro.params import (
@@ -158,7 +158,7 @@ class TestRefresh:
         )
         system.enqueue(system.mapper.compose(row=7), False, 500.0, None)
         events.run(until=config.timing.t_refi * 2.5)
-        mitigations = system.defense_stats()
+        mitigations = defense_stats(bank.defense for bank in system.banks)
         assert sum(mitigations.values()) >= 1
 
 
