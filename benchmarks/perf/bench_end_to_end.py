@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import time
 
-from repro.sim.runner import build_system, defense_and_config
+from repro.defenses import resolve_defense
+from repro.sim.runner import build_system
 
 WORKLOAD = "429.mcf"
 DEFENSE = "qprac"
@@ -19,12 +20,12 @@ REPEATS = 3
 
 
 def main() -> None:
-    spec, config = defense_and_config(DEFENSE)
+    spec = resolve_defense(DEFENSE)
     best = float("inf")
     events = 0
     for _ in range(REPEATS):
         started = time.perf_counter()
-        system = build_system(WORKLOAD, config, spec, n_entries=N_ENTRIES)
+        system = build_system(WORKLOAD, defense=spec, n_entries=N_ENTRIES)
         system.run(variant_name=spec.label)
         elapsed = time.perf_counter() - started
         events = system.events.events_processed

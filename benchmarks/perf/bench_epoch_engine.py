@@ -36,8 +36,6 @@ REPEATS = 3
 def main() -> None:
     spec = resolve_defense(DEFENSE)
     config = default_config()
-    if spec.variant is not None:
-        config = config.with_variant(spec.variant)
     workload = lookup_workload(WORKLOAD)
 
     def run_cell(engine: str) -> float:

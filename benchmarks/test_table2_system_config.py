@@ -11,6 +11,7 @@ def test_table2_system_configuration(benchmark):
     def build():
         cfg = default_config()
         t, org, cpu = cfg.timing, cfg.org, cfg.cpu
+        abo_window = cfg.prac.abo_window_ns
         return [
             ["Out-Of-Order Cores",
              f"{cpu.cores} Core, {cpu.freq_ghz:.0f}GHz, {cpu.issue_width} wide, "
@@ -27,7 +28,7 @@ def test_table2_system_configuration(benchmark):
             ["tRP, tRTP, tWR, tRC",
              f"{t.t_rp:.0f}ns, {t.t_rtp:.0f}ns, {t.t_wr:.0f}ns, {t.t_rc:.0f}ns"],
             ["tRFC, tREFI", f"{t.t_rfc:.0f} ns, {t.t_refi / 1000:.1f}us"],
-            ["tABO_ACT, tRFMab", f"{t.t_abo_act:.0f}ns, {t.t_rfm:.0f}ns"],
+            ["tABO_ACT, tRFMab", f"{abo_window:.0f}ns, {t.t_rfm:.0f}ns"],
             ["Rows Per Bank, Size",
              f"{org.rows_per_bank // 1024}K, {org.row_size_bytes // 1024}KB"],
         ]

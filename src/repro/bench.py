@@ -227,20 +227,21 @@ def _measure_cell(
     directly so its work-unit counter is observable.  ``telemetry`` is
     a :class:`~repro.obs.Telemetry` recorder or ``None``.
     """
+    from repro.defenses import resolve_defense
+    from repro.params import default_config
     from repro.sim.engines import memo, resolve_engine
-    from repro.sim.runner import defense_and_config
     from repro.workloads.suites import workload as lookup_workload
 
     # Time a full run, never one served from the Alert-free timing memo
     # an earlier run left behind.
     memo.clear()
     started = time.perf_counter()
-    spec, config = defense_and_config(defense)
+    spec = resolve_defense(defense)
     sim = resolve_engine(engine).build()
     workload_spec = lookup_workload(workload)
     result = sim.simulate(
         workload_spec,
-        config,
+        default_config(),
         spec.factory(),
         n_entries=n_entries,
         seed=seed,

@@ -71,15 +71,15 @@ def rfm_scope_banks(scope: RfmScope, banks: list[BankState],
     raise ConfigError(f"unhandled RFM scope {scope}")
 
 
-def run_label(config: SystemConfig, defense_factory: DefenseFactory,
+def run_label(defense_factory: DefenseFactory,
               variant_name: str | None = None) -> str:
     """A run's result label: ``variant_name`` when given, else the label
     of the spec a ``DefenseSpec.factory()`` carries, else (a bare
-    callable) ``config.variant``'s."""
+    callable) ``"custom"``."""
     if variant_name:
         return variant_name
     spec = getattr(defense_factory, "spec", None)
-    return spec.label if spec is not None else config.variant.value
+    return spec.label if spec is not None else "custom"
 
 
 class RankState:
@@ -150,19 +150,15 @@ def build_ranks(config: SystemConfig, defense_for: DefenseFactory
     banks: list[BankState] = []
     ranks: list[RankState] = []
     stagger = config.timing.t_refi / max(1, org.channels * org.ranks)
-    for channel in range(org.channels):
-        for rank in range(org.ranks):
-            lo = len(banks)
-            for bankgroup in range(org.bankgroups):
-                for bank in range(org.banks_per_group):
-                    flat = len(banks)
-                    banks.append(BankState(
-                        flat, channel, rank, bankgroup, bank,
-                        defense_for(flat, config),
-                    ))
-            ranks.append(
-                RankState(len(ranks), banks[lo:], stagger * len(ranks))
-            )
+    for index in range(org.channels * org.ranks):
+        lo = len(banks)
+        for bankgroup in range(org.bankgroups):
+            for bank in range(org.banks_per_group):
+                flat = len(banks)
+                banks.append(BankState(
+                    flat, bankgroup, bank, defense_for(flat, config),
+                ))
+        ranks.append(RankState(index, banks[lo:], stagger * index))
     return banks, ranks
 
 

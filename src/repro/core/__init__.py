@@ -6,7 +6,8 @@ The public surface of the paper's primary contribution:
   service queue (Section III-B).
 * :class:`~repro.core.prac_counters.PRACCounterBank` — per-row activation
   counters (Section II-D).
-* :class:`~repro.core.abo.AboProtocol` — the Alert Back-Off state machine.
+* :class:`~repro.core.abo.AboProtocol` — the activation-slot Alert
+  Back-Off state machine of the wave-attack model.
 * :class:`~repro.core.qprac.QPRACBank` — the per-bank QPRAC engine with all
   evaluated policy variants.
 * Baselines: :class:`~repro.core.panopticon.PanopticonBank`,

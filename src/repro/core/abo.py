@@ -12,10 +12,13 @@ time (paper Section II-D, Table I):
 4. The next Alert may only be asserted after ``ABO_Delay`` further
    activations have been serviced.
 
-This class tracks the protocol state at *activation granularity* so it can
-be shared by the fast security simulators (which count activation slots)
-and the nanosecond-accurate timing simulator (which additionally enforces
-the 180 ns wall-clock bound via :class:`repro.controller.memctrl`).
+This class tracks the protocol state at *activation granularity*, in
+activation slots rather than nanoseconds, and only the wave-attack
+security model (:mod:`repro.security.wave_sim`) runs it.  The simulation
+engines do not: both run :func:`repro.controller.memctrl.raise_alert`,
+whose window is ``prac.abo_window_ns`` nanoseconds long, whose RFM hooks
+fire at the Alert itself, and whose ABO_Delay counts the rank's ACTs
+from the Alert (here it counts activations after the RFMs).
 """
 
 from __future__ import annotations

@@ -237,7 +237,7 @@ class MulticoreSystem:
         sim_time = max(core.finish_time for core in self.cores)
         result = SystemResult.from_stats(
             workload=self.workload_name,
-            variant=run_label(self.cfg, self.defense_factory, variant_name),
+            variant=run_label(self.defense_factory, variant_name),
             sim_time_ns=sim_time,
             core_ipcs=[core.ipc() for core in self.cores],
             instructions=sum(core.total_instructions for core in self.cores),

@@ -104,14 +104,6 @@ class DefenseSpec(Spec):
     registry = REGISTRY
 
     @property
-    def variant(self) -> MitigationVariant | None:
-        """The QPRAC policy this spec names, or None for other defenses."""
-        try:
-            return MitigationVariant(self.name)
-        except ValueError:
-            return None
-
-    @property
     def is_baseline(self) -> bool:
         return self.name == BASELINE_NAME
 

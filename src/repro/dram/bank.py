@@ -30,8 +30,6 @@ class BankState:
 
     __slots__ = (
         "index",
-        "channel",
-        "rank",
         "bankgroup",
         "bank",
         "defense",
@@ -54,15 +52,11 @@ class BankState:
     def __init__(
         self,
         index: int,
-        channel: int,
-        rank: int,
         bankgroup: int,
         bank: int,
         defense: "BankDefense",
     ) -> None:
         self.index = index
-        self.channel = channel
-        self.rank = rank
         self.bankgroup = bankgroup
         #: Position within the bank group (the SAME_BANK RFM scope key).
         self.bank = bank

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.attacks import AttackSpec, bandwidth_targets, resolve_attack
-from repro.defenses import DefenseSpec
+from repro.defenses import DefenseSpec, resolve_defense
 from repro.errors import ReproError
 from repro.exp.cache import ResultStore
 from repro.exp.runner import run_batch
@@ -31,10 +31,9 @@ from repro.exp.serialize import (
     code_version_salt,
     content_key,
 )
-from repro.params import MitigationVariant, SystemConfig
+from repro.params import MitigationVariant, SystemConfig, default_config
 from repro.sim.bandwidth import BandwidthResult, run_bandwidth_attack
 from repro.sim.engines import DEFAULT_ENGINE_SPEC, EngineSpec, resolve_engine
-from repro.sim.runner import defense_and_config
 
 ProgressFn = Callable[[str], None]
 
@@ -105,17 +104,16 @@ def attack_job(
     attack: "AttackSpec | str | None" = None,
     **params,
 ) -> AttackJob:
-    """Build an :class:`AttackJob`, applying the defense's QPRAC variant
-    to the configuration exactly as ``simulate_workload`` would.
+    """Build an :class:`AttackJob` for a validated defense, running
+    ``config`` as given (``None``: :func:`~repro.params.default_config`).
 
     ``attack`` optionally names a registered pattern (validated here, so
     a typo dies before any simulation) whose row schedule replaces the
     classic strided pool.
     """
-    spec, config = defense_and_config(defense, config)
     return AttackJob(
-        defense=spec,
-        config=config,
+        defense=resolve_defense(defense),
+        config=config or default_config(),
         engine=resolve_engine(engine),
         attack=resolve_attack(attack) if attack is not None else None,
         **params,

@@ -80,7 +80,7 @@ class Job:
     defense: DefenseSpec
     #: PRAC overrides already folded into ``config`` (kept for labelling).
     overrides: Overrides
-    #: Effective configuration (overrides and QPRAC variant applied).
+    #: Effective configuration (overrides applied).
     config: SystemConfig
     n_entries: int
     seed: int
@@ -262,21 +262,17 @@ class SweepSpec:
         shape the defense — a baseline (no-defense) run is identical
         under every set, so one simulation (and one cache key, shared by
         sweeps over different override grids) serves them all.  Each
-        (override set, defense) config is built once and shared by that
-        pair's jobs on every workload, and an empty override set uses
-        ``config`` itself, so a batch keys each distinct config object
-        once.
+        override set's config is built once and shared by every defense
+        on every workload, and an empty override set uses ``config``
+        itself (the baseline's), so a batch keys each distinct config
+        object once.
         """
         jobs: list[Job] = []
         for set_index, overrides in enumerate(self.overrides):
-            base = (
+            config = (
                 self.config.with_prac(**dict(overrides)) if overrides
                 else self.config
             )
-            configs = [
-                base.with_variant(d.variant) if d.variant else base
-                for d in self.defenses
-            ]
             for workload in self.workloads:
                 if self.include_baseline and set_index == 0:
                     jobs.append(Job(
@@ -288,7 +284,7 @@ class SweepSpec:
                         seed=self.seed,
                         engine=self.engine,
                     ))
-                for defense, config in zip(self.defenses, configs):
+                for defense in self.defenses:
                     jobs.append(Job(
                         workload=workload,
                         defense=defense,

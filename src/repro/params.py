@@ -84,7 +84,8 @@ class PRACParams:
         Maximum activations the controller may issue between Alert assertion
         and the first RFM (3, bounded by the 180 ns window).
     abo_window_ns:
-        Wall-clock length of the non-blocking Alert window (180 ns).
+        Wall-clock length of the non-blocking Alert window, tABO_ACT
+        (180 ns): the one window the engines and the Figure 19 model use.
     abo_delay:
         Minimum activations after the RFMs before the next Alert may be
         asserted.  The specification sets this equal to ``n_mit``.
@@ -187,7 +188,6 @@ class DDR5Timing:
     t_rc: float = 52.0
     t_rfc: float = 410.0
     t_refi: float = 3900.0
-    t_abo_act: float = 180.0
     t_rfm: float = 350.0
     #: Data burst occupancy of the channel per 64-byte transfer
     #: (BL16 at 6400 MT/s on a 32-bit DDR5 subchannel).
@@ -199,7 +199,7 @@ class DDR5Timing:
     def __post_init__(self) -> None:
         for name in (
             "t_rcd", "t_cl", "t_ras", "t_rp", "t_rtp", "t_wr", "t_rc",
-            "t_rfc", "t_refi", "t_abo_act", "t_rfm", "t_burst", "t_rrd",
+            "t_rfc", "t_refi", "t_rfm", "t_burst", "t_rrd",
         ):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
@@ -304,16 +304,16 @@ class CPUConfig:
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Bundle of all configuration required to run one simulation."""
+    """Bundle of all configuration required to run one simulation.
+
+    The defense is not part of it: each run names its own
+    :class:`~repro.defenses.DefenseSpec`.
+    """
 
     prac: PRACParams = field(default_factory=PRACParams)
     timing: DDR5Timing = field(default_factory=DDR5Timing)
     org: DRAMOrganization = field(default_factory=DRAMOrganization)
     cpu: CPUConfig = field(default_factory=CPUConfig)
-    variant: MitigationVariant = MitigationVariant.QPRAC_PROACTIVE_EA
-
-    def with_variant(self, variant: MitigationVariant) -> "SystemConfig":
-        return replace(self, variant=variant)
 
     def with_prac(self, **kwargs: object) -> "SystemConfig":
         return replace(self, prac=self.prac.with_overrides(**kwargs))
@@ -322,7 +322,7 @@ class SystemConfig:
 def default_config() -> SystemConfig:
     """The paper's default evaluation configuration.
 
-    N_BO = 32, 1 RFM per Alert, 5-entry PSQ, blast radius 2, energy-aware
-    proactive mitigation with N_PRO = N_BO / 2.
+    N_BO = 32, 1 RFM per Alert, 5-entry PSQ, blast radius 2 and
+    N_PRO = N_BO / 2 for energy-aware proactive mitigation.
     """
     return SystemConfig()

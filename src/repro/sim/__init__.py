@@ -4,7 +4,8 @@
 name their defense one way — ``defense=`` (a
 :class:`~repro.defenses.DefenseSpec`, a ``"name:key=value"`` string or
 a :class:`~repro.params.MitigationVariant`; ``None`` runs
-``config.variant``'s QPRAC policy).
+``qprac+proactive-ea``, :data:`repro.sim.runner.DEFAULT_DEFENSE`) and
+run the configuration they are given.
 """
 
 from repro.sim.bandwidth import (

@@ -28,11 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.controller.memctrl import MemorySystem
+from repro.defenses import resolve_defense
 from repro.dram.address import bank_pools
 from repro.engine import EventQueue
 from repro.errors import ConfigError
 from repro.params import RfmScope, SystemConfig, default_config
-from repro.sim.runner import Defense, defense_and_config
+from repro.sim.runner import DEFAULT_DEFENSE, Defense
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,7 @@ def run_bandwidth_attack(
     time the pool needs to climb to N_BO plus margin).
 
     ``defense`` names the defense as ``simulate_workload``'s does
-    (``None``: ``config.variant``'s QPRAC policy).
+    (``None``: ``qprac+proactive-ea``).
 
     ``targets`` optionally replaces the default strided pool with
     explicit per-bank address pools (e.g. from
@@ -79,7 +80,8 @@ def run_bandwidth_attack(
     ``attack_ranks`` only shape the default pool and the warm-up
     estimate then.
     """
-    spec, config = defense_and_config(defense, config)
+    config = config or default_config()
+    spec = resolve_defense(DEFAULT_DEFENSE if defense is None else defense)
     events = EventQueue()
     memory = MemorySystem(config, events, spec.factory())
     org = config.org
@@ -149,7 +151,8 @@ def analytical_bandwidth_reduction(
 
     The analytical attacker climbs one fresh row to N_BO per Alert, at the
     rank-interleaved activation rate (tRRD across two ranks, ~2.5 ns per
-    activation), then pays the Alert service (180 ns window + N_mit RFMs)::
+    activation), then pays the Alert service (the ``prac.abo_window_ns``
+    window, 180 ns by default, + N_mit RFMs)::
 
         loss = blocked_per_alert / (climb + blocked_per_alert)
 
@@ -179,7 +182,7 @@ def analytical_bandwidth_reduction(
         if drain_ratio >= 1.0:
             return 0.0
         climb_ns /= 1.0 - drain_ratio
-    service_ns = timing.t_abo_act + prac.n_mit * timing.t_rfm
+    service_ns = prac.abo_window_ns + prac.n_mit * timing.t_rfm
     if scope is RfmScope.ALL_BANK:
         fraction = 1.0
     elif scope is RfmScope.SAME_BANK:

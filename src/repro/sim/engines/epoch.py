@@ -155,7 +155,7 @@ class EpochEngine(SimEngine):
             workload, n_entries, seed, config.org, config.cpu
         )
         self.work_units = stream.llc_total
-        label = run_label(config, defense_factory, variant_name)
+        label = run_label(defense_factory, variant_name)
         run = memo.lookup(self, workload, n_entries, seed, config,
                           defense_factory, telemetry, label)
         if run.served is not None:

@@ -72,7 +72,7 @@ class EventEngine(SimEngine):
         variant_name: str | None = None,
         telemetry=None,
     ) -> SystemResult:
-        label = run_label(config, defense_factory, variant_name)
+        label = run_label(defense_factory, variant_name)
         run = memo.lookup(self, workload, n_entries, seed, config,
                           defense_factory, telemetry, label)
         if run.served is not None:

@@ -4,16 +4,17 @@ This is the API the benchmarks and examples use::
 
     from repro.sim import simulate_workload
 
-    result = simulate_workload("429.mcf")              # config.variant's QPRAC
+    result = simulate_workload("429.mcf")              # qprac+proactive-ea
     result = simulate_workload("429.mcf", defense="baseline")
     result = simulate_workload("429.mcf", defense="moat:proactive_every_n_refs=4")
 
 ``defense=`` is the one way to name a defense: a
 :class:`~repro.defenses.DefenseSpec`, its ``"name:key=value"`` string or
 a :class:`~repro.params.MitigationVariant`, resolved against the defense
-registry (:func:`defense_and_config`).  Results carry the resolved
-spec's label, so distinct defenses are never conflated in tables or
-cache rows; designs outside the built-ins plug in through
+registry; ``None`` runs :data:`DEFAULT_DEFENSE`.  Every run simulates
+the configuration it is given.  Results carry the resolved spec's
+label, so distinct defenses are never conflated in tables or cache
+rows; designs outside the built-ins plug in through
 :func:`~repro.defenses.register_defense`.  Sweeps over many workloads
 and defenses go through :func:`repro.exp.run_sweep`.
 
@@ -74,24 +75,12 @@ def _resolve_workload_or_attack(workload, attack) -> WorkloadSpec:
     return _resolve_spec(workload)
 
 
-#: Anything ``defense=`` accepts (``None``: ``config.variant``'s QPRAC).
+#: What ``defense=None`` runs: the paper's default design, QPRAC with
+#: energy-aware proactive mitigation.
+DEFAULT_DEFENSE = DefenseSpec(MitigationVariant.QPRAC_PROACTIVE_EA.value)
+
+#: Anything ``defense=`` accepts (``None``: :data:`DEFAULT_DEFENSE`).
 Defense = DefenseSpec | MitigationVariant | str | None
-
-
-def defense_and_config(
-    defense: Defense, config: SystemConfig | None = None
-) -> tuple[DefenseSpec, SystemConfig]:
-    """The validated spec and the effective configuration of one run.
-
-    ``defense=None`` names the QPRAC policy of ``config.variant``, and a
-    QPRAC spec sets ``config.variant`` (which every job's cache key
-    encodes); any other defense leaves the config as given.
-    """
-    config = config or default_config()
-    spec = resolve_defense(config.variant if defense is None else defense)
-    if spec.variant is not None:
-        config = config.with_variant(spec.variant)
-    return spec, config
 
 
 def build_system(
@@ -108,10 +97,10 @@ def build_system(
     returns *is* the event-driven system; batched engines have no
     equivalent object.  Kept public for the bench harness and tests.
     """
-    spec, config = defense_and_config(defense, config)
+    spec = resolve_defense(DEFAULT_DEFENSE if defense is None else defense)
     return build_event_system(
-        _resolve_spec(workload), config, spec.factory(), n_entries, seed,
-        telemetry=telemetry,
+        _resolve_spec(workload), config or default_config(), spec.factory(),
+        n_entries, seed, telemetry=telemetry,
     )
 
 
@@ -129,9 +118,9 @@ def simulate_workload(
 
     ``defense`` selects any registered defense — a
     :class:`~repro.defenses.DefenseSpec`, a ``"name:key=value"`` string,
-    or a :class:`MitigationVariant`; ``None`` runs ``config.variant``'s
-    QPRAC policy (see :func:`defense_and_config`).  The result is
-    labeled with the spec's label.
+    or a :class:`MitigationVariant`; ``None`` runs
+    :data:`DEFAULT_DEFENSE`.  The result is labeled with the spec's
+    label.
 
     ``attack`` names a registered attack pattern (an
     :class:`~repro.attacks.AttackSpec` or ``"name:k=v"`` string) to run
@@ -147,11 +136,11 @@ def simulate_workload(
     the run (see :mod:`repro.obs`); results are byte-identical with or
     without one.
     """
-    spec, config = defense_and_config(defense, config)
+    spec = resolve_defense(DEFAULT_DEFENSE if defense is None else defense)
     sim = resolve_engine(engine).build()
     return sim.simulate(
         _resolve_workload_or_attack(workload, attack),
-        config,
+        config or default_config(),
         spec.factory(),
         n_entries=n_entries,
         seed=seed,

@@ -204,8 +204,7 @@ class TestExpansionShares:
         for job in spec.expand():
             configs[job.defense.label, job.overrides].add(id(job.config))
         assert all(len(ids) == 1 for ids in configs.values())
-        plain = [j for j in spec.expand()
-                 if j.defense.variant is None and not j.overrides]
+        plain = [j for j in spec.expand() if not j.overrides]
         assert all(job.config is spec.config for job in plain)
 
     def test_sweep_id_is_computed_once(self, monkeypatch):

@@ -135,13 +135,14 @@ class TestRunnerFacade:
         with pytest.raises(ConfigError):
             build_system("not-a-workload", n_entries=100)
 
-    def test_build_system_defaults_to_config_variant(self):
-        cfg = default_config().with_variant(MitigationVariant.QPRAC_NOOP)
-        system = build_system("541.leela", config=cfg, n_entries=50)
+    def test_build_system_defaults_to_energy_aware_qprac(self):
+        system = build_system("541.leela", defense=None, n_entries=50)
         banks = [bank.defense for bank in system.memory.banks]
         assert banks and all(
-            bank.variant is MitigationVariant.QPRAC_NOOP for bank in banks
+            bank.variant is MitigationVariant.QPRAC_PROACTIVE_EA
+            for bank in banks
         )
+        assert system.run().variant == "qprac+proactive-ea"
 
 
 class TestBandwidthModels:
@@ -179,6 +180,16 @@ class TestBandwidthModels:
     def test_analytical_rejects_bad_nbo(self):
         with pytest.raises(ConfigError):
             analytical_bandwidth_reduction(0)
+
+    def test_analytical_follows_the_abo_window(self):
+        """The Alert service is ``prac.abo_window_ns`` + N_mit x tRFM,
+        the window the engines use: at N_BO 32 the climb is 32 x 2.5 ns,
+        so 90 + 350 ns of service loses 440 / 520 of the bandwidth."""
+        short = default_config().with_prac(abo_window_ns=90.0)
+        assert analytical_bandwidth_reduction(
+            32, config=short
+        ) == pytest.approx(440 / 520)
+        assert analytical_bandwidth_reduction(32) == pytest.approx(530 / 610)
 
 
 class TestSystemGuards:

@@ -892,8 +892,8 @@ def test_memo_builds_each_defense_once(memo_calls):
 @pytest.mark.parametrize("engine", DIFFERENTIAL_ENGINES)
 def test_unlabelled_runs_carry_their_defense_label(engine, memo_calls):
     """A run handed no label reports the defense its factory's spec
-    names, on a full run and on a memo-served one; only a bare callable
-    falls back to ``config.variant``."""
+    names, on a full run and on a memo-served one; a bare callable,
+    which names none, is labelled ``"custom"``."""
     from repro.core.null_defense import NullDefense
     from repro.defenses import DefenseSpec
     from repro.params import default_config
@@ -910,7 +910,7 @@ def test_unlabelled_runs_carry_their_defense_label(engine, memo_calls):
     assert label(DefenseSpec("baseline").factory()) == "baseline"
     assert memo_calls == {"full": 1, "served": 0, "aborted": 0}
     assert label(DefenseSpec("moat").factory()) == "moat"
-    assert label(lambda _i, _c: NullDefense()) == config.variant.value
+    assert label(lambda _i, _c: NullDefense()) == "custom"
     assert memo_calls == {"full": 1, "served": 2, "aborted": 0}
 
 

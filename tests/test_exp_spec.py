@@ -103,7 +103,7 @@ class TestExpansion:
 
     def test_no_baseline(self):
         jobs = make_spec(include_baseline=False).expand()
-        assert all(j.defense.variant is not None for j in jobs)
+        assert not any(j.defense.is_baseline for j in jobs)
         assert len(jobs) == 4
 
     def test_overrides_axis(self):
@@ -128,20 +128,32 @@ class TestExpansion:
         jobs = spec.expand()
         # Overrides only alter the defense: 1 shared baseline + 2 variants.
         assert len(jobs) == 3
-        assert sum(1 for j in jobs if j.defense.variant is None) == 1
+        assert sum(1 for j in jobs if j.defense.is_baseline) == 1
 
-    def test_variant_applied_to_config(self):
-        jobs = make_spec().expand()
-        assert jobs[0].defense.variant is None
+    def test_qprac_jobs_run_the_spec_config(self):
+        spec = make_spec()
+        jobs = spec.expand()
         assert jobs[0].defense.is_baseline
         assert jobs[0].defense.label == BASELINE
-        assert jobs[1].config.variant is MitigationVariant.QPRAC
-        assert jobs[1].defense.variant is MitigationVariant.QPRAC
+        assert jobs[1].defense == DefenseSpec("qprac")
+        assert jobs[1].config is spec.config
+
+    def test_override_set_shares_one_config_object(self):
+        """The baseline and every defense of one override set run one
+        config object, so a batch encodes it once for all their keys."""
+        spec = make_spec(overrides=({}, {"psq_size": 3}))
+        jobs = spec.expand()
+        unchanged = [j for j in jobs if not j.overrides]
+        overridden = [j for j in jobs if j.overrides]
+        assert len(unchanged) == 6 and len(overridden) == 4
+        assert all(j.config is spec.config for j in unchanged)
+        shared = overridden[0].config
+        assert shared.prac.psq_size == 3
+        assert all(j.config is shared for j in overridden)
 
     def test_string_defenses_resolved(self):
         spec = SweepSpec.build(["541.leela"], ["qprac"], n_entries=100)
         assert spec.defenses == (DefenseSpec("qprac"),)
-        assert spec.defenses[0].variant is MitigationVariant.QPRAC
 
     def test_mixed_defense_grid(self):
         spec = SweepSpec.build(
@@ -156,9 +168,8 @@ class TestExpansion:
             "541.leela/moat",
             "541.leela/pride:t_rh=256",
         ]
-        # Non-QPRAC defenses leave the config's variant untouched.
-        assert jobs[2].defense.variant is None
-        assert jobs[2].config.variant is spec.config.variant
+        # Every defense, QPRAC or not, runs the spec's config as given.
+        assert all(job.config is spec.config for job in jobs)
 
     def test_duplicate_defenses_rejected(self):
         with pytest.raises(ConfigError, match="duplicate defenses"):
@@ -309,11 +320,11 @@ def _pinned_grids():
 #: ``sweep_id_for`` of each pinned grid (salt-free, so stable).
 PINNED_SWEEP_IDS = {
     "benign":
-        "a067686cbbb2962b5808bb63dba1a894339a18d7bdeb5ba4625d37365b436ff3",
+        "f82e2624912013f9927559705f21c146c0a28f8a42ee0c6d691507ca90e734fe",
     "attack":
-        "6034c45db8b6b3b96d047f6f6e0771c4e6cc82c418a51fbd45f1e4095137c38b",
+        "00842ea4998774538ea13f5ce2879e833b473acc2ce6756082db4b003a61a748",
     "overrides":
-        "971b07d4e2a064d3f920b6f591313f51f171017857da693de12a220f7c5e34bf",
+        "505f87c2152602ca00508d015542d13b0a5a54d08133aa2d74a25890796238b3",
 }
 
 #: Per grid: job count, sha256 over the newline-joined cache keys, and
@@ -321,18 +332,18 @@ PINNED_SWEEP_IDS = {
 PINNED_CACHE_KEYS = {
     "benign": (
         8,
-        "40094e16a7be2314481f0c23f5da3be92a1a091248faeff37dccf747da0e40e6",
-        "2965e614e73b9bd06e250f966a67b3a6ba4977bdee9e770a42552d7277b26c95",
+        "5228af1febb04f0825cbdabeb63feb03433f381da40291382ad1cd48a68eedf5",
+        "a199ce2cf7ef7cdcfed30da0658a70b5472b4e0ac85083015e5cf004c77f4153",
     ),
     "attack": (
         6,
-        "a5dcbf3e41e0d0d5f0bc99f2ecc9c2cd2de52cb800db63866a9e827f7be1b40b",
-        "e5add52e00b4c3f600b02737ffeed13897bd135dc86c3fdd43d491b25936ab4c",
+        "2c0e0247cf1c0a1cda4351428a8c7ae4f766495fce2e16f14d11c9bbf8dd4e1d",
+        "b303d5ad596ed9690507aadf455735fb3713bee423d07f0dbd70ec60bad199c7",
     ),
     "overrides": (
         5,
-        "27979fc6de0906fef2f594ea9ac3edb2ca368dbe4895cfd55f3a6940381ec81c",
-        "c14758633b968bfc1764b07e7921ce97ae1832d2bc2e491d9efbcba9f2d9e980",
+        "38dd7c5dd7bc9f3edcf4aa29d4e7e82201d6a261e1c8681407734e3db7bb2063",
+        "f027128b1ef73992ea758c225db36149dfec5f764b1d331d40b324a380aafb4c",
     ),
 }
 
@@ -371,12 +382,12 @@ class TestExactnessPins:
             ),
         }
         assert {name: job.cache_key() for name, job in jobs.items()} == {
-            "qprac": "b8b140475ca95e4f1ab18332908dbf52"
-                     "bdf9b921499126307f78e85303f8132c",
-            "moat": "56b8005596d5c24d4c83c4d212184dcf"
-                    "a2c282f6b1021a0d4913b1a1dc649b52",
-            "pride": "8a221dc5bff3b8c609bfa8f3f01aa927"
-                     "5e5857fb67917b8fd668be811682e24a",
+            "qprac": "44607559fb4ab605995b0b1455b57f8b"
+                     "3a0b8b83d1adeccb42b3edacf68b0fab",
+            "moat": "fb5021c8232d76fc13e186f46281c423"
+                    "0fb059df34287c00c367e23629dbebd9",
+            "pride": "a865e88d63d5e00aa163ac7ea2f6bd3d"
+                     "90ef34b7c32e521ef2bc177f2ff7468c",
         }
 
     @pytest.mark.parametrize("grid", sorted(PINNED_CACHE_KEYS))

@@ -10,7 +10,6 @@ from repro.core.null_defense import NullDefense
 from repro.engine import EventQueue
 from repro.params import (
     DRAMOrganization,
-    MitigationVariant,
     PRACParams,
     RfmScope,
     SystemConfig,
@@ -150,7 +149,6 @@ class TestRefresh:
                 channels=1, ranks=1, bankgroups=2, banks_per_group=2,
                 rows_per_bank=1024,
             ),
-            variant=MitigationVariant.QPRAC_PROACTIVE,
         )
         system, events = make_system(
             config, DefenseSpec("qprac+proactive").factory(),

@@ -9,7 +9,6 @@ from repro.params import (
     CPUConfig,
     DDR5Timing,
     DRAMOrganization,
-    MitigationVariant,
     PRACParams,
     RfmScope,
     SystemConfig,
@@ -85,7 +84,6 @@ class TestDDR5Timing:
         assert timing.t_rfc == 410.0
         assert timing.t_refi == 3900.0
         assert timing.t_rfm == 350.0
-        assert timing.t_abo_act == 180.0
 
     def test_acts_per_trefw_near_550k(self, timing: DDR5Timing):
         # The paper: "a single bank can undergo up to approximately 550K
@@ -175,13 +173,6 @@ class TestCounterSizing:
 
 
 class TestSystemConfig:
-    def test_default_variant_is_energy_aware(self):
-        assert default_config().variant is MitigationVariant.QPRAC_PROACTIVE_EA
-
-    def test_with_variant(self):
-        cfg = default_config().with_variant(MitigationVariant.QPRAC)
-        assert cfg.variant is MitigationVariant.QPRAC
-
     def test_with_prac_overrides(self):
         cfg = default_config().with_prac(n_bo=64)
         assert cfg.prac.n_bo == 64
